@@ -89,6 +89,7 @@ from .solvers import (
     VARIANTS,
     effective_schedules,
     run,
+    run_batch,
     step_static,
     step_static_per_agent,
     step_tracking,

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .harness import (
     Aggregate,
+    BudgetRow,
     aggregate,
     budget_report,
     monte_carlo,
@@ -119,7 +120,9 @@ def _write_run_outputs(
     gradient_bound: float,
     iterations: int,
     plot: bool,
-) -> None:
+) -> BudgetRow | None:
+    """Write a batch's traces, aggregate, failures, budget and plots;
+    return the budget row at the horizon, None for a noiseless variant."""
     for index, trace in enumerate(traces):
         if not trace.diverged:
             write_trace(
@@ -127,12 +130,14 @@ def _write_run_outputs(
             )
     write_aggregate(os.path.join(out_dir, "aggregate.csv"), agg)
     write_failures(os.path.join(out_dir, "failures.csv"), agg)
-    sch = effective_schedules(variant, setup)
-    if sch.noise_scale is not None:
+    row = None
+    if effective_schedules(variant, setup).noise_scale is not None:
         rows = budget_report(variant, setup, gradient_bound, [iterations])
         write_budget(os.path.join(out_dir, "budget.csv"), rows)
+        row = rows[0]
     if plot:
         _plot_aggregate(out_dir, variant, agg)
+    return row
 
 
 def _plot_aggregate(out_dir: str, variant: str, agg: Aggregate) -> None:
@@ -268,16 +273,12 @@ def cmd_compare(args) -> int:
             force=args.force,
         )
         agg = aggregate(variant, traces, config.noise_seed)
-        _write_run_outputs(
+        row = _write_run_outputs(
             out_dir, variant, setup, traces, agg,
             config.gradient_bound, iterations, plot=False,
         )
         aggregates[variant] = agg
-        sch = effective_schedules(variant, setup)
-        if sch.noise_scale is not None:
-            row = budget_report(
-                variant, setup, config.gradient_bound, [iterations]
-            )[0]
+        if row is not None:
             eps_bound, eps_env = row.conservative, row.envelope
         else:
             eps_bound, eps_env = math.nan, math.nan

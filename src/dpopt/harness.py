@@ -33,7 +33,7 @@ from .solvers import (
     STATIC_VARIANTS,
     Trace,
     effective_schedules,
-    run,
+    run_batch,
 )
 
 TRACE_COLUMNS = (
@@ -124,12 +124,10 @@ def monte_carlo(
     n_runs: int,
     force: bool = False,
 ) -> list[Trace]:
-    """Execute n_runs independent runs with index-derived seeds."""
-    return [
-        run(variant, setup, iterations, derive_seed(base_seed, index),
-            force=force)
-        for index in range(n_runs)
-    ]
+    """Execute n_runs independent runs with index-derived seeds, all
+    stepped together in one batch."""
+    seeds = [derive_seed(base_seed, index) for index in range(n_runs)]
+    return run_batch(variant, setup, iterations, seeds, force=force)
 
 
 def _stat_columns(traces: list[Trace], name: str):

@@ -29,6 +29,11 @@ STATE_STREAM = 0
 TRACKER_STREAM = 1
 
 _STREAMS = {"state": STATE_STREAM, "tracker": TRACKER_STREAM}
+_SEED_MASK = 0xFFFFFFFFFFFFFFFF
+
+# Iterations per drawn block: about NOISE_CHUNK x agents x dim draws
+# are held per stream at a time.
+NOISE_CHUNK = 2048
 
 _M1 = np.uint64(0x9E3779B97F4A7C15)
 _M2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -50,16 +55,19 @@ def _mix64(x: np.ndarray) -> np.ndarray:
         return x ^ (x >> np.uint64(31))
 
 
-def _counter_words(seed, agents, stream, iteration, coords):
-    """Mix the five counter fields into one 64-bit word per (agent, coord)."""
-    h = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+def _counter_words(seed_words, agents, stream, iteration, coords):
+    """Mix the five counter fields into one 64-bit word per entry.
+
+    seed_words holds seeds already reduced modulo 2**64; every field
+    broadcasts against the others.
+    """
     fields = (
         np.asarray(agents, dtype=np.uint64),
         np.asarray(stream, dtype=np.uint64),
         np.asarray(iteration, dtype=np.uint64),
         np.asarray(coords, dtype=np.uint64),
     )
-    out = h
+    out = np.asarray(seed_words, dtype=np.uint64)
     with np.errstate(over="ignore"):
         for salt, f in zip(_FIELD_SALTS, fields):
             out = _mix64(out ^ ((f + np.uint64(1)) * salt))
@@ -78,10 +86,38 @@ def laplace_inverse_cdf(q, scale):
     return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
 
 
+def laplace_draws(scale, seeds, n_agents: int, stream: str, iterations,
+                  dim: int) -> np.ndarray:
+    """Draws of a batch of runs for all agents over a range of iterations.
+
+    Returns an array of shape (len(iterations), len(seeds), n_agents,
+    dim).  Entry [t, r, i, c] is keyed by (seeds[r], i, stream,
+    iterations[t], c) alone, so each run of a batch gets exactly the
+    draws it gets when run by itself.  scale None gives zeros.
+    """
+    if scale is None:
+        return np.zeros((len(iterations), len(seeds), n_agents, dim))
+    seed_words = np.array([s & _SEED_MASK for s in seeds], dtype=np.uint64)
+    ks = np.asarray(iterations, dtype=np.uint64)
+    agents = np.arange(n_agents, dtype=np.uint64)
+    coords = np.arange(dim, dtype=np.uint64)
+    words = _counter_words(
+        seed_words[None, :, None, None],
+        agents[None, None, :, None],
+        _STREAMS[stream],
+        ks[:, None, None, None],
+        coords[None, None, None, :],
+    )
+    scales = scale.values(np.asarray(iterations, dtype=float))
+    return laplace_inverse_cdf(
+        _open_uniform(words), scales[:, None, None, None]
+    )
+
+
 def derive_seed(base_seed: int, index: int) -> int:
     """Stable per-run seed derived from a base seed and a run index."""
     with np.errstate(over="ignore"):
-        word = _mix64(np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF) ^
+        word = _mix64(np.uint64(base_seed & _SEED_MASK) ^
                       ((np.uint64(index) + np.uint64(1)) * _M2))
     return int(word & np.uint64(0x7FFFFFFFFFFFFFFF))
 
@@ -108,8 +144,8 @@ class LaplaceNoiseSource:
         if self.scale is None:
             return np.zeros(dim)
         words = _counter_words(
-            self.seed, np.full(dim, agent), _STREAMS[stream], iteration,
-            np.arange(dim),
+            self.seed & _SEED_MASK, np.full(dim, agent), _STREAMS[stream],
+            iteration, np.arange(dim),
         )
         return laplace_inverse_cdf(_open_uniform(words), self.scale.value(iteration))
 
@@ -121,20 +157,19 @@ class LaplaceNoiseSource:
         Returns an array of shape (len(iterations), n_agents, dim) that
         matches per-call sample() entrywise.
         """
-        if self.scale is None:
-            return np.zeros((len(iterations), n_agents, dim))
-        ks = np.asarray(iterations, dtype=np.uint64)
-        agents = np.arange(n_agents, dtype=np.uint64)
-        coords = np.arange(dim, dtype=np.uint64)
-        words = _counter_words(
-            self.seed,
-            agents[None, :, None],
-            _STREAMS[stream],
-            ks[:, None, None],
-            coords[None, None, :],
-        )
-        scales = self.scale.values(np.asarray(iterations, dtype=float))
-        return laplace_inverse_cdf(_open_uniform(words), scales[:, None, None])
+        return laplace_draws(
+            self.scale, [self.seed], n_agents, stream, iterations, dim
+        )[:, 0]
+
+    def iter_draws(self, n_agents: int, stream: str, iterations: int,
+                   dim: int):
+        """Yield the (n_agents, dim) draws of iterations 0, 1, ...,
+        iterations - 1 in turn, drawn NOISE_CHUNK iterations at a time."""
+        for start in range(0, iterations, NOISE_CHUNK):
+            stop = min(start + NOISE_CHUNK, iterations)
+            yield from self.sample_block(
+                n_agents, stream, np.arange(start, stop), dim
+            )
 
     def variance(self, iteration: int) -> float:
         """Per-coordinate message noise variance at the given iteration."""

@@ -58,9 +58,18 @@ class QuadraticEstimationProblem:
         resid = self.observations[agent] - self.sensing[agent] @ theta
         return float(resid @ resid + self.reg * (theta @ theta))
 
-    def global_cost(self, theta: np.ndarray) -> float:
-        resid = self.observations - self.sensing @ theta
-        total = float(np.sum(resid * resid) + self.m * self.reg * (theta @ theta))
+    def global_cost(self, theta: np.ndarray):
+        """Network cost at theta of shape (d,), as a float, or at every
+        row of a (..., d) stack, as an array equal to the row-wise
+        floats bit for bit."""
+        theta = np.asarray(theta)
+        fitted = (self.sensing @ theta[..., None, :, None])[..., 0]
+        resid = self.observations - fitted
+        sq_norm = (theta[..., None, :] @ theta[..., :, None])[..., 0, 0]
+        total = np.sum(resid * resid, axis=(-2, -1)) \
+            + self.m * self.reg * sq_norm
+        if theta.ndim == 1:
+            return float(total) / self.m
         return total / self.m
 
     def local_gradient(self, agent: int, theta: np.ndarray) -> np.ndarray:
@@ -69,10 +78,14 @@ class QuadraticEstimationProblem:
             + 2.0 * self.reg * theta
 
     def all_gradients(self, thetas: np.ndarray) -> np.ndarray:
-        """Gradient of f_i at thetas[i] for every agent, shape (m, d)."""
-        fitted = np.einsum("isd,id->is", self.sensing, thetas)
+        """Gradient of f_i at thetas[..., i, :] for every agent.
+
+        thetas has shape (m, d) or (R, m, d) for a batch of R runs; a
+        batched call equals R single calls bit for bit.
+        """
+        fitted = np.einsum("isd,...id->...is", self.sensing, thetas)
         resid = fitted - self.observations
-        grads = 2.0 * np.einsum("isd,is->id", self.sensing, resid)
+        grads = 2.0 * np.einsum("isd,...is->...id", self.sensing, resid)
         return grads + 2.0 * self.reg * thetas
 
 

@@ -435,14 +435,14 @@ def _difference_static(variant, setup, adjacent, sch, agent, iterations,
     grads = problem.all_gradients(x)
     e = np.zeros(d_dim)
     run_env = 0.0
-    for k in range(iterations):
+    zetas = noise.iter_draws(m, "state", iterations, d_dim)
+    for k, zeta in zip(range(iterations), zetas):
         if 1.0 - self_mag * gam[k] <= 0.0:
             raise RangeError("coupling too strong for the perturbed agent")
         gdiff = problem.local_gradient(agent, x[agent]) \
             - adjacent.local_gradient(agent, x[agent] - e)
         run_env = max(run_env, float(np.abs(gdiff).sum()))
         e = (1.0 - self_mag * gam[k]) * e - lam[k] * gdiff
-        zeta = noise.sample_block(m, "state", np.array([k]), d_dim)[0]
         x = step_static(x, grads, W, W_off, gam[k], lam[k], zeta)
         grads = problem.all_gradients(x)
         diff[k + 1] = float(np.abs(e).sum())
@@ -515,14 +515,14 @@ def _difference_tracking(variant, setup, adjacent, sch, agent, iterations,
     ex = np.zeros(d_dim)
     ey = np.zeros(d_dim)
     run_env = float(np.abs(gdiff_prev).sum())
-    for k in range(iterations):
+    zetas = noise.iter_draws(m, "state", iterations, d_dim)
+    xis = noise.iter_draws(m, "tracker", iterations, d_dim)
+    for k, zeta, xi in zip(range(iterations), zetas, xis):
         shrink_y = 1.0 - alpha[k] - self_push * g2[k]
         shrink_x = 1.0 - self_pull * g1[k]
         if shrink_y <= 0.0 or shrink_x <= 0.0:
             raise RangeError("coupling too strong for the perturbed agent")
         ex_next = shrink_x * ex - lam[k] * ey
-        zeta = noise.sample_block(m, "state", np.array([k]), d_dim)[0]
-        xi = noise.sample_block(m, "tracker", np.array([k]), d_dim)[0]
         x, y, grads = step_tracking(
             x, y, grads, problem, R, R_off, C, C_off,
             g1[k], g2[k], alpha[k], lam[k], zeta, xi,

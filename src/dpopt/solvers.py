@@ -24,6 +24,17 @@ swap in geometric stepsize and noise schedules.
 Every message is obscured by one fresh Laplace draw per sender per
 iteration; all receivers observe the same copy and the sender's own
 update uses its clean state.
+
+run_batch steps all R runs of a Monte Carlo batch together: states are
+stacked as (R, m, d) and every update, gradient and divergence check
+acts on the whole stack, while the seed-independent budget recursion
+runs once per batch.  Noise is keyed by (seed, agent, stream,
+iteration, coordinate), and is drawn in blocks of NOISE_CHUNK // R
+iterations, so memory stays flat in R and each run gets exactly its
+own draws.  Every batched trace therefore equals the serial run of its
+seed bit for bit; run is the R = 1 case.  A diverged run keeps its
+serial record (its gradient bound includes the diverging iteration)
+and leaves the batch, so it is never stepped further.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from .graphs import (
     contraction_at,
     validate_consensus_matrix,
 )
-from .noise import LaplaceNoiseSource
+from .noise import NOISE_CHUNK, laplace_draws
 from .objectives import QuadraticEstimationProblem, optimal_solution
 from .schedules import (
     PowerSchedule,
@@ -52,8 +63,6 @@ from .schedules import (
 STATIC_VARIANTS = ("alg1", "dgd", "pdop_alg1")
 TRACKING_VARIANTS = ("alg2", "push_pull", "pdop_push_pull")
 VARIANTS = STATIC_VARIANTS + TRACKING_VARIANTS
-
-_NOISE_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -318,12 +327,33 @@ def run(variant: str, setup: RunSetup, iterations: int, seed: int,
 
     The seed fixes both the random initial states and the noise
     substreams, so two variants run with the same seed see identical
-    initializations and identical message noise.
+    initializations and identical message noise.  This is the one-run
+    case of run_batch.
     """
+    return run_batch(variant, setup, iterations, [seed], force=force)[0]
+
+
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each run's (m, d) block."""
+    return np.abs(a).max(axis=(-2, -1))
+
+
+def _gradient_norms(grads: np.ndarray) -> np.ndarray:
+    """Largest per-agent ||grad f_i||_1 of each run, along leading axes."""
+    return np.abs(grads).sum(axis=-1).max(axis=-1)
+
+
+def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
+              force: bool = False) -> list[Trace]:
+    """Execute one run per seed, all stepped together; the traces come
+    back in seed order, each equal bit for bit to run() with its seed."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if iterations < 1:
         raise RangeError("iterations must be positive")
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise RangeError("at least one seed is required")
     if not force:
         report = validate_for_variant(variant, setup)
         if not report.overall:
@@ -334,17 +364,20 @@ def run(variant: str, setup: RunSetup, iterations: int, seed: int,
     sch = effective_schedules(variant, setup)
     problem = setup.problem
     m, d = problem.m, problem.dim
-    rng = np.random.default_rng(seed)
-    x = setup.init_radius * rng.standard_normal((m, d))
-    noise = LaplaceNoiseSource(sch.noise_scale, seed)
+    n_runs = len(seeds)
+    x = np.stack([
+        setup.init_radius * np.random.default_rng(s).standard_normal((m, d))
+        for s in seeds
+    ])
     budget = _BudgetTracker(variant, setup, sch)
 
     record_ks = _record_points(iterations, setup.stride)
     n_rec = len(record_ks)
-    cons = np.full(n_rec, np.nan)
-    gap = np.full(n_rec, np.nan)
-    dist = np.full(n_rec, np.nan)
-    track = np.full(n_rec, np.nan)
+    cons = np.full((n_runs, n_rec), np.nan)
+    gap = np.full((n_runs, n_rec), np.nan)
+    dist = np.full((n_runs, n_rec), np.nan)
+    track = np.full((n_runs, n_rec), np.nan)
+    # The raw budget does not depend on the seed: one series per batch.
     eps = np.full(n_rec, np.nan)
 
     tracking = variant in TRACKING_VARIANTS
@@ -359,7 +392,6 @@ def run(variant: str, setup: RunSetup, iterations: int, seed: int,
         contraction_at(weights, sch.coupling_tracker.value(0), side="push")
         grads = problem.all_gradients(x)
         y = grads.copy()
-        g_prev = grads
     else:
         weights = setup.consensus
         W = weights.matrix
@@ -367,87 +399,162 @@ def run(variant: str, setup: RunSetup, iterations: int, seed: int,
         contraction_at(weights, sch.coupling.value(0))
         grads = problem.all_gradients(x)
 
-    grad_bound = float(np.max(np.abs(grads).sum(axis=1)))
+    grad_bound = _gradient_norms(grads)
 
-    def capture(idx, k):
-        if tracking:
-            xbar = (u @ x) / m
-            ybar = y.mean(axis=0)
-            track[idx] = float(np.sum((y - np.outer(v, ybar)) ** 2))
-        else:
-            xbar = x.mean(axis=0)
-        cons[idx] = float(np.sum((x - xbar) ** 2))
-        gap[idx] = problem.global_cost(xbar) - setup.f_star
-        dist[idx] = float(np.linalg.norm(xbar - setup.theta_star))
+    # Rows of x (and y, grads) belong to the runs listed in `active`.
+    active = np.arange(n_runs)
+    kept = np.full(n_runs, n_rec)
+    diverged_at = [None] * n_runs
+    magnitude = [float("nan")] * n_runs
+
+    # Record points of a chunk are snapshotted, (record index, runs, x,
+    # y), and reduced in bulk by flush_records; the steps return fresh
+    # arrays, so a snapshot needs no copy.
+    pending = []
+
+    def capture(idx):
         eps[idx] = budget.partial()
+        pending.append((idx, active, x, y if tracking else None))
+
+    def flush_records():
+        if not pending:
+            return
+        rec = np.concatenate([np.full(len(p[1]), p[0]) for p in pending])
+        runs = np.concatenate([p[1] for p in pending])
+        xs = np.concatenate([p[2] for p in pending])
+        if tracking:
+            ys = np.concatenate([p[3] for p in pending])
+            xbar = (u @ xs) / m
+            ybar = ys.mean(axis=-2)
+            track[runs, rec] = np.sum(
+                (ys - v[:, None] * ybar[:, None, :]) ** 2, axis=(-2, -1)
+            )
+        else:
+            xbar = xs.mean(axis=-2)
+        cons[runs, rec] = np.sum((xs - xbar[:, None, :]) ** 2, axis=(-2, -1))
+        gap[runs, rec] = problem.global_cost(xbar) - setup.f_star
+        err = xbar - setup.theta_star
+        # A stacked (1, d) @ (d, 1) product takes the same BLAS dot as
+        # np.linalg.norm on one vector, so the distance matches it bitwise.
+        dist[runs, rec] = np.sqrt((err[:, None, :] @ err[:, :, None])[:, 0, 0])
+        pending.clear()
 
     rec_idx = 0
-    capture(rec_idx, 0)
+    capture(rec_idx)
     rec_idx += 1
+    next_rec = int(record_ks[rec_idx]) if rec_idx < n_rec else -1
 
-    lam_vals = sch.stepsize.values(np.arange(iterations))
+    ks_all = np.arange(iterations)
+    lam_vals = sch.stepsize.values(ks_all)
     if tracking:
-        g1_vals = sch.coupling_state.values(np.arange(iterations))
-        g2_vals = sch.coupling_tracker.values(np.arange(iterations))
+        g1_vals = sch.coupling_state.values(ks_all)
+        g2_vals = sch.coupling_tracker.values(ks_all)
         if sch.tracker_mix is None:
             al_vals = np.zeros(iterations)
         else:
-            al_vals = sch.tracker_mix.values(np.arange(iterations))
+            al_vals = sch.tracker_mix.values(ks_all)
     else:
-        gmm_vals = sch.coupling.values(np.arange(iterations))
+        gmm_vals = sch.coupling.values(ks_all)
 
     threshold = setup.divergence_threshold
-    diverged_at = None
-    diverged_magnitude = float("nan")
-    for start in range(0, iterations, _NOISE_CHUNK):
-        stop = min(start + _NOISE_CHUNK, iterations)
+    start = 0
+    while start < iterations and active.size:
+        # Noise blocks hold about NOISE_CHUNK x m x d draws per stream
+        # whatever the batch size.
+        stop = min(start + max(1, NOISE_CHUNK // active.size), iterations)
         ks_chunk = np.arange(start, stop)
-        zeta_block = noise.sample_block(m, "state", ks_chunk, d)
-        xi_block = noise.sample_block(m, "tracker", ks_chunk, d) if tracking \
-            else None
+        run_seeds = [seeds[r] for r in active]
+        zeta_block = laplace_draws(sch.noise_scale, run_seeds, m, "state",
+                                   ks_chunk, d)
+        xi_block = laplace_draws(sch.noise_scale, run_seeds, m, "tracker",
+                                 ks_chunk, d) if tracking else None
+        # Gradients of the chunk, reduced to gradient bounds in bulk;
+        # rows from `flushed` on are not reduced yet.
+        grad_rows = np.empty((stop - start,) + grads.shape)
+        flushed = 0
         for k in range(start, stop):
-            zeta = zeta_block[k - start]
+            row = k - start
             if tracking:
                 x, y, grads = step_tracking(
                     x, y, grads, problem, R, R_off, C, C_off,
                     g1_vals[k], g2_vals[k], al_vals[k], lam_vals[k],
-                    zeta, xi_block[k - start],
+                    zeta_block[row], xi_block[row],
                 )
                 extreme = max(np.max(np.abs(x)), np.max(np.abs(y)))
             else:
                 x = step_static(
-                    x, grads, W, W_off, gmm_vals[k], lam_vals[k], zeta
+                    x, grads, W, W_off, gmm_vals[k], lam_vals[k],
+                    zeta_block[row],
                 )
                 grads = problem.all_gradients(x)
                 extreme = np.max(np.abs(x))
             budget.step(k, sch)
-            gb = float(np.max(np.abs(grads).sum(axis=1)))
-            if gb > grad_bound:
-                grad_bound = gb
+            grad_rows[row] = grads
             if not np.isfinite(extreme) or extreme > threshold:
-                diverged_at = k + 1
-                diverged_magnitude = float(extreme)
-                break
-            if rec_idx < n_rec and record_ks[rec_idx] == k + 1:
-                capture(rec_idx, k + 1)
+                # The batch maximum trips whenever some run's own check
+                # does; resolve which runs those are.
+                if tracking:
+                    ext_x, ext_y = _max_abs(x), _max_abs(y)
+                    per_run = np.where(ext_y > ext_x, ext_y, ext_x)
+                else:
+                    per_run = _max_abs(x)
+                gone = ~np.isfinite(per_run) | (per_run > threshold)
+                if gone.any():
+                    _raise_bound(grad_bound, active,
+                                 grad_rows[flushed:row + 1])
+                    flushed = row + 1
+                    for pos in np.flatnonzero(gone):
+                        r = active[pos]
+                        diverged_at[r] = k + 1
+                        magnitude[r] = float(per_run[pos])
+                        kept[r] = rec_idx
+                    alive = ~gone
+                    active = active[alive]
+                    if not active.size:
+                        break
+                    x, grads = x[alive], grads[alive]
+                    zeta_block = zeta_block[:, alive]
+                    grad_rows = grad_rows[:, alive]
+                    if tracking:
+                        y = y[alive]
+                        xi_block = xi_block[:, alive]
+            if k + 1 == next_rec:
+                capture(rec_idx)
                 rec_idx += 1
-        if diverged_at is not None:
-            break
+                next_rec = int(record_ks[rec_idx]) if rec_idx < n_rec else -1
+        if active.size:
+            _raise_bound(grad_bound, active, grad_rows[flushed:stop - start])
+        flush_records()
+        start = stop
 
-    keep = rec_idx
-    # The budget bound scales linearly with the gradient bound, which is
-    # only fully harvested at the end of the run.
-    eps_scaled = eps[:keep] * grad_bound if budget.enabled else eps[:keep]
-    return Trace(
-        variant=variant,
-        ks=record_ks[:keep],
-        consensus=cons[:keep],
-        gap=gap[:keep],
-        dist_opt=dist[:keep],
-        tracking=track[:keep],
-        epsilon_partial=eps_scaled,
-        diverged=diverged_at is not None,
-        diverged_at=diverged_at,
-        diverged_magnitude=diverged_magnitude,
-        gradient_bound=grad_bound,
-    )
+    traces = []
+    for r in range(n_runs):
+        keep = kept[r]
+        # The budget bound scales linearly with the gradient bound,
+        # which is only fully harvested at the end of the run.
+        eps_r = eps[:keep] * grad_bound[r] if budget.enabled else eps[:keep]
+        traces.append(Trace(
+            variant=variant,
+            ks=record_ks[:keep],
+            consensus=cons[r, :keep],
+            gap=gap[r, :keep],
+            dist_opt=dist[r, :keep],
+            tracking=track[r, :keep],
+            epsilon_partial=eps_r,
+            diverged=diverged_at[r] is not None,
+            diverged_at=diverged_at[r],
+            diverged_magnitude=magnitude[r],
+            gradient_bound=float(grad_bound[r]),
+        ))
+    return traces
+
+
+def _raise_bound(grad_bound, active, grad_rows) -> None:
+    """Raise each active run's gradient bound to the largest norm in
+    grad_rows (iterations x active runs x m x d).  NaN norms are
+    skipped, as a serial `if norm > bound` update skips them."""
+    if not len(grad_rows):
+        return
+    peak = np.fmax.reduce(_gradient_norms(grad_rows), axis=0)
+    current = grad_bound[active]
+    grad_bound[active] = np.where(peak > current, peak, current)

@@ -1,10 +1,13 @@
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ElementTree
 
 import pytest
 
 from test_config import STATIC_TEXT, TRACKING_TEXT
 
+import dpopt
 from dpopt.cli import main
 
 PDOP_BLOCK = """
@@ -192,6 +195,31 @@ class TestCompare:
                 open(os.path.join(out, name), encoding="utf-8").read()
             )
 
+    @pytest.mark.parametrize("cfg,variants", [
+        ("static_cfg", "alg1,dgd,pdop_alg1"),
+        ("tracking_cfg", "alg2,push_pull"),
+    ])
+    def test_rerun_is_byte_identical(self, cfg, variants, tmp_path, request):
+        path = request.getfixturevalue(cfg)
+        outs = [str(tmp_path / name) for name in ("a", "b")]
+        for out in outs:
+            assert main(["compare", path, "--variants", variants,
+                         "--runs", "3", "--iters", "120", "--plot",
+                         "--output", out]) == 0
+
+        def files(base):
+            found = {}
+            for root, _, names in os.walk(base):
+                for name in names:
+                    full = os.path.join(root, name)
+                    with open(full, "rb") as handle:
+                        found[os.path.relpath(full, base)] = handle.read()
+            return found
+
+        first, second = files(outs[0]), files(outs[1])
+        assert "summary.csv" in first and len(first) > 10
+        assert first == second
+
     def test_unknown_variant_returns_two(self, static_cfg, tmp_path):
         assert main(["compare", static_cfg, "--variants", "alg1,warp",
                      "--output", str(tmp_path / "out")]) == 2
@@ -200,3 +228,18 @@ class TestCompare:
         assert main(["compare", tracking_cfg, "--variants", "pdop_push_pull",
                      "--runs", "1", "--iters", "30",
                      "--output", str(tmp_path / "out")]) == 2
+
+
+def test_python_dash_m_runs_without_warning(static_cfg):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dpopt.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "dpopt", "validate", static_cfg],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "overall: pass" in proc.stdout
+    assert proc.stderr == ""
