@@ -34,12 +34,13 @@ from .harness import (
     Aggregate,
     BudgetRow,
     aggregate,
+    budget_account,
     budget_report,
     monte_carlo,
     run_directory,
     write_aggregate,
+    write_breakdown,
     write_budget,
-    write_budget_breakdown,
     write_csv,
     write_failures,
     write_trace,
@@ -216,6 +217,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_budget(args) -> int:
+    """Budget rows, breakdown and last-decade growth line of one config.
+
+    Each series is computed once, at the largest horizon: the rows, the
+    breakdown and the growth line all read from the same recursion.
+    """
     config = load_config(args.config)
     horizons = _parse_horizons(args.horizons)
     gradient_bound = (
@@ -225,12 +231,12 @@ def cmd_budget(args) -> int:
     if gradient_bound <= 0:
         raise ConfigError("gradient bound must be positive")
     setup = build_setup(config)
-    rows = budget_report(config.variant, setup, gradient_bound, horizons)
+    account = budget_account(config.variant, setup, gradient_bound, horizons)
+    rows = account.rows
     out_dir = run_directory(args.output or config.output_dir)
     write_budget(os.path.join(out_dir, "budget.csv"), rows)
-    write_budget_breakdown(
-        os.path.join(out_dir, "breakdown.csv"), config.variant, setup,
-        gradient_bound, max(horizons),
+    write_breakdown(
+        os.path.join(out_dir, "breakdown.csv"), account.conservative
     )
     header = f"{'horizon':>10}  {'bound':>14}  {'envelope':>14}  {'tail':>12}  summable"
     print(header)
@@ -246,10 +252,8 @@ def cmd_budget(args) -> int:
             "budget series diverges: no finite budget at unbounded horizons"
         )
     elif top.horizon >= 10:
-        ref = budget_report(
-            config.variant, setup, gradient_bound, [top.horizon // 10]
-        )[0]
-        growth = (top.envelope - ref.envelope) / ref.envelope
+        ref = account.envelope.epsilon_at(top.horizon // 10)
+        growth = (top.envelope - ref) / ref
         verdict = "yes" if growth < 0.05 else "no"
         print(
             f"envelope growth over the last decade: {100 * growth:.4f}% "

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigError
 from .noise import derive_seed
 from .privacy import (
+    BudgetSeries,
     asymptotic_budget,
     budget_tail_bound,
     conservative_budget_static,
@@ -51,6 +52,12 @@ BUDGET_COLUMNS = (
 BREAKDOWN_COLUMNS = ("k", "varsigma", "per_term", "epsilon_partial")
 
 
+# Rows per block when writing whole columns.  Small blocks hold few
+# cell strings at once, so peak memory stays that of a row-by-row
+# writer; at 128 rows the per-block cost is lost in the formatting.
+CSV_BLOCK = 128
+
+
 def format_value(value) -> str:
     """Shortest round-trip decimal form; deterministic across runs."""
     if isinstance(value, str):
@@ -60,12 +67,31 @@ def format_value(value) -> str:
     return repr(float(value))
 
 
-def write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+def format_column(column) -> list[str]:
+    """format_value over a whole numpy column, formatted in bulk."""
+    column = np.asarray(column)
+    if column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    return [format_value(v) for v in column]
+
+
+def write_csv(path: str, header, rows=(), *, columns=None) -> None:
+    """Write header and rows of cells, or whole columns (numpy arrays of
+    equal length) given as `columns`, which are formatted in bulk one
+    block of CSV_BLOCK rows at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(",".join(header) + "\n")
+        if columns is None:
+            handle.writelines(
+                ",".join(map(format_value, row)) + "\n" for row in rows
+            )
+            return
+        for start in range(0, len(columns[0]), CSV_BLOCK):
+            cells = [format_column(c[start:start + CSV_BLOCK])
+                     for c in columns]
+            handle.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 @dataclass(frozen=True)
@@ -190,20 +216,18 @@ def aggregate(variant: str, traces: list[Trace], base_seed: int) -> Aggregate:
 
 
 def write_trace(path: str, trace: Trace) -> None:
-    rows = zip(
+    write_csv(path, TRACE_COLUMNS, columns=(
         trace.ks, trace.consensus, trace.gap, trace.dist_opt,
         trace.tracking, trace.epsilon_partial,
-    )
-    write_csv(path, TRACE_COLUMNS, rows)
+    ))
 
 
 def write_aggregate(path: str, agg: Aggregate) -> None:
-    rows = zip(
+    write_csv(path, AGGREGATE_COLUMNS, columns=(
         agg.ks, agg.mean_gap, agg.var_gap, agg.mean_consensus,
         agg.var_consensus, agg.mean_tracking, agg.var_tracking,
         agg.epsilon_partial,
-    )
-    write_csv(path, AGGREGATE_COLUMNS, rows)
+    ))
 
 
 def write_failures(path: str, agg: Aggregate) -> None:
@@ -223,13 +247,51 @@ class BudgetRow:
     summable: bool
 
 
-def budget_report(
+def conservative_series(
+    variant: str,
+    setup: RunSetup,
+    gradient_bound: float,
+    horizon: int,
+) -> BudgetSeries:
+    """A variant's conservative budget series over k = 1..horizon, from
+    the static or the tracking sensitivity recursion."""
+    sch = effective_schedules(variant, setup)
+    nu = sch.noise_scale
+    if nu is None:
+        raise ConfigError(
+            "budget accounting needs a nonzero noise scale",
+            key="noise.scale.form",
+        )
+    if variant in STATIC_VARIANTS:
+        return conservative_budget_static(
+            sch.stepsize, sch.coupling, setup.consensus.min_diag_mag,
+            nu, gradient_bound, horizon,
+        )
+    return conservative_budget_tracking(
+        sch.stepsize, sch.tracker_mix, sch.coupling_state,
+        sch.coupling_tracker, setup.push_pull.min_diag_pull,
+        setup.push_pull.min_diag_push, nu, gradient_bound, horizon,
+    )
+
+
+@dataclass(frozen=True)
+class BudgetAccount:
+    """A variant's budget series through the largest horizon, and its
+    rows at each requested horizon."""
+
+    conservative: BudgetSeries
+    envelope: BudgetSeries
+    rows: list[BudgetRow]
+
+
+def budget_account(
     variant: str,
     setup: RunSetup,
     gradient_bound: float,
     horizons,
-) -> list[BudgetRow]:
-    """Privacy budget columns of one variant at the requested horizons.
+) -> BudgetAccount:
+    """Budget series and rows of one variant, each series computed once
+    at the largest horizon.
 
     conservative: the finite-horizon sensitivity-recursion bound.
     envelope: partial sums of the dominating stepsize-over-noise power
@@ -241,32 +303,16 @@ def budget_report(
     horizons = sorted(int(h) for h in horizons)
     if not horizons or horizons[0] < 1:
         raise ConfigError("budget horizons must be positive integers")
+    top = horizons[-1]
+    conservative = conservative_series(variant, setup, gradient_bound, top)
     sch = effective_schedules(variant, setup)
     nu = sch.noise_scale
-    if nu is None:
-        raise ConfigError(
-            "budget accounting needs a nonzero noise scale",
-            key="noise.scale.form",
-        )
-    top = horizons[-1]
-    if variant in STATIC_VARIANTS:
-        factor = 1.0
-        conservative = conservative_budget_static(
-            sch.stepsize, sch.coupling, setup.consensus.min_diag_mag,
-            nu, gradient_bound, top,
-        )
-    else:
-        factor = 2.0
-        conservative = conservative_budget_tracking(
-            sch.stepsize, sch.tracker_mix, sch.coupling_state,
-            sch.coupling_tracker, setup.push_pull.min_diag_pull,
-            setup.push_pull.min_diag_push, nu, gradient_bound, top,
-        )
+    factor = 1.0 if variant in STATIC_VARIANTS else 2.0
     envelope = asymptotic_budget(
         sch.stepsize, nu, gradient_bound, top, message_factor=factor
     )
     summable = not infinite_tail(sch.stepsize, nu)
-    return [
+    rows = [
         BudgetRow(
             horizon=h,
             conservative=conservative.epsilon_at(h),
@@ -278,6 +324,18 @@ def budget_report(
         )
         for h in horizons
     ]
+    return BudgetAccount(conservative, envelope, rows)
+
+
+def budget_report(
+    variant: str,
+    setup: RunSetup,
+    gradient_bound: float,
+    horizons,
+) -> list[BudgetRow]:
+    """Privacy budget rows of one variant at the requested horizons;
+    see budget_account for the columns."""
+    return budget_account(variant, setup, gradient_bound, horizons).rows
 
 
 def write_budget(path: str, rows: list[BudgetRow]) -> None:
@@ -291,6 +349,21 @@ def write_budget(path: str, rows: list[BudgetRow]) -> None:
     )
 
 
+def write_breakdown(
+    path: str, series: BudgetSeries, max_rows: int = 10_000
+) -> None:
+    """Per-iteration terms of a budget series, strided to max_rows."""
+    horizon = len(series.ks)
+    stride = max(1, horizon // max_rows)
+    idx = np.arange(0, horizon, stride)
+    if idx[-1] != horizon - 1:
+        idx = np.append(idx, horizon - 1)
+    write_csv(path, BREAKDOWN_COLUMNS, columns=(
+        series.ks[idx], series.varsigma[idx], series.per_term[idx],
+        series.epsilon_partial[idx],
+    ))
+
+
 def write_budget_breakdown(
     path: str,
     variant: str,
@@ -300,33 +373,10 @@ def write_budget_breakdown(
     max_rows: int = 10_000,
 ) -> None:
     """Per-iteration conservative budget terms, strided to max_rows."""
-    sch = effective_schedules(variant, setup)
-    nu = sch.noise_scale
-    if nu is None:
-        raise ConfigError(
-            "budget accounting needs a nonzero noise scale",
-            key="noise.scale.form",
-        )
-    if variant in STATIC_VARIANTS:
-        series = conservative_budget_static(
-            sch.stepsize, sch.coupling, setup.consensus.min_diag_mag,
-            nu, gradient_bound, horizon,
-        )
-    else:
-        series = conservative_budget_tracking(
-            sch.stepsize, sch.tracker_mix, sch.coupling_state,
-            sch.coupling_tracker, setup.push_pull.min_diag_pull,
-            setup.push_pull.min_diag_push, nu, gradient_bound, horizon,
-        )
-    stride = max(1, horizon // max_rows)
-    idx = np.arange(0, horizon, stride)
-    if idx[-1] != horizon - 1:
-        idx = np.append(idx, horizon - 1)
-    rows = zip(
-        series.ks[idx], series.varsigma[idx], series.per_term[idx],
-        series.epsilon_partial[idx],
+    write_breakdown(
+        path, conservative_series(variant, setup, gradient_bound, horizon),
+        max_rows,
     )
-    write_csv(path, BREAKDOWN_COLUMNS, rows)
 
 
 def run_directory(base: str, variant: str | None = None) -> str:

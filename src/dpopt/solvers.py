@@ -480,14 +480,14 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
                     g1_vals[k], g2_vals[k], al_vals[k], lam_vals[k],
                     zeta_block[row], xi_block[row],
                 )
-                extreme = max(np.max(np.abs(x)), np.max(np.abs(y)))
+                extreme = max(np.abs(x).max(), np.abs(y).max())
             else:
                 x = step_static(
                     x, grads, W, W_off, gmm_vals[k], lam_vals[k],
                     zeta_block[row],
                 )
                 grads = problem.all_gradients(x)
-                extreme = np.max(np.abs(x))
+                extreme = np.abs(x).max()
             budget.step(k, sch)
             grad_rows[row] = grads
             if not np.isfinite(extreme) or extreme > threshold:

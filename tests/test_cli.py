@@ -9,6 +9,8 @@ from test_config import STATIC_TEXT, TRACKING_TEXT
 
 import dpopt
 from dpopt.cli import main
+from dpopt.config import build_setup, load_config
+from dpopt.harness import budget_report, write_budget, write_budget_breakdown
 
 PDOP_BLOCK = """
 pdop.stepsize.form = geometric
@@ -166,6 +168,33 @@ class TestBudget:
                      "--output", out]) == 2
         assert main(["budget", static_cfg, "--horizons", "ten",
                      "--output", out]) == 2
+
+    @pytest.mark.parametrize("cfg", ["static_cfg", "tracking_cfg"])
+    def test_one_pass_matches_separate_reports(self, cfg, tmp_path, capsys,
+                                               request):
+        path = request.getfixturevalue(cfg)
+        out = tmp_path / "out"
+        assert main(["budget", path, "--horizons", "1e3,1e4,1e5",
+                     "--output", str(out)]) == 0
+        stdout = capsys.readouterr().out
+
+        config = load_config(path)
+        setup = build_setup(config)
+        bound = config.gradient_bound
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        rows = budget_report(config.variant, setup, bound,
+                             [1000, 10000, 100000])
+        write_budget(str(ref / "budget.csv"), rows)
+        write_budget_breakdown(str(ref / "breakdown.csv"), config.variant,
+                               setup, bound, 100000)
+        for name in ("budget.csv", "breakdown.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+        decade = budget_report(config.variant, setup, bound, [10000])[0]
+        growth = (rows[-1].envelope - decade.envelope) / decade.envelope
+        assert (f"envelope growth over the last decade: {100 * growth:.4f}% "
+                f"(under 5%: {'yes' if growth < 0.05 else 'no'})") in stdout
 
 
 class TestCompare:

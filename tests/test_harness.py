@@ -15,6 +15,7 @@ from dpopt.harness import (
     BudgetRow,
     aggregate,
     budget_report,
+    format_column,
     format_value,
     monte_carlo,
     run_directory,
@@ -55,6 +56,23 @@ class TestFormatting:
         write_csv(path, ("a", "b"), [(1, 0.5), (2, 0.25)])
         text = open(path, encoding="utf-8").read()
         assert text == "a,b\n1,0.5\n2,0.25\n"
+
+    def test_columns_match_format_value_bytes(self, tmp_path):
+        # Long enough to span several write blocks, and end inside one.
+        floats = np.tile([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                          1e308, 0.1, -1.5e-17, 123456.789012345], 30)
+        ints = np.arange(len(floats), dtype=np.int64) * 10**15 - 7
+        strings = np.array(["yes", "no"] * 150)
+        columns = (ints, floats, strings,
+                   np.linspace(-1.0, 1.0, len(floats), dtype=np.float32))
+        by_rows = str(tmp_path / "rows.csv")
+        by_columns = str(tmp_path / "columns.csv")
+        write_csv(by_rows, ("i", "f", "s", "g"), zip(*columns))
+        write_csv(by_columns, ("i", "f", "s", "g"), columns=columns)
+        with open(by_rows, "rb") as a, open(by_columns, "rb") as b:
+            assert a.read() == b.read()
+        assert format_column(floats) == [format_value(v) for v in floats]
+        assert format_column(ints) == [format_value(v) for v in ints]
 
 
 class TestMonteCarlo:

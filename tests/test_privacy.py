@@ -8,6 +8,8 @@ from conftest import make_setup, static_schedules, tracking_schedules
 from dpopt.errors import RangeError
 from dpopt.objectives import adjacent_variant
 from dpopt.privacy import (
+    BLOCK,
+    _ratio_scan,
     asymptotic_budget,
     budget_tail_bound,
     conservative_budget_static,
@@ -19,7 +21,8 @@ from dpopt.privacy import (
     sensitivity_tracking,
     sensitivity_tracking_closed_form,
 )
-from dpopt.schedules import PowerSchedule
+from dpopt.schedules import PowerSchedule, ScheduleSet
+from dpopt.solvers import RunSetup, effective_schedules
 
 LAM = PowerSchedule.decaying(0.02, 0.1, 1.0)
 GAM = PowerSchedule.decaying(1.0, 0.1, 0.9)
@@ -258,3 +261,241 @@ class TestCoupledDifference:
         adjacent = adjacent_variant(setup.problem, agent=0, delta=0.5, eta=1.0)
         with pytest.raises(RangeError):
             coupled_difference_trace("alg1", setup, adjacent, 0, seed=1)
+
+
+# Per-index numpy loops: the recursions as written before they were
+# stepped in blocks of Python floats, kept as oracles.
+
+def sensitivity_static_loop(stepsize, coupling, min_coupling, horizon):
+    ks = np.arange(horizon)
+    lam = stepsize.values(ks)
+    shrink = 1.0 - min_coupling * coupling.values(ks)
+    out = np.zeros(horizon + 1)
+    s = 0.0
+    for k in range(horizon):
+        s = shrink[k] * s + lam[k]
+        out[k + 1] = s
+    return out
+
+
+def sensitivity_tracking_loop(stepsize, tracker_mix, coupling_state,
+                              coupling_tracker, min_diag_pull, min_diag_push,
+                              horizon):
+    ks = np.arange(horizon)
+    lam = stepsize.values(ks)
+    alpha = np.zeros(horizon) if tracker_mix is None else tracker_mix.values(ks)
+    shrink_x = 1.0 - min_diag_pull * coupling_state.values(ks)
+    shrink_y = 1.0 - alpha - min_diag_push * coupling_tracker.values(ks)
+    sx_out = np.zeros(horizon + 1)
+    sy_out = np.zeros(horizon + 1)
+    sx, sy = 0.0, 0.0
+    for k in range(horizon):
+        sx, sy = shrink_x[k] * sx + lam[k] * sy, \
+            shrink_y[k] * sy + (2.0 - alpha[k])
+        sx_out[k + 1] = sx
+        sy_out[k + 1] = sy
+    return sx_out, sy_out
+
+
+def ratio_scan_loop(ks, diffs, bounds, tolerance=1e-9):
+    worst = 0.0
+    violation = None
+    for k in range(1, len(ks)):
+        for diff, bound in zip(diffs, bounds):
+            d, b = diff[k], bound[k]
+            if b > 0:
+                ratio = d / b
+            else:
+                ratio = 0.0 if d == 0.0 else math.inf
+            if ratio > worst:
+                worst = ratio
+            if ratio > 1.0 + tolerance and violation is None:
+                violation = int(ks[k])
+    return worst, violation
+
+
+def difference_static_envelope_loop(variant, setup, agent, iterations,
+                                    envelope):
+    sch = effective_schedules(variant, setup)
+    self_mag = abs(float(setup.consensus.matrix[agent, agent]))
+    lam = sch.stepsize.values(np.arange(iterations))
+    gam = sch.coupling.values(np.arange(iterations))
+    s_bound = sensitivity_static_loop(
+        sch.stepsize, sch.coupling, setup.consensus.min_diag_mag, iterations
+    )
+    diff = np.zeros(iterations + 1)
+    bound = np.zeros(iterations + 1)
+    d = 0.0
+    for k in range(iterations):
+        d = (1.0 - self_mag * gam[k]) * d + lam[k] * envelope
+        diff[k + 1] = d
+        bound[k + 1] = envelope * s_bound[k + 1]
+    return diff, bound
+
+
+def difference_tracking_envelope_loop(variant, setup, agent, iterations,
+                                      envelope):
+    sch = effective_schedules(variant, setup)
+    weights = setup.push_pull
+    self_pull = abs(float(weights.pull[agent, agent]))
+    self_push = abs(float(weights.push[agent, agent]))
+    idx = np.arange(iterations)
+    lam = sch.stepsize.values(idx)
+    g1 = sch.coupling_state.values(idx)
+    g2 = sch.coupling_tracker.values(idx)
+    alpha = np.zeros(iterations) if sch.tracker_mix is None \
+        else sch.tracker_mix.values(idx)
+    sx_bound, sy_bound = sensitivity_tracking_loop(
+        sch.stepsize, sch.tracker_mix, sch.coupling_state,
+        sch.coupling_tracker, weights.min_diag_pull, weights.min_diag_push,
+        iterations,
+    )
+    xdiff, xbound = np.zeros(iterations + 1), np.zeros(iterations + 1)
+    ydiff, ybound = np.zeros(iterations + 1), np.zeros(iterations + 1)
+    dx, dy = 0.0, 0.0
+    for k in range(iterations):
+        shrink_y = 1.0 - alpha[k] - self_push * g2[k]
+        shrink_x = 1.0 - self_pull * g1[k]
+        dx, dy = shrink_x * dx + lam[k] * dy, \
+            shrink_y * dy + (2.0 - alpha[k]) * 2.0 * envelope
+        xdiff[k + 1] = dx
+        ydiff[k + 1] = dy
+        xbound[k + 1] = 2.0 * envelope * sx_bound[k + 1]
+        ybound[k + 1] = 2.0 * envelope * sy_bound[k + 1]
+    return xdiff, xbound, ydiff, ybound
+
+
+B = BLOCK
+BLOCK_HORIZONS = (1, B - 1, B, B + 1, 3 * B + 7, 10**5)
+
+STATIC_PAIRS = {
+    "decaying": (LAM, GAM),
+    "growing": (PowerSchedule.growing(0.02, 0.001, 0.5),
+                PowerSchedule.growing(1.0, 1e-6, 1.0)),
+    "geometric": (PowerSchedule.geometric(0.02, 0.995),
+                  PowerSchedule.geometric(1.0, 0.9999)),
+}
+
+TRACKING_SETS = {
+    "decaying": (LAM, ALPHA, G1, G2),
+    "growing": (PowerSchedule.growing(0.02, 0.001, 0.5),
+                PowerSchedule.growing(0.01, 1e-7, 1.0),
+                PowerSchedule.growing(1.0, 1e-6, 1.0),
+                PowerSchedule.growing(1.0, 1e-6, 0.9)),
+    "geometric": (PowerSchedule.geometric(0.02, 0.995),
+                  PowerSchedule.geometric(0.02, 0.999),
+                  PowerSchedule.geometric(1.0, 0.9999),
+                  PowerSchedule.geometric(1.0, 0.9995)),
+    "no_mix": (LAM, None, G1, G2),
+}
+
+
+class TestBlockedRecursions:
+    """The block-stepped recursions equal the per-index loops bit for
+    bit, on and off the block boundaries."""
+
+    @pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
+    @pytest.mark.parametrize("name", sorted(STATIC_PAIRS))
+    def test_static_matches_loop(self, name, horizon):
+        lam, gam = STATIC_PAIRS[name]
+        got = sensitivity_static(lam, gam, WBAR, horizon)
+        assert np.array_equal(
+            got, sensitivity_static_loop(lam, gam, WBAR, horizon)
+        )
+
+    @pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
+    @pytest.mark.parametrize("name", sorted(TRACKING_SETS))
+    def test_tracking_matches_loop(self, name, horizon):
+        args = TRACKING_SETS[name] + (WBAR, 0.3, horizon)
+        sx, sy = sensitivity_tracking(*args)
+        ref_x, ref_y = sensitivity_tracking_loop(*args)
+        assert np.array_equal(sx, ref_x)
+        assert np.array_equal(sy, ref_y)
+
+    @pytest.mark.parametrize("iterations", BLOCK_HORIZONS[:-1])
+    @pytest.mark.parametrize("variant", ["alg1", "dgd", "pdop_alg1"])
+    def test_static_envelope_trace_matches_loop(self, variant, iterations):
+        setup = make_setup("static", pdop=True)
+        adjacent = adjacent_variant(setup.problem, agent=1, delta=0.5, eta=2.0)
+        trace = coupled_difference_trace(
+            variant, setup, adjacent, iterations, seed=3, envelope=0.7
+        )
+        diff, bound = difference_static_envelope_loop(
+            variant, setup, 1, iterations, 0.7
+        )
+        assert np.array_equal(trace.state_diff, diff)
+        assert np.array_equal(trace.state_bound, bound)
+        ks = np.arange(iterations + 1)
+        worst, violation = ratio_scan_loop(ks, [diff], [bound])
+        assert trace.max_ratio == worst
+        assert trace.violation_k == violation
+
+    @pytest.mark.parametrize("iterations", BLOCK_HORIZONS[:-1])
+    @pytest.mark.parametrize("variant", ["alg2", "push_pull"])
+    def test_tracking_envelope_trace_matches_loop(self, variant, iterations):
+        setup = make_setup("tracking")
+        adjacent = adjacent_variant(setup.problem, agent=2, delta=0.5, eta=2.0)
+        trace = coupled_difference_trace(
+            variant, setup, adjacent, iterations, seed=3, envelope=0.3
+        )
+        xdiff, xbound, ydiff, ybound = difference_tracking_envelope_loop(
+            variant, setup, 2, iterations, 0.3
+        )
+        assert np.array_equal(trace.state_diff, xdiff)
+        assert np.array_equal(trace.state_bound, xbound)
+        assert np.array_equal(trace.tracker_diff, ydiff)
+        assert np.array_equal(trace.tracker_bound, ybound)
+        ks = np.arange(iterations + 1)
+        worst, violation = ratio_scan_loop(
+            ks, [xdiff, ydiff], [xbound, ybound]
+        )
+        assert trace.max_ratio == worst
+        assert trace.violation_k == violation
+
+    def test_envelope_trace_rejects_strong_self_coupling(self):
+        # min |W_ii| = 0.4 keeps the sensitivity bound contracting while
+        # agent 0's |W_00| = 0.6 does not.
+        base = make_setup("static")
+        setup = RunSetup(
+            problem=base.problem, theta_star=base.theta_star,
+            f_star=base.f_star, consensus=base.consensus,
+            schedules=ScheduleSet(
+                stepsize=LAM, coupling=PowerSchedule.constant(2.0),
+                noise_scale=NU,
+            ),
+        )
+        adjacent = adjacent_variant(setup.problem, agent=0, delta=0.5, eta=1.0)
+        with pytest.raises(RangeError):
+            coupled_difference_trace("alg1", setup, adjacent, 50, seed=1,
+                                     envelope=1.0)
+
+
+class TestRatioScan:
+    POOL = (0.0, -0.0, 0.5, 1.0, 1.0 + 1e-10, 1.0 + 1e-8, 2.0, 3.0,
+            -1.0, 1e-300, math.inf, math.nan)
+
+    def test_matches_loop_on_special_values(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            n = int(rng.integers(1, 12))
+            streams = int(rng.integers(1, 3))
+            diffs = [rng.choice(self.POOL, n) for _ in range(streams)]
+            bounds = [rng.choice(self.POOL, n) for _ in range(streams)]
+            ks = np.arange(n) + 5
+            got = _ratio_scan(ks, diffs, bounds)
+            with np.errstate(invalid="ignore"):
+                assert got == ratio_scan_loop(ks, diffs, bounds)
+
+    def test_rules(self):
+        ks = np.arange(5)
+        nan = math.nan
+        # 0/0 counts as 0, NaN ratios are skipped.
+        assert _ratio_scan(ks, [np.array([9.0, 0.0, nan, 1.0, 0.5])],
+                           [np.array([0.0, 0.0, 1.0, 2.0, 1.0])]) == (0.5, None)
+        # A positive difference over a zero bound is infinite.
+        assert _ratio_scan(ks, [np.array([0.0, 0.0, 1.0, 0.0, 0.0])],
+                           [np.zeros(5)]) == (math.inf, 2)
+        # The first violating k over all streams is reported.
+        diffs = [np.array([0.0, 0.0, 0.0, 3.0, 0.0]),
+                 np.array([0.0, 0.0, 2.0, 0.0, 0.0])]
+        assert _ratio_scan(ks, diffs, [np.ones(5)] * 2) == (3.0, 2)
