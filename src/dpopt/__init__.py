@@ -9,6 +9,7 @@ reproducible Monte Carlo experiment harness with a CLI.
 from .cli import main
 from .conditions import ConditionEntry, ConditionReport
 from .config import ExperimentConfig, build_setup, load_config, parse_config_text
+from .difference import DifferenceTrace, coupled_difference_trace
 from .errors import (
     ConditionError,
     ConfigError,
@@ -49,23 +50,19 @@ from .objectives import (
     AdjacentVariant,
     QuadraticEstimationProblem,
     adjacent_variant,
-    lipschitz_constant,
     optimal_solution,
     random_instance,
 )
 from .privacy import (
     BudgetSeries,
-    DifferenceTrace,
     asymptotic_budget,
     budget_tail_bound,
+    conservative_budget,
     conservative_budget_static,
     conservative_budget_tracking,
-    coupled_difference_trace,
     infinite_tail,
     sensitivity_static,
-    sensitivity_static_closed_form,
     sensitivity_tracking,
-    sensitivity_tracking_closed_form,
 )
 from .ratefit import RateFit, rate_fit
 from .schedules import (
@@ -91,9 +88,7 @@ from .solvers import (
     run,
     run_batch,
     step_static,
-    step_static_per_agent,
     step_tracking,
-    step_tracking_per_agent,
     validate_for_variant,
 )
 from .svgplot import Series, line_plot, std_band

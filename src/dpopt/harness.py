@@ -25,8 +25,7 @@ from .privacy import (
     BudgetSeries,
     asymptotic_budget,
     budget_tail_bound,
-    conservative_budget_static,
-    conservative_budget_tracking,
+    conservative_budget,
     infinite_tail,
 )
 from .solvers import (
@@ -253,25 +252,17 @@ def conservative_series(
     gradient_bound: float,
     horizon: int,
 ) -> BudgetSeries:
-    """A variant's conservative budget series over k = 1..horizon, from
-    the static or the tracking sensitivity recursion."""
+    """A variant's conservative budget series over k = 1..horizon, at
+    the variant's effective schedules and weights."""
     sch = effective_schedules(variant, setup)
-    nu = sch.noise_scale
-    if nu is None:
+    if sch.noise_scale is None:
         raise ConfigError(
             "budget accounting needs a nonzero noise scale",
             key="noise.scale.form",
         )
-    if variant in STATIC_VARIANTS:
-        return conservative_budget_static(
-            sch.stepsize, sch.coupling, setup.consensus.min_diag_mag,
-            nu, gradient_bound, horizon,
-        )
-    return conservative_budget_tracking(
-        sch.stepsize, sch.tracker_mix, sch.coupling_state,
-        sch.coupling_tracker, setup.push_pull.min_diag_pull,
-        setup.push_pull.min_diag_push, nu, gradient_bound, horizon,
-    )
+    weights = setup.consensus if variant in STATIC_VARIANTS \
+        else setup.push_pull
+    return conservative_budget(sch, weights, gradient_bound, horizon)
 
 
 @dataclass(frozen=True)

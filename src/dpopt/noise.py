@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ConditionReport
-from .errors import RangeError
 from .schedules import PowerSchedule
 
 STATE_STREAM = 0
@@ -133,29 +131,13 @@ class LaplaceNoiseSource:
     scale: PowerSchedule | None
     seed: int
 
-    def sample(self, agent: int, stream: str, iteration: int, dim: int) -> np.ndarray:
-        """The noise vector agent attaches to its message at iteration.
-
-        All receivers of the message observe this same vector; calling
-        twice with the same arguments returns identical values.
-        """
-        if agent < 0 or iteration < 0 or dim < 1:
-            raise RangeError("agent, iteration and dim must be nonnegative")
-        if self.scale is None:
-            return np.zeros(dim)
-        words = _counter_words(
-            self.seed & _SEED_MASK, np.full(dim, agent), _STREAMS[stream],
-            iteration, np.arange(dim),
-        )
-        return laplace_inverse_cdf(_open_uniform(words), self.scale.value(iteration))
-
     def sample_block(
         self, n_agents: int, stream: str, iterations: np.ndarray, dim: int
     ) -> np.ndarray:
         """Draws for all agents and coordinates over a range of iterations.
 
-        Returns an array of shape (len(iterations), n_agents, dim) that
-        matches per-call sample() entrywise.
+        Returns an array of shape (len(iterations), n_agents, dim);
+        entry [t, i, c] is keyed by (seed, i, stream, iterations[t], c).
         """
         return laplace_draws(
             self.scale, [self.seed], n_agents, stream, iterations, dim
@@ -170,37 +152,3 @@ class LaplaceNoiseSource:
             yield from self.sample_block(
                 n_agents, stream, np.arange(start, stop), dim
             )
-
-    def variance(self, iteration: int) -> float:
-        """Per-coordinate message noise variance at the given iteration."""
-        if self.scale is None:
-            return 0.0
-        s = self.scale.value(iteration)
-        return 2.0 * s * s
-
-
-def validate_noise_attenuation(
-    nu: PowerSchedule | None, couplings: dict
-) -> ConditionReport:
-    """Check that every coupling schedule attenuates the injected noise
-    variance fast enough for its perturbation series to converge.
-
-    couplings maps a label to a coupling schedule; each label yields one
-    entry testing sum coupling^2 * (2 nu^2) < inf.
-    """
-    from .schedules import series_class
-
-    report = ConditionReport("noise attenuation conditions")
-    for label, gamma in couplings.items():
-        name = f"{label}_noise_attenuation_sums"
-        if nu is None:
-            report.add(name, "zero noise", 0.0, True)
-            continue
-        res = series_class(gamma**2 * nu**2)
-        report.add(
-            name,
-            "sum coupling^2 nu^2 < inf (p-series)",
-            res.decay_exponent,
-            res.convergent,
-        )
-    return report

@@ -116,15 +116,6 @@ def optimal_solution(problem: QuadraticEstimationProblem):
     return theta_star, problem.global_cost(theta_star)
 
 
-def lipschitz_constant(problem: QuadraticEstimationProblem) -> float:
-    """Largest local gradient Lipschitz constant, 2 (sigma_max(M_i)^2 + reg)."""
-    worst = 0.0
-    for Mi in problem.sensing:
-        smax = np.linalg.svd(Mi, compute_uv=False)[0]
-        worst = max(worst, float(smax) ** 2)
-    return 2.0 * (worst + problem.reg)
-
-
 def random_instance(
     seed: int,
     m: int = 5,

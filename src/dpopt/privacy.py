@@ -32,6 +32,10 @@ the budget stays finite as T grows without bound: its per-term values
 are the dominating power law A k^(-e) >= lam(k)/nu(k), so its partial
 sums settle exactly when sum lam/nu converges, and the matching
 integral-test tail bound covers everything paid after any horizon.
+
+This module is accounting only: the solver's epsilon_partial column and
+the budget report both read conservative_budget, and the simulated
+drift the recursions must dominate lives in the difference module.
 """
 
 from __future__ import annotations
@@ -42,16 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-from .noise import LaplaceNoiseSource
-from .objectives import AdjacentVariant
-from .schedules import PowerSchedule, ScheduleExpr, series_class
-from .solvers import (
-    RunSetup,
-    STATIC_VARIANTS,
-    effective_schedules,
-    step_static,
-    step_tracking,
-)
+from .graphs import ConsensusWeights, PushPullWeights
+from .schedules import PowerSchedule, ScheduleExpr, ScheduleSet, series_class
 
 
 # Iterations per block of the scalar recursions.  Each block is turned
@@ -125,30 +121,6 @@ def sensitivity_static(
     return _recurse(shrink, lam)
 
 
-def sensitivity_static_closed_form(
-    stepsize: PowerSchedule,
-    coupling: PowerSchedule,
-    min_coupling: float,
-    k: int,
-) -> float:
-    """Partial-product closed form of the static sensitivity at one k.
-
-    s^k = sum_{p=1..k-1} prod_{q=p..k-1}(1 - wbar gamma^q) lam^{p-1}
-          + lam^{k-1}.
-
-    Quadratic in k; used as an independent reference for the recursion.
-    """
-    if k < 1:
-        raise RangeError("closed form defined for k >= 1")
-    total = 0.0
-    for p in range(1, k):
-        prod = 1.0
-        for q in range(p, k):
-            prod *= 1.0 - min_coupling * coupling.value(q)
-        total += prod * stepsize.value(p - 1)
-    return total + stepsize.value(k - 1)
-
-
 def sensitivity_tracking(
     stepsize: PowerSchedule,
     tracker_mix: PowerSchedule | None,
@@ -176,43 +148,6 @@ def sensitivity_tracking(
     # The turnover 2 - alpha overwrites alpha, so no array is added.
     turnover = np.subtract(2.0, alpha, out=alpha)
     return _recurse_pair(shrink_x, lam, shrink_y, turnover)
-
-
-def sensitivity_tracking_closed_form(
-    stepsize: PowerSchedule,
-    tracker_mix: PowerSchedule | None,
-    coupling_state: PowerSchedule,
-    coupling_tracker: PowerSchedule,
-    min_diag_pull: float,
-    min_diag_push: float,
-    k: int,
-):
-    """Partial-product closed forms (s_x^k, s_y^k) at one index."""
-    if k < 1:
-        raise RangeError("closed form defined for k >= 1")
-
-    def alpha(j):
-        return 0.0 if tracker_mix is None else tracker_mix.value(j)
-
-    def sy_at(kk):
-        if kk < 1:
-            return 0.0
-        total = 0.0
-        for p in range(1, kk):
-            prod = 1.0
-            for q in range(p, kk):
-                prod *= 1.0 - alpha(q) - min_diag_push * coupling_tracker.value(q)
-            total += prod * (2.0 - alpha(p - 1))
-        return total + (2.0 - alpha(kk - 1))
-
-    total = 0.0
-    for p in range(1, k):
-        prod = 1.0
-        for q in range(p, k):
-            prod *= 1.0 - min_diag_pull * coupling_state.value(q)
-        total += prod * stepsize.value(p - 1) * sy_at(p - 1)
-    sx = total + stepsize.value(k - 1) * sy_at(k - 1)
-    return sx, sy_at(k)
 
 
 @dataclass(frozen=True)
@@ -284,6 +219,28 @@ def conservative_budget_tracking(
     return BudgetSeries(
         ks=np.arange(1, horizon + 1), varsigma=s, per_term=per,
         epsilon_partial=np.cumsum(per),
+    )
+
+
+def conservative_budget(
+    schedules: ScheduleSet,
+    weights: ConsensusWeights | PushPullWeights,
+    gradient_bound: float,
+    horizon: int,
+) -> BudgetSeries:
+    """Conservative budget series of a schedule bundle over
+    k = 1..horizon: the static recursion for consensus weights, the
+    tracking pair for push-pull weights."""
+    s = schedules
+    if isinstance(weights, ConsensusWeights):
+        return conservative_budget_static(
+            s.stepsize, s.coupling, weights.min_diag_mag, s.noise_scale,
+            gradient_bound, horizon,
+        )
+    return conservative_budget_tracking(
+        s.stepsize, s.tracker_mix, s.coupling_state, s.coupling_tracker,
+        weights.min_diag_pull, weights.min_diag_push, s.noise_scale,
+        gradient_bound, horizon,
     )
 
 
@@ -364,212 +321,3 @@ def budget_tail_bound(
     e, constant = expr.power_envelope()
     t_last = scale * constant * float(horizon) ** (-e)
     return t_last * horizon / (e - 1.0)
-
-
-@dataclass
-class DifferenceTrace:
-    """Coupled difference dynamics against the sensitivity bound.
-
-    state_diff[k] is ||x_i^k - x'_i^k||_1 for the perturbed agent under
-    observation-matched coupling, state_bound[k] the analytic bound it
-    must stay below; tracking runs also carry the tracker pair.  The
-    ratio maximum is taken over k >= 1 with 0/0 counted as 0, and ok
-    flips to False at the first bound violation.
-    """
-
-    ks: np.ndarray
-    state_diff: np.ndarray
-    state_bound: np.ndarray
-    tracker_diff: np.ndarray | None
-    tracker_bound: np.ndarray | None
-    max_ratio: float
-    ok: bool
-    violation_k: int | None
-
-
-def _ratio_scan(ks, diffs, bounds, tolerance=1e-9):
-    """Largest diff/bound ratio over k >= 1 and all streams, and the
-    first k at which any stream exceeds 1 + tolerance.
-
-    A zero bound counts as ratio 0 for a zero difference and inf
-    otherwise; NaN ratios are skipped.
-    """
-    d = np.vstack(diffs)[:, 1:]
-    b = np.vstack(bounds)[:, 1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(b > 0, d / b, np.where(d == 0.0, 0.0, math.inf))
-    positive = ratio[ratio > 0.0]
-    worst = float(positive.max()) if positive.size else 0.0
-    over = np.flatnonzero((ratio > 1.0 + tolerance).any(axis=0))
-    violation = int(ks[over[0] + 1]) if over.size else None
-    return worst, violation
-
-
-def coupled_difference_trace(
-    variant: str,
-    setup: RunSetup,
-    adjacent: AdjacentVariant,
-    iterations: int,
-    seed: int,
-    envelope: float | None = None,
-) -> DifferenceTrace:
-    """Simulate the per-agent difference dynamics between adjacent runs.
-
-    With envelope=None the difference equation is driven by measured
-    gradient differences along the primal trajectory, and the bound uses
-    the running maximum of those differences.  With a numeric envelope
-    the worst-case scalar recursion replaces the measured one (the
-    gradient-difference norm is capped by the envelope at every step)
-    and the bound uses the constant envelope throughout; domination is
-    then exact, so the ratio must stay at or below one.
-    """
-    if iterations < 1:
-        raise RangeError("iterations must be positive")
-    sch = effective_schedules(variant, setup)
-    agent = adjacent.agent
-    ks_axis = np.arange(iterations + 1)
-    if variant in STATIC_VARIANTS:
-        return _difference_static(
-            variant, setup, adjacent, sch, agent, iterations, seed,
-            envelope, ks_axis,
-        )
-    return _difference_tracking(
-        variant, setup, adjacent, sch, agent, iterations, seed,
-        envelope, ks_axis,
-    )
-
-
-def _difference_static(variant, setup, adjacent, sch, agent, iterations,
-                       seed, envelope, ks_axis):
-    W = setup.consensus.matrix
-    wbar = setup.consensus.min_diag_mag
-    self_mag = abs(float(W[agent, agent]))
-    lam = sch.stepsize.values(np.arange(iterations))
-    gam = sch.coupling.values(np.arange(iterations))
-    s_bound = sensitivity_static(sch.stepsize, sch.coupling, wbar, iterations)
-
-    bound = np.zeros(iterations + 1)
-
-    if envelope is not None:
-        shrink = 1.0 - self_mag * gam
-        if np.any(shrink <= 0.0):
-            raise RangeError("coupling too strong for the perturbed agent")
-        diff = _recurse(shrink, lam * envelope)
-        bound[1:] = envelope * s_bound[1:]
-        worst, violation = _ratio_scan(ks_axis, [diff], [bound])
-        return DifferenceTrace(ks_axis, diff, bound, None, None,
-                               worst, violation is None, violation)
-
-    diff = np.zeros(iterations + 1)
-    problem = setup.problem
-    m, d_dim = problem.m, problem.dim
-    rng = np.random.default_rng(seed)
-    x = setup.init_radius * rng.standard_normal((m, d_dim))
-    noise = LaplaceNoiseSource(sch.noise_scale, seed)
-    W_off = W.copy()
-    np.fill_diagonal(W_off, 0.0)
-    grads = problem.all_gradients(x)
-    e = np.zeros(d_dim)
-    run_env = 0.0
-    zetas = noise.iter_draws(m, "state", iterations, d_dim)
-    for k, zeta in zip(range(iterations), zetas):
-        if 1.0 - self_mag * gam[k] <= 0.0:
-            raise RangeError("coupling too strong for the perturbed agent")
-        gdiff = problem.local_gradient(agent, x[agent]) \
-            - adjacent.local_gradient(agent, x[agent] - e)
-        run_env = max(run_env, float(np.abs(gdiff).sum()))
-        e = (1.0 - self_mag * gam[k]) * e - lam[k] * gdiff
-        x = step_static(x, grads, W, W_off, gam[k], lam[k], zeta)
-        grads = problem.all_gradients(x)
-        diff[k + 1] = float(np.abs(e).sum())
-        bound[k + 1] = run_env * s_bound[k + 1]
-    worst, violation = _ratio_scan(ks_axis, [diff], [bound])
-    return DifferenceTrace(ks_axis, diff, bound, None, None,
-                           worst, violation is None, violation)
-
-
-def _difference_tracking(variant, setup, adjacent, sch, agent, iterations,
-                         seed, envelope, ks_axis):
-    weights = setup.push_pull
-    R, C = weights.pull, weights.push
-    self_pull = abs(float(R[agent, agent]))
-    self_push = abs(float(C[agent, agent]))
-    idx = np.arange(iterations)
-    lam = sch.stepsize.values(idx)
-    g1 = sch.coupling_state.values(idx)
-    g2 = sch.coupling_tracker.values(idx)
-    alpha = np.zeros(iterations) if sch.tracker_mix is None \
-        else sch.tracker_mix.values(idx)
-    sx_bound, sy_bound = sensitivity_tracking(
-        sch.stepsize, sch.tracker_mix, sch.coupling_state,
-        sch.coupling_tracker, weights.min_diag_pull, weights.min_diag_push,
-        iterations,
-    )
-
-    xbound = np.zeros(iterations + 1)
-    ybound = np.zeros(iterations + 1)
-
-    if envelope is not None:
-        shrink_y = 1.0 - alpha - self_push * g2
-        shrink_x = 1.0 - self_pull * g1
-        if np.any(shrink_y <= 0.0) or np.any(shrink_x <= 0.0):
-            raise RangeError("coupling too strong for the perturbed agent")
-        xdiff, ydiff = _recurse_pair(
-            shrink_x, lam, shrink_y, (2.0 - alpha) * 2.0 * envelope
-        )
-        xbound[1:] = 2.0 * envelope * sx_bound[1:]
-        ybound[1:] = 2.0 * envelope * sy_bound[1:]
-        worst, violation = _ratio_scan(
-            ks_axis, [xdiff, ydiff], [xbound, ybound]
-        )
-        return DifferenceTrace(ks_axis, xdiff, xbound, ydiff, ybound,
-                               worst, violation is None, violation)
-
-    xdiff = np.zeros(iterations + 1)
-    ydiff = np.zeros(iterations + 1)
-    problem = setup.problem
-    m, d_dim = problem.m, problem.dim
-    rng = np.random.default_rng(seed)
-    x = setup.init_radius * rng.standard_normal((m, d_dim))
-    noise = LaplaceNoiseSource(sch.noise_scale, seed)
-    R_off = R.copy()
-    np.fill_diagonal(R_off, 0.0)
-    C_off = C.copy()
-    np.fill_diagonal(C_off, 0.0)
-    grads = problem.all_gradients(x)
-    y = grads.copy()
-    # The tracker sensitivity recursion starts the coupled difference at
-    # zero, which matches coupled runs sharing the tracker init; the
-    # initial gradient difference enters through the first update.  The
-    # iteration-0 tracker message itself is outside this accounting (see
-    # the module docstring).
-    gdiff_prev = problem.local_gradient(agent, x[agent]) \
-        - adjacent.local_gradient(agent, x[agent])
-    ex = np.zeros(d_dim)
-    ey = np.zeros(d_dim)
-    run_env = float(np.abs(gdiff_prev).sum())
-    zetas = noise.iter_draws(m, "state", iterations, d_dim)
-    xis = noise.iter_draws(m, "tracker", iterations, d_dim)
-    for k, zeta, xi in zip(range(iterations), zetas, xis):
-        shrink_y = 1.0 - alpha[k] - self_push * g2[k]
-        shrink_x = 1.0 - self_pull * g1[k]
-        if shrink_y <= 0.0 or shrink_x <= 0.0:
-            raise RangeError("coupling too strong for the perturbed agent")
-        ex_next = shrink_x * ex - lam[k] * ey
-        x, y, grads = step_tracking(
-            x, y, grads, problem, R, R_off, C, C_off,
-            g1[k], g2[k], alpha[k], lam[k], zeta, xi,
-        )
-        gdiff = problem.local_gradient(agent, x[agent]) \
-            - adjacent.local_gradient(agent, x[agent] - ex_next)
-        run_env = max(run_env, float(np.abs(gdiff).sum()))
-        ey = shrink_y * ey + gdiff - (1.0 - alpha[k]) * gdiff_prev
-        ex = ex_next
-        xdiff[k + 1] = float(np.abs(ex).sum())
-        ydiff[k + 1] = float(np.abs(ey).sum())
-        xbound[k + 1] = run_env * sx_bound[k + 1]
-        ybound[k + 1] = run_env * sy_bound[k + 1]
-        gdiff_prev = gdiff
-    worst, violation = _ratio_scan(ks_axis, [xdiff, ydiff], [xbound, ybound])
-    return DifferenceTrace(ks_axis, xdiff, xbound, ydiff, ybound,
-                           worst, violation is None, violation)

@@ -27,11 +27,12 @@ update uses its clean state.
 
 run_batch steps all R runs of a Monte Carlo batch together: states are
 stacked as (R, m, d) and every update, gradient and divergence check
-acts on the whole stack, while the seed-independent budget recursion
-runs once per batch.  Noise is keyed by (seed, agent, stream,
-iteration, coordinate), and is drawn in blocks of NOISE_CHUNK // R
-iterations, so memory stays flat in R and each run gets exactly its
-own draws.  Every batched trace therefore equals the serial run of its
+acts on the whole stack, while the seed-independent budget series is
+computed once per batch, before the loop, by the privacy accountant
+(the series `dpopt budget` reports).  Noise is keyed by (seed, agent,
+stream, iteration, coordinate), and is drawn in blocks of
+NOISE_CHUNK // R iterations, so memory stays flat in R and each run
+gets exactly its own draws.  Every batched trace therefore equals the serial run of its
 seed bit for bit; run is the R = 1 case.  A diverged run keeps its
 serial record (its gradient bound includes the diverging iteration)
 and leaves the batch, so it is never stepped further.
@@ -53,6 +54,7 @@ from .graphs import (
 )
 from .noise import NOISE_CHUNK, laplace_draws
 from .objectives import QuadraticEstimationProblem, optimal_solution
+from .privacy import conservative_budget
 from .schedules import (
     PowerSchedule,
     ScheduleSet,
@@ -94,8 +96,8 @@ class RunSetup:
 class Trace:
     """Recorded metrics of one run, sampled every `stride` iterations.
 
-    epsilon_partial is the cumulative privacy budget bound up to each
-    recorded iteration, scaled at finalization by the harvested
+    epsilon_partial is the conservative privacy budget series read at
+    each recorded iteration, scaled at finalization by the harvested
     gradient bound (the largest ||grad f_i||_1 seen on the trajectory);
     it is NaN for noiseless runs.  A diverged run keeps its records up
     to the divergence point and marks diverged_at.
@@ -210,19 +212,6 @@ def step_static(x, grads, W, W_off, gamma_k, lam_k, zeta):
     return x + gamma_k * (W @ x + W_off @ zeta) - lam_k * grads
 
 
-def step_static_per_agent(x, grads, W, gamma_k, lam_k, zeta):
-    """Reference per-agent loop for the static-consensus update."""
-    m, d = x.shape
-    out = np.empty_like(x)
-    for i in range(m):
-        acc = np.zeros(d)
-        for j in range(m):
-            if j != i and W[i, j] != 0.0:
-                acc += W[i, j] * (x[j] + zeta[j] - x[i])
-        out[i] = x[i] + gamma_k * acc - lam_k * grads[i]
-    return out
-
-
 def step_tracking(x, y, g_prev, problem, R, R_off, C, C_off,
                   gamma1_k, gamma2_k, alpha_k, lam_k, zeta, xi):
     """One stacked gradient-tracking update; returns (x, y, grads)."""
@@ -230,32 +219,6 @@ def step_tracking(x, y, g_prev, problem, R, R_off, C, C_off,
     g_next = problem.all_gradients(x_next)
     y_next = (1.0 - alpha_k) * (y - g_prev) \
         + gamma2_k * (C @ y + C_off @ xi) + g_next
-    return x_next, y_next, g_next
-
-
-def step_tracking_per_agent(x, y, g_prev, problem, R, C,
-                            gamma1_k, gamma2_k, alpha_k, lam_k, zeta, xi):
-    """Reference per-agent loop for the gradient-tracking update."""
-    m, d = x.shape
-    x_next = np.empty_like(x)
-    for i in range(m):
-        acc = np.zeros(d)
-        for j in range(m):
-            if j != i and R[i, j] != 0.0:
-                acc += R[i, j] * (x[j] + zeta[j])
-        x_next[i] = (1.0 + gamma1_k * R[i, i]) * x[i] + gamma1_k * acc \
-            - lam_k * y[i]
-    g_next = np.array(
-        [problem.local_gradient(i, x_next[i]) for i in range(m)]
-    )
-    y_next = np.empty_like(y)
-    for i in range(m):
-        acc = np.zeros(d)
-        for j in range(m):
-            if j != i and C[i, j] != 0.0:
-                acc += C[i, j] * (y[j] + xi[j])
-        y_next[i] = (1.0 - alpha_k + gamma2_k * C[i, i]) * y[i] \
-            + gamma2_k * acc + g_next[i] - (1.0 - alpha_k) * g_prev[i]
     return x_next, y_next, g_next
 
 
@@ -270,55 +233,6 @@ def _record_points(iterations: int, stride: int) -> np.ndarray:
     if ks[-1] != iterations:
         ks = np.append(ks, iterations)
     return ks
-
-
-class _BudgetTracker:
-    """Accumulates the sensitivity recursion and raw budget sum in step
-    with the solver loop.  Raw means unscaled by the gradient bound."""
-
-    def __init__(self, variant, setup, sch):
-        self.enabled = sch.noise_scale is not None
-        self.valid = True
-        self.nu = sch.noise_scale
-        self.total = 0.0
-        if variant in STATIC_VARIANTS:
-            self.kind = "static"
-            self.min_coupling = setup.consensus.min_diag_mag
-            self.s = 0.0
-        else:
-            self.kind = "tracking"
-            self.min_pull = setup.push_pull.min_diag_pull
-            self.min_push = setup.push_pull.min_diag_push
-            self.sx = 0.0
-            self.sy = 0.0
-
-    def step(self, k, sch):
-        if not (self.enabled and self.valid):
-            return
-        lam_k = sch.stepsize.value(k)
-        if self.kind == "static":
-            shrink = 1.0 - self.min_coupling * sch.coupling.value(k)
-            if shrink <= 0.0:
-                self.valid = False
-                return
-            self.s = shrink * self.s + lam_k
-            self.total += self.s / self.nu.value(k + 1)
-        else:
-            alpha_k = 0.0 if sch.tracker_mix is None else sch.tracker_mix.value(k)
-            shrink_y = 1.0 - alpha_k - self.min_push * sch.coupling_tracker.value(k)
-            shrink_x = 1.0 - self.min_pull * sch.coupling_state.value(k)
-            if shrink_y <= 0.0 or shrink_x <= 0.0:
-                self.valid = False
-                return
-            sx_next = shrink_x * self.sx + lam_k * self.sy
-            self.sy = shrink_y * self.sy + (2.0 - alpha_k)
-            self.sx = sx_next
-            self.total += 2.0 * (self.sx + self.sy) / self.nu.value(k + 1)
-
-    def partial(self) -> float:
-        if not (self.enabled and self.valid):
-            return np.nan
-        return self.total
 
 
 def run(variant: str, setup: RunSetup, iterations: int, seed: int,
@@ -369,7 +283,6 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
         setup.init_radius * np.random.default_rng(s).standard_normal((m, d))
         for s in seeds
     ])
-    budget = _BudgetTracker(variant, setup, sch)
 
     record_ks = _record_points(iterations, setup.stride)
     n_rec = len(record_ks)
@@ -377,27 +290,43 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
     gap = np.full((n_runs, n_rec), np.nan)
     dist = np.full((n_runs, n_rec), np.nan)
     track = np.full((n_runs, n_rec), np.nan)
-    # The raw budget does not depend on the seed: one series per batch.
-    eps = np.full(n_rec, np.nan)
 
+    ks_all = np.arange(iterations)
+    lam_vals = sch.stepsize.values(ks_all)
     tracking = variant in TRACKING_VARIANTS
     if tracking:
         weights = setup.push_pull
         R, C = weights.pull, weights.push
         R_off, C_off = _off_diagonal(R), _off_diagonal(C)
         u, v = weights.left_eigvec, weights.right_eigvec
-        # Coupling must keep the mixed diagonals positive; decaying
-        # schedules peak at k = 0 so one check suffices.
-        contraction_at(weights, sch.coupling_state.value(0), side="pull")
-        contraction_at(weights, sch.coupling_tracker.value(0), side="push")
+        g1_vals = sch.coupling_state.values(ks_all)
+        g2_vals = sch.coupling_tracker.values(ks_all)
+        if sch.tracker_mix is None:
+            al_vals = np.zeros(iterations)
+        else:
+            al_vals = sch.tracker_mix.values(ks_all)
+        # Coupling must keep the mixed diagonals positive at every k.
+        contraction_at(weights, g1_vals.max(), side="pull")
+        contraction_at(weights, g2_vals.max(), side="push")
         grads = problem.all_gradients(x)
         y = grads.copy()
     else:
         weights = setup.consensus
         W = weights.matrix
         W_off = _off_diagonal(W)
-        contraction_at(weights, sch.coupling.value(0))
+        gmm_vals = sch.coupling.values(ks_all)
+        contraction_at(weights, gmm_vals.max())
         grads = problem.all_gradients(x)
+
+    # The raw (unit gradient bound) budget does not depend on the seed:
+    # one conservative series per batch, read at the record points.
+    if sch.noise_scale is None:
+        eps = np.full(n_rec, np.nan)
+    else:
+        partial = conservative_budget(
+            sch, weights, 1.0, iterations
+        ).epsilon_partial
+        eps = np.append(0.0, partial[record_ks[1:] - 1])
 
     grad_bound = _gradient_norms(grads)
 
@@ -413,7 +342,6 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
     pending = []
 
     def capture(idx):
-        eps[idx] = budget.partial()
         pending.append((idx, active, x, y if tracking else None))
 
     def flush_records():
@@ -443,18 +371,6 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
     capture(rec_idx)
     rec_idx += 1
     next_rec = int(record_ks[rec_idx]) if rec_idx < n_rec else -1
-
-    ks_all = np.arange(iterations)
-    lam_vals = sch.stepsize.values(ks_all)
-    if tracking:
-        g1_vals = sch.coupling_state.values(ks_all)
-        g2_vals = sch.coupling_tracker.values(ks_all)
-        if sch.tracker_mix is None:
-            al_vals = np.zeros(iterations)
-        else:
-            al_vals = sch.tracker_mix.values(ks_all)
-    else:
-        gmm_vals = sch.coupling.values(ks_all)
 
     threshold = setup.divergence_threshold
     start = 0
@@ -488,7 +404,6 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
                 )
                 grads = problem.all_gradients(x)
                 extreme = np.abs(x).max()
-            budget.step(k, sch)
             grad_rows[row] = grads
             if not np.isfinite(extreme) or extreme > threshold:
                 # The batch maximum trips whenever some run's own check
@@ -531,8 +446,9 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
     for r in range(n_runs):
         keep = kept[r]
         # The budget bound scales linearly with the gradient bound,
-        # which is only fully harvested at the end of the run.
-        eps_r = eps[:keep] * grad_bound[r] if budget.enabled else eps[:keep]
+        # which is only fully harvested at the end of the run; a
+        # noiseless run's NaN column stays NaN.
+        eps_r = eps[:keep] * grad_bound[r]
         traces.append(Trace(
             variant=variant,
             ks=record_ks[:keep],

@@ -15,16 +15,15 @@ import numpy as np
 import pytest
 
 from conftest import static_schedules, tracking_schedules
+from oracles import sensitivity_static_closed_form, sensitivity_tracking_closed_form
 
 from dpopt.config import build_setup, load_config
+from dpopt.difference import coupled_difference_trace
 from dpopt.harness import aggregate, budget_report, monte_carlo
 from dpopt.objectives import adjacent_variant, random_instance
 from dpopt.privacy import (
-    coupled_difference_trace,
     sensitivity_static,
-    sensitivity_static_closed_form,
     sensitivity_tracking,
-    sensitivity_tracking_closed_form,
 )
 from dpopt.ratefit import rate_fit
 from dpopt.schedules import (

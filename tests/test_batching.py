@@ -4,8 +4,9 @@ monte_carlo steps all runs of a variant in one loop.  Because the noise
 is keyed by (seed, agent, stream, iteration, coordinate), every batched
 trace must equal the trace of the same seed run alone, in every column
 and in its divergence and gradient-bound fields.  `serial_reference`
-below is a plain one-run loop that pins those serial semantics
-independently of the batched code.
+below is a plain one-run loop, with its own per-iteration budget
+recursion, that pins those serial semantics independently of the
+batched code.
 """
 
 import dataclasses
@@ -18,13 +19,14 @@ from hypothesis import strategies as st
 
 from conftest import make_setup
 
+from dpopt import solvers
+from dpopt.errors import RangeError
 from dpopt.harness import monte_carlo
 from dpopt.noise import LaplaceNoiseSource, derive_seed, laplace_draws
 from dpopt.schedules import PowerSchedule
 from dpopt.solvers import (
     STATIC_VARIANTS,
     VARIANTS,
-    _BudgetTracker,
     _off_diagonal,
     _record_points,
     effective_schedules,
@@ -78,6 +80,42 @@ def check_batch(variant, setup, iterations, base_seed, n_runs):
     return batch
 
 
+class SerialBudget:
+    """The raw (unit gradient bound) conservative budget, stepped once
+    per iteration beside the solver; NaN for a noiseless run.  Schedules
+    are read one index at a time, as in serial_reference."""
+
+    def __init__(self, variant, setup, sch):
+        self.sch = sch
+        self.static = family(variant) == "static"
+        self.weights = setup.consensus if self.static else setup.push_pull
+        self.total = np.nan if sch.noise_scale is None else 0.0
+        self.s = self.sx = self.sy = 0.0
+
+    def step(self, k):
+        sch = self.sch
+        if sch.noise_scale is None:
+            return
+
+        def at(schedule, index=k):
+            return schedule.values([index])[0]
+
+        lam = at(sch.stepsize)
+        nu = at(sch.noise_scale, k + 1)
+        if self.static:
+            shrink = 1.0 - self.weights.min_diag_mag * at(sch.coupling)
+            self.s = shrink * self.s + lam
+            self.total += self.s / nu
+            return
+        alpha = 0.0 if sch.tracker_mix is None else at(sch.tracker_mix)
+        shrink_y = 1.0 - alpha \
+            - self.weights.min_diag_push * at(sch.coupling_tracker)
+        shrink_x = 1.0 - self.weights.min_diag_pull * at(sch.coupling_state)
+        self.sx, self.sy = (shrink_x * self.sx + lam * self.sy,
+                            shrink_y * self.sy + (2.0 - alpha))
+        self.total += 2.0 * (self.sx + self.sy) / nu
+
+
 def serial_reference(variant, setup, iterations, seed):
     """One run, one iteration at a time; returns (trace fields, peak).
 
@@ -88,7 +126,7 @@ def serial_reference(variant, setup, iterations, seed):
     m, d = problem.m, problem.dim
     x = setup.init_radius * np.random.default_rng(seed).standard_normal((m, d))
     noise = LaplaceNoiseSource(sch.noise_scale, seed)
-    budget = _BudgetTracker(variant, setup, sch)
+    budget = SerialBudget(variant, setup, sch)
     record_ks = _record_points(iterations, setup.stride)
     rows = []
     tracking = family(variant) == "tracking"
@@ -111,7 +149,7 @@ def serial_reference(variant, setup, iterations, seed):
             float(np.sum((x - xbar) ** 2)),
             problem.global_cost(xbar) - setup.f_star,
             float(np.linalg.norm(xbar - setup.theta_star)),
-            track, budget.partial(),
+            track, budget.total,
         ))
 
     record()
@@ -135,7 +173,7 @@ def serial_reference(variant, setup, iterations, seed):
                             sch.stepsize.values([k])[0], zeta)
             grads = problem.all_gradients(x)
             extreme = np.max(np.abs(x))
-        budget.step(k, sch)
+        budget.step(k)
         bound = max(bound, float(np.max(np.abs(grads).sum(axis=1))))
         peak = max(peak, float(extreme))
         if not np.isfinite(extreme) or extreme > setup.divergence_threshold:
@@ -144,7 +182,7 @@ def serial_reference(variant, setup, iterations, seed):
         if k + 1 in record_ks:
             record()
     cols = [np.array(c) for c in zip(*rows)]
-    eps = cols[4] * bound if budget.enabled else cols[4]
+    eps = cols[4] if sch.noise_scale is None else cols[4] * bound
     got = [record_ks[:len(rows)]] + cols[:4] + [eps]
     return got + [diverged_at is not None, diverged_at, magnitude, bound], peak
 
@@ -265,3 +303,43 @@ def test_batched_gradients_and_costs_equal_single_calls():
     for r in range(7):
         assert np.array_equal(grads[r], problem.all_gradients(thetas[r]))
         assert costs[r] == problem.global_cost(thetas[r, 0])
+
+
+def with_schedules(setup, **changes):
+    return dataclasses.replace(
+        setup, schedules=dataclasses.replace(setup.schedules, **changes)
+    )
+
+
+def test_noisy_run_whose_budget_cannot_contract_raises():
+    # 1 - alpha - min_push * gamma2 < 0 from k = 0 on: the tracker
+    # sensitivity has no bound, so the noisy run refuses to start.
+    setup = with_schedules(shared_setup("tracking", True),
+                           tracker_mix=PowerSchedule.constant(1.0))
+    with pytest.raises(RangeError, match="mix too strong"):
+        run("alg2", setup, 50, seed=1, force=True)
+
+
+def test_noiseless_batch_computes_no_budget_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a noiseless batch computed a budget series")
+
+    monkeypatch.setattr(solvers, "conservative_budget", refuse)
+    setup = with_schedules(shared_setup("tracking", False),
+                           tracker_mix=PowerSchedule.constant(1.0))
+    batch = monte_carlo("alg2", setup, 50, 3, 2, force=True)
+    assert all(np.isnan(t.epsilon_partial).all() for t in batch)
+
+
+@pytest.mark.parametrize("variant,coupling", [
+    ("alg1", "coupling"),
+    ("alg2", "coupling_state"),
+    ("alg2", "coupling_tracker"),
+])
+def test_coupling_that_grows_past_contraction_raises(variant, coupling):
+    # gamma^0 = 1 keeps the mixed diagonals positive; the growing
+    # coupling only makes one nonpositive later in the run.
+    setup = with_schedules(shared_setup(family(variant), False),
+                           **{coupling: PowerSchedule.growing(1.0, 0.1, 1.0)})
+    with pytest.raises(RangeError, match="gamma too large"):
+        run(variant, setup, 200, seed=1, force=True)

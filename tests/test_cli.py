@@ -78,6 +78,26 @@ class TestRun:
         assert "3/3 runs completed" in stdout
         assert "privacy budget bound" in stdout
 
+    def test_coupling_growing_past_contraction_returns_one(self, tmp_path,
+                                                           capsys):
+        # Noiseless with a growing coupling, the schedules validate, but
+        # gamma^k grows past the contraction limit within the run.
+        text = STATIC_TEXT.replace(
+            "schedules.coupling.form = decaying",
+            "schedules.coupling.form = growing",
+        ).replace(
+            "noise.scale.form = growing\nnoise.scale.a = 1.0\n"
+            "noise.scale.b = 0.1\nnoise.scale.p = 0.3\n",
+            "noise.scale.form = zero\n",
+        )
+        path = tmp_path / "growing.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        code = main(["run", str(path), "--runs", "1",
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert "gamma too large" in capsys.readouterr().err
+
     def test_plot_writes_svgs(self, static_cfg, tmp_path):
         out = str(tmp_path / "out")
         code = main(["run", static_cfg, "--runs", "2", "--iters", "60",

@@ -5,7 +5,6 @@ from dpopt.errors import DegenerateProblemError
 from dpopt.objectives import (
     QuadraticEstimationProblem,
     adjacent_variant,
-    lipschitz_constant,
     optimal_solution,
     random_instance,
 )
@@ -87,19 +86,6 @@ class TestProblem:
         problem = QuadraticEstimationProblem(sensing, observations, reg=0.0)
         with pytest.raises(DegenerateProblemError):
             optimal_solution(problem)
-
-    def test_lipschitz_bounds_gradient_growth(self, instance):
-        problem, _ = instance
-        L = lipschitz_constant(problem)
-        rng = np.random.default_rng(4)
-        for _ in range(30):
-            a = rng.standard_normal(2) * 5
-            b = rng.standard_normal(2) * 5
-            for agent in range(problem.m):
-                num = np.linalg.norm(
-                    problem.local_gradient(agent, a) - problem.local_gradient(agent, b)
-                )
-                assert num <= L * np.linalg.norm(a - b) * (1 + 1e-12)
 
     def test_noise_free_instance_recovers_truth(self):
         problem, theta_true = random_instance(seed=3, m=4, s=6, d=3,

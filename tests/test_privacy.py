@@ -1,25 +1,26 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from conftest import make_setup, static_schedules, tracking_schedules
+from oracles import sensitivity_static_closed_form, sensitivity_tracking_closed_form
 
+from dpopt import privacy
+from dpopt.difference import _ratio_scan, coupled_difference_trace
 from dpopt.errors import RangeError
 from dpopt.objectives import adjacent_variant
 from dpopt.privacy import (
     BLOCK,
-    _ratio_scan,
     asymptotic_budget,
     budget_tail_bound,
     conservative_budget_static,
     conservative_budget_tracking,
-    coupled_difference_trace,
     infinite_tail,
     sensitivity_static,
-    sensitivity_static_closed_form,
     sensitivity_tracking,
-    sensitivity_tracking_closed_form,
 )
 from dpopt.schedules import PowerSchedule, ScheduleSet
 from dpopt.solvers import RunSetup, effective_schedules
@@ -499,3 +500,26 @@ class TestRatioScan:
         diffs = [np.array([0.0, 0.0, 0.0, 3.0, 0.0]),
                  np.array([0.0, 0.0, 2.0, 0.0, 0.0])]
         assert _ratio_scan(ks, diffs, [np.ones(5)] * 2) == (3.0, 2)
+
+
+def imported_modules(path):
+    """Module names a source file imports, relative ones with their dots."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "." * node.level
+            if node.module:
+                names.add(prefix + node.module)
+            else:
+                names.update(prefix + alias.name for alias in node.names)
+    return names
+
+
+def test_privacy_imports_no_solver_side_module():
+    # solvers imports privacy; any of these imported back makes a cycle.
+    names = imported_modules(pathlib.Path(privacy.__file__))
+    for module in ("solvers", "noise", "objectives", "difference"):
+        assert "." + module not in names
+        assert "dpopt." + module not in names

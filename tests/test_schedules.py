@@ -260,6 +260,15 @@ class TestStaticValidator:
         report = validate_static_schedules(static_set(noise_scale=None))
         assert report.overall
 
+    def test_slow_coupling_fails_noise_attenuation(self):
+        # gamma^2 nu^2 ~ k^(-0.8 + 0.6) is not summable.
+        report = validate_static_schedules(static_set(
+            coupling=PowerSchedule.decaying(1.0, 0.1, 0.4),
+            noise_scale=PowerSchedule.growing(1.0, 0.1, 0.3),
+        ))
+        assert not report.overall
+        assert not report.entry("state_noise_attenuation_sums").passed
+
 
 class TestTrackingValidator:
     def test_reference_parameters_pass(self):

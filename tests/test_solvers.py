@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_graph, make_setup, static_schedules, tracking_schedules
+from oracles import step_static_per_agent, step_tracking_per_agent
 
 from dpopt.errors import ConditionError, DivergenceError, RangeError
 from dpopt.graphs import (
@@ -20,9 +21,7 @@ from dpopt.solvers import (
     effective_schedules,
     run,
     step_static,
-    step_static_per_agent,
     step_tracking,
-    step_tracking_per_agent,
     validate_for_variant,
 )
 
