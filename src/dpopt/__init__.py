@@ -36,11 +36,11 @@ from .harness import (
     Aggregate,
     BudgetRow,
     aggregate,
-    budget_report,
+    budget_account,
     monte_carlo,
     write_aggregate,
+    write_breakdown,
     write_budget,
-    write_budget_breakdown,
     write_csv,
     write_failures,
     write_trace,
@@ -80,10 +80,9 @@ from .schedules import (
 )
 from .solvers import (
     RunSetup,
-    STATIC_VARIANTS,
-    TRACKING_VARIANTS,
     Trace,
     VARIANTS,
+    Variant,
     effective_schedules,
     run,
     run_batch,

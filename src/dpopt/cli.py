@@ -35,7 +35,6 @@ from .harness import (
     BudgetRow,
     aggregate,
     budget_account,
-    budget_report,
     monte_carlo,
     run_directory,
     write_aggregate,
@@ -45,7 +44,7 @@ from .harness import (
     write_failures,
     write_trace,
 )
-from .solvers import TRACKING_VARIANTS, VARIANTS, effective_schedules, validate_for_variant
+from .solvers import VARIANTS, Variant, effective_schedules, validate_for_variant
 from .svgplot import Series, line_plot, std_band
 
 _VALIDATION_ERRORS = (
@@ -133,7 +132,7 @@ def _write_run_outputs(
     write_failures(os.path.join(out_dir, "failures.csv"), agg)
     row = None
     if effective_schedules(variant, setup).noise_scale is not None:
-        rows = budget_report(variant, setup, gradient_bound, [iterations])
+        rows = budget_account(variant, setup, gradient_bound, [iterations]).rows
         write_budget(os.path.join(out_dir, "budget.csv"), rows)
         row = rows[0]
     if plot:
@@ -158,7 +157,7 @@ def _plot_aggregate(out_dir: str, variant: str, agg: Aggregate) -> None:
         y_label="mean squared distance to network mean",
         log_y=True,
     )
-    if variant in TRACKING_VARIANTS and np.isfinite(agg.mean_tracking).any():
+    if Variant.of(variant).tracking and np.isfinite(agg.mean_tracking).any():
         track_band = std_band(agg.mean_tracking, agg.var_tracking)
         line_plot(
             os.path.join(out_dir, "tracking.svg"),

@@ -22,7 +22,7 @@ from .graphs import (
 )
 from .objectives import random_instance
 from .schedules import PowerSchedule, ScheduleSet
-from .solvers import RunSetup, STATIC_VARIANTS, TRACKING_VARIANTS, VARIANTS
+from .solvers import VARIANTS, RunSetup, Variant
 
 _SCHEDULE_FIELDS = ("form", "a", "b", "p", "r")
 
@@ -286,12 +286,15 @@ def load_config(path: str) -> ExperimentConfig:
 
 def _needs(config: ExperimentConfig, variants) -> None:
     for variant in variants:
-        if variant == "alg1" and config.schedules.coupling is None:
+        spec = Variant.of(variant)
+        attenuated = spec.schedules == "attenuated"
+        if attenuated and not spec.tracking \
+                and config.schedules.coupling is None:
             raise ConfigError(
                 "variant alg1 needs schedules.coupling",
                 key="schedules.coupling.form",
             )
-        if variant == "alg2" and not (
+        if attenuated and spec.tracking and not (
             config.schedules.is_tracking_shape()
             and config.schedules.tracker_mix is not None
         ):
@@ -300,19 +303,18 @@ def _needs(config: ExperimentConfig, variants) -> None:
                 "schedules.coupling_tracker and schedules.tracker_mix",
                 key="schedules.coupling_state.form",
             )
-        if variant.startswith("pdop") and (
+        if spec.schedules == "pdop" and (
             config.pdop_stepsize is None or config.pdop_noise is None
         ):
             raise ConfigError(
                 "pdop variants need pdop.stepsize and pdop.noise",
                 key="pdop.stepsize.form",
             )
-        if variant in STATIC_VARIANTS and not config.edges \
-                and config.agents > 1:
+        if not spec.tracking and not config.edges and config.agents > 1:
             raise ConfigError(
                 "static variants need graph.edges", key="graph.edges"
             )
-        if variant in TRACKING_VARIANTS and (
+        if spec.tracking and (
             not config.pull_edges or not config.push_edges
         ) and config.agents > 1:
             raise ConfigError(
@@ -340,10 +342,11 @@ def build_setup(config: ExperimentConfig, variants=None) -> RunSetup:
     )
     consensus = None
     push_pull = None
-    if any(v in STATIC_VARIANTS for v in variants):
+    specs = [Variant.of(v) for v in variants]
+    if any(not spec.tracking for spec in specs):
         graph = DirectedGraph(config.agents, frozenset(config.edges))
         consensus = build_consensus_weights(graph, config.edge_weight)
-    if any(v in TRACKING_VARIANTS for v in variants):
+    if any(spec.tracking for spec in specs):
         pull = DirectedGraph(config.agents, frozenset(config.pull_edges))
         push = DirectedGraph(config.agents, frozenset(config.push_edges))
         push_pull = build_push_pull_weights(pull, push, config.edge_weight)

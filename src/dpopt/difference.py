@@ -26,7 +26,8 @@ from .privacy import (
 )
 from .solvers import (
     RunSetup,
-    STATIC_VARIANTS,
+    Variant,
+    _off_diagonal,
     effective_schedules,
     step_static,
     step_tracking,
@@ -98,19 +99,14 @@ def coupled_difference_trace(
     sch = effective_schedules(variant, setup)
     agent = adjacent.agent
     ks_axis = np.arange(iterations + 1)
-    if variant in STATIC_VARIANTS:
-        return _difference_static(
-            variant, setup, adjacent, sch, agent, iterations, seed,
-            envelope, ks_axis,
-        )
-    return _difference_tracking(
-        variant, setup, adjacent, sch, agent, iterations, seed,
-        envelope, ks_axis,
-    )
+    difference = _difference_tracking if Variant.of(variant).tracking \
+        else _difference_static
+    return difference(setup, adjacent, sch, agent, iterations, seed,
+                      envelope, ks_axis)
 
 
-def _difference_static(variant, setup, adjacent, sch, agent, iterations,
-                       seed, envelope, ks_axis):
+def _difference_static(setup, adjacent, sch, agent, iterations, seed,
+                       envelope, ks_axis):
     W = setup.consensus.matrix
     wbar = setup.consensus.min_diag_mag
     self_mag = abs(float(W[agent, agent]))
@@ -136,8 +132,7 @@ def _difference_static(variant, setup, adjacent, sch, agent, iterations,
     rng = np.random.default_rng(seed)
     x = setup.init_radius * rng.standard_normal((m, d_dim))
     noise = LaplaceNoiseSource(sch.noise_scale, seed)
-    W_off = W.copy()
-    np.fill_diagonal(W_off, 0.0)
+    W_off = _off_diagonal(W)
     grads = problem.all_gradients(x)
     e = np.zeros(d_dim)
     run_env = 0.0
@@ -158,8 +153,8 @@ def _difference_static(variant, setup, adjacent, sch, agent, iterations,
                            worst, violation is None, violation)
 
 
-def _difference_tracking(variant, setup, adjacent, sch, agent, iterations,
-                         seed, envelope, ks_axis):
+def _difference_tracking(setup, adjacent, sch, agent, iterations, seed,
+                         envelope, ks_axis):
     weights = setup.push_pull
     R, C = weights.pull, weights.push
     self_pull = abs(float(R[agent, agent]))
@@ -202,10 +197,7 @@ def _difference_tracking(variant, setup, adjacent, sch, agent, iterations,
     rng = np.random.default_rng(seed)
     x = setup.init_radius * rng.standard_normal((m, d_dim))
     noise = LaplaceNoiseSource(sch.noise_scale, seed)
-    R_off = R.copy()
-    np.fill_diagonal(R_off, 0.0)
-    C_off = C.copy()
-    np.fill_diagonal(C_off, 0.0)
+    R_off, C_off = _off_diagonal(R), _off_diagonal(C)
     grads = problem.all_gradients(x)
     y = grads.copy()
     # The tracker sensitivity recursion starts the coupled difference at

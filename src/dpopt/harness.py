@@ -30,8 +30,8 @@ from .privacy import (
 )
 from .solvers import (
     RunSetup,
-    STATIC_VARIANTS,
     Trace,
+    Variant,
     effective_schedules,
     run_batch,
 )
@@ -246,25 +246,6 @@ class BudgetRow:
     summable: bool
 
 
-def conservative_series(
-    variant: str,
-    setup: RunSetup,
-    gradient_bound: float,
-    horizon: int,
-) -> BudgetSeries:
-    """A variant's conservative budget series over k = 1..horizon, at
-    the variant's effective schedules and weights."""
-    sch = effective_schedules(variant, setup)
-    if sch.noise_scale is None:
-        raise ConfigError(
-            "budget accounting needs a nonzero noise scale",
-            key="noise.scale.form",
-        )
-    weights = setup.consensus if variant in STATIC_VARIANTS \
-        else setup.push_pull
-    return conservative_budget(sch, weights, gradient_bound, horizon)
-
-
 @dataclass(frozen=True)
 class BudgetAccount:
     """A variant's budget series through the largest horizon, and its
@@ -295,10 +276,19 @@ def budget_account(
     if not horizons or horizons[0] < 1:
         raise ConfigError("budget horizons must be positive integers")
     top = horizons[-1]
-    conservative = conservative_series(variant, setup, gradient_bound, top)
+    spec = Variant.of(variant)
     sch = effective_schedules(variant, setup)
     nu = sch.noise_scale
-    factor = 1.0 if variant in STATIC_VARIANTS else 2.0
+    if nu is None:
+        raise ConfigError(
+            "budget accounting needs a nonzero noise scale",
+            key="noise.scale.form",
+        )
+    conservative = conservative_budget(
+        sch, spec.weights(setup), gradient_bound, top
+    )
+    # Tracking variants send two noisy messages per iteration.
+    factor = 2.0 if spec.tracking else 1.0
     envelope = asymptotic_budget(
         sch.stepsize, nu, gradient_bound, top, message_factor=factor
     )
@@ -316,17 +306,6 @@ def budget_account(
         for h in horizons
     ]
     return BudgetAccount(conservative, envelope, rows)
-
-
-def budget_report(
-    variant: str,
-    setup: RunSetup,
-    gradient_bound: float,
-    horizons,
-) -> list[BudgetRow]:
-    """Privacy budget rows of one variant at the requested horizons;
-    see budget_account for the columns."""
-    return budget_account(variant, setup, gradient_bound, horizons).rows
 
 
 def write_budget(path: str, rows: list[BudgetRow]) -> None:
@@ -353,21 +332,6 @@ def write_breakdown(
         series.ks[idx], series.varsigma[idx], series.per_term[idx],
         series.epsilon_partial[idx],
     ))
-
-
-def write_budget_breakdown(
-    path: str,
-    variant: str,
-    setup: RunSetup,
-    gradient_bound: float,
-    horizon: int,
-    max_rows: int = 10_000,
-) -> None:
-    """Per-iteration conservative budget terms, strided to max_rows."""
-    write_breakdown(
-        path, conservative_series(variant, setup, gradient_bound, horizon),
-        max_rows,
-    )
 
 
 def run_directory(base: str, variant: str | None = None) -> str:

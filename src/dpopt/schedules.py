@@ -100,6 +100,14 @@ class PowerSchedule:
         return np.full_like(ks, self.a)
 
     @property
+    def peak(self) -> float:
+        """Largest value over k >= 0: inf for a growing schedule that
+        grows, value(0) for every other, which never increases."""
+        if self.form == GROWING and self.b > 0 and self.p > 0:
+            return math.inf
+        return self.value(0)
+
+    @property
     def decay_exponent(self) -> float:
         """e such that value(k) ~ k**(-e) up to constants; 0 for geometric."""
         if self.form == DECAYING:

@@ -19,7 +19,9 @@ old state is cached, never recomputed.
 Baseline variants reuse the same steps with frozen couplings: "dgd" is
 static consensus with gamma == 1, "push_pull" is gradient tracking
 with both couplings == 1 and no tracker mix, and the "pdop_*" variants
-swap in geometric stepsize and noise schedules.
+swap in geometric stepsize and noise schedules.  The variant table
+below declares each name's family and schedules once; every other
+module reads it through Variant.of.
 
 Every message is obscured by one fresh Laplace draw per sender per
 iteration; all receivers observe the same copy and the sender's own
@@ -62,9 +64,42 @@ from .schedules import (
     validate_tracking_schedules,
 )
 
-STATIC_VARIANTS = ("alg1", "dgd", "pdop_alg1")
-TRACKING_VARIANTS = ("alg2", "push_pull", "pdop_push_pull")
-VARIANTS = STATIC_VARIANTS + TRACKING_VARIANTS
+
+@dataclass(frozen=True)
+class Variant:
+    """What a variant name means.
+
+    tracking: gradient tracking on push-pull weights, else static
+        consensus on consensus weights.
+    schedules: "attenuated" runs the configured bundle and is checked
+        against the schedule conditions; "unit" pins every coupling at
+        one and drops the tracker mix; "pdop" also swaps in the
+        geometric stepsize and noise schedules.
+    """
+
+    tracking: bool
+    schedules: str
+
+    @staticmethod
+    def of(name: str) -> "Variant":
+        try:
+            return _VARIANT_TABLE[name]
+        except KeyError:
+            raise ValueError(f"unknown variant {name!r}") from None
+
+    def weights(self, setup: "RunSetup"):
+        return setup.push_pull if self.tracking else setup.consensus
+
+
+_VARIANT_TABLE = {
+    "alg1": Variant(tracking=False, schedules="attenuated"),
+    "dgd": Variant(tracking=False, schedules="unit"),
+    "pdop_alg1": Variant(tracking=False, schedules="pdop"),
+    "alg2": Variant(tracking=True, schedules="attenuated"),
+    "push_pull": Variant(tracking=True, schedules="unit"),
+    "pdop_push_pull": Variant(tracking=True, schedules="pdop"),
+}
+VARIANTS = tuple(_VARIANT_TABLE)
 
 
 @dataclass(frozen=True)
@@ -139,72 +174,64 @@ class Trace:
 
 def effective_schedules(variant: str, setup: RunSetup) -> ScheduleSet:
     """Resolve the schedule bundle a variant actually runs with."""
+    spec = Variant.of(variant)
     sch = setup.schedules
+    if spec.schedules == "attenuated":
+        (sch.require_tracking if spec.tracking else sch.require_static)()
+        return sch
+    stepsize, noise = sch.stepsize, sch.noise_scale
+    if spec.schedules == "pdop":
+        if setup.pdop_stepsize is None or setup.pdop_noise is None:
+            raise ConditionError(
+                "pdop variants need geometric stepsize and noise schedules"
+            )
+        stepsize, noise = setup.pdop_stepsize, setup.pdop_noise
     one = PowerSchedule.constant(1.0)
-    if variant == "alg1":
-        sch.require_static()
-        return sch
-    if variant == "dgd":
+    if spec.tracking:
         return ScheduleSet(
-            stepsize=sch.stepsize, coupling=one, noise_scale=sch.noise_scale
+            stepsize=stepsize, coupling_state=one, coupling_tracker=one,
+            tracker_mix=None, noise_scale=noise,
         )
-    if variant == "pdop_alg1":
-        _require_pdop(setup)
-        return ScheduleSet(
-            stepsize=setup.pdop_stepsize, coupling=one,
-            noise_scale=setup.pdop_noise,
-        )
-    if variant == "alg2":
-        sch.require_tracking()
-        return sch
-    if variant == "push_pull":
-        return ScheduleSet(
-            stepsize=sch.stepsize, coupling_state=one, coupling_tracker=one,
-            tracker_mix=None, noise_scale=sch.noise_scale,
-        )
-    if variant == "pdop_push_pull":
-        _require_pdop(setup)
-        return ScheduleSet(
-            stepsize=setup.pdop_stepsize, coupling_state=one,
-            coupling_tracker=one, tracker_mix=None,
-            noise_scale=setup.pdop_noise,
-        )
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _require_pdop(setup: RunSetup) -> None:
-    if setup.pdop_stepsize is None:
-        raise ConditionError("pdop variants need a geometric stepsize schedule")
+    return ScheduleSet(stepsize=stepsize, coupling=one, noise_scale=noise)
 
 
 def validate_for_variant(variant: str, setup: RunSetup) -> ConditionReport:
-    """Structural checks for every variant; schedule condition checks
-    only for the two attenuated variants (baselines run schedules that
-    intentionally violate them)."""
-    if variant in STATIC_VARIANTS:
-        if setup.consensus is None:
-            raise ConditionError(f"variant {variant!r} needs consensus weights")
-        report = validate_consensus_matrix(setup.consensus.matrix)
-        if variant == "alg1":
-            sub = validate_static_schedules(effective_schedules(variant, setup))
-            report.entries.extend(sub.entries)
-            report.warnings.extend(sub.warnings)
-        return report
-    if variant in TRACKING_VARIANTS:
-        if setup.push_pull is None:
-            raise ConditionError(f"variant {variant!r} needs push-pull weights")
+    """Structural checks and the peak of each coupling for every
+    variant; schedule condition checks only for the two attenuated
+    variants (baselines run schedules that intentionally violate them).
+
+    A coupling passes when its peak over all k keeps every diagonal of
+    the mixed matrix positive, the inequality contraction_at enforces
+    at run time."""
+    spec = Variant.of(variant)
+    w = spec.weights(setup)
+    if w is None:
+        kind = "push-pull" if spec.tracking else "consensus"
+        raise ConditionError(f"variant {variant!r} needs {kind} weights")
+    sch = effective_schedules(variant, setup)
+    if spec.tracking:
         report = ConditionReport(f"{variant} structural conditions")
-        w = setup.push_pull
         resid_u = float(np.max(np.abs(w.left_eigvec @ w.pull)))
         resid_v = float(np.max(np.abs(w.push @ w.right_eigvec)))
         report.add("pull_left_null_residual", "<= 1e-9", resid_u, resid_u <= 1e-9)
         report.add("push_right_null_residual", "<= 1e-9", resid_v, resid_v <= 1e-9)
-        if variant == "alg2":
-            sub = validate_tracking_schedules(effective_schedules(variant, setup))
-            report.entries.extend(sub.entries)
-            report.warnings.extend(sub.warnings)
-        return report
-    raise ValueError(f"unknown variant {variant!r}")
+        couplings = {"coupling_state": (sch.coupling_state, w.pull),
+                     "coupling_tracker": (sch.coupling_tracker, w.push)}
+    else:
+        report = validate_consensus_matrix(w.matrix)
+        couplings = {"coupling": (sch.coupling, w.matrix)}
+    for name, (coupling, A) in couplings.items():
+        diag = float(np.max(np.abs(np.diag(A))))
+        # One agent's zero diagonal stays zero at any coupling.
+        value = coupling.peak * diag if diag else 0.0
+        report.add(f"{name}_peak_diag_positive",
+                   f"peak {name} * max|A_ii| < 1", value, value < 1.0)
+    if spec.schedules == "attenuated":
+        sub = (validate_tracking_schedules if spec.tracking
+               else validate_static_schedules)(sch)
+        report.entries.extend(sub.entries)
+        report.warnings.extend(sub.warnings)
+    return report
 
 
 def step_static(x, grads, W, W_off, gamma_k, lam_k, zeta):
@@ -261,8 +288,7 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
               force: bool = False) -> list[Trace]:
     """Execute one run per seed, all stepped together; the traces come
     back in seed order, each equal bit for bit to run() with its seed."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    spec = Variant.of(variant)
     if iterations < 1:
         raise RangeError("iterations must be positive")
     seeds = [int(s) for s in seeds]
@@ -293,9 +319,9 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
 
     ks_all = np.arange(iterations)
     lam_vals = sch.stepsize.values(ks_all)
-    tracking = variant in TRACKING_VARIANTS
+    tracking = spec.tracking
+    weights = spec.weights(setup)
     if tracking:
-        weights = setup.push_pull
         R, C = weights.pull, weights.push
         R_off, C_off = _off_diagonal(R), _off_diagonal(C)
         u, v = weights.left_eigvec, weights.right_eigvec
@@ -311,7 +337,6 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
         grads = problem.all_gradients(x)
         y = grads.copy()
     else:
-        weights = setup.consensus
         W = weights.matrix
         W_off = _off_diagonal(W)
         gmm_vals = sch.coupling.values(ks_all)

@@ -19,7 +19,7 @@ from oracles import sensitivity_static_closed_form, sensitivity_tracking_closed_
 
 from dpopt.config import build_setup, load_config
 from dpopt.difference import coupled_difference_trace
-from dpopt.harness import aggregate, budget_report, monte_carlo
+from dpopt.harness import aggregate, budget_account, monte_carlo
 from dpopt.objectives import adjacent_variant, random_instance
 from dpopt.privacy import (
     sensitivity_static,
@@ -184,8 +184,9 @@ def test_criterion_03_static_solver_beats_baselines(
 ):
     horizon = alg1_config.iterations
     bound = alg1_config.gradient_bound
-    eps_main = budget_report("alg1", alg1_setup, bound, [horizon])[0]
-    eps_pdop = budget_report("pdop_alg1", alg1_setup, bound, [horizon])[0]
+    eps_main = budget_account("alg1", alg1_setup, bound, [horizon]).rows[0]
+    eps_pdop = budget_account("pdop_alg1", alg1_setup, bound,
+                              [horizon]).rows[0]
     assert abs(eps_pdop.conservative - eps_main.conservative) <= (
         0.05 * eps_main.conservative
     )
@@ -285,7 +286,8 @@ def test_criterion_07_budget_finite_at_unbounded_horizon(
     alg1_config, alg1_setup
 ):
     bound = alg1_config.gradient_bound
-    row4, row5 = budget_report("alg1", alg1_setup, bound, [10**4, 10**5])
+    row4, row5 = budget_account("alg1", alg1_setup, bound,
+                                [10**4, 10**5]).rows
     assert row4.summable and row5.summable
     assert abs(row5.envelope - row4.envelope) < 0.05 * row4.envelope
     assert row5.tail < 0.05 * row5.envelope
@@ -296,7 +298,7 @@ def test_criterion_07_budget_finite_at_unbounded_horizon(
             alg1_setup.schedules, noise_scale=PowerSchedule.constant(1.0)
         ),
     )
-    marker = budget_report("alg1", flat, bound, [10**4])[0]
+    marker = budget_account("alg1", flat, bound, [10**4]).rows[0]
     assert not marker.summable
     assert math.isinf(marker.tail)
 

@@ -25,8 +25,8 @@ from dpopt.harness import monte_carlo
 from dpopt.noise import LaplaceNoiseSource, derive_seed, laplace_draws
 from dpopt.schedules import PowerSchedule
 from dpopt.solvers import (
-    STATIC_VARIANTS,
     VARIANTS,
+    Variant,
     _off_diagonal,
     _record_points,
     effective_schedules,
@@ -40,7 +40,7 @@ CHUNK = 2048
 
 
 def family(variant):
-    return "static" if variant in STATIC_VARIANTS else "tracking"
+    return "tracking" if Variant.of(variant).tracking else "static"
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ from test_config import STATIC_TEXT, TRACKING_TEXT
 import dpopt
 from dpopt.cli import main
 from dpopt.config import build_setup, load_config
-from dpopt.harness import budget_report, write_budget, write_budget_breakdown
+from dpopt.harness import budget_account, write_breakdown, write_budget
 
 PDOP_BLOCK = """
 pdop.stepsize.form = geometric
@@ -80,8 +80,9 @@ class TestRun:
 
     def test_coupling_growing_past_contraction_returns_one(self, tmp_path,
                                                            capsys):
-        # Noiseless with a growing coupling, the schedules validate, but
-        # gamma^k grows past the contraction limit within the run.
+        # Noiseless with a growing coupling, the schedule conditions
+        # hold, but gamma^k grows past the contraction limit: validate
+        # fails on the coupling's peak, and a forced run stops in time.
         text = STATIC_TEXT.replace(
             "schedules.coupling.form = decaying",
             "schedules.coupling.form = growing",
@@ -92,8 +93,8 @@ class TestRun:
         )
         path = tmp_path / "growing.cfg"
         path.write_text(text, encoding="utf-8")
-        assert main(["validate", str(path)]) == 0
-        code = main(["run", str(path), "--runs", "1",
+        assert main(["validate", str(path)]) == 1
+        code = main(["run", str(path), "--runs", "1", "--force",
                      "--output", str(tmp_path / "out")])
         assert code == 1
         assert "gamma too large" in capsys.readouterr().err
@@ -203,15 +204,16 @@ class TestBudget:
         bound = config.gradient_bound
         ref = tmp_path / "ref"
         ref.mkdir()
-        rows = budget_report(config.variant, setup, bound,
-                             [1000, 10000, 100000])
+        rows = budget_account(config.variant, setup, bound,
+                              [1000, 10000, 100000]).rows
         write_budget(str(ref / "budget.csv"), rows)
-        write_budget_breakdown(str(ref / "breakdown.csv"), config.variant,
-                               setup, bound, 100000)
+        write_breakdown(str(ref / "breakdown.csv"), budget_account(
+            config.variant, setup, bound, [100000]).conservative)
         for name in ("budget.csv", "breakdown.csv"):
             assert (out / name).read_bytes() == (ref / name).read_bytes()
 
-        decade = budget_report(config.variant, setup, bound, [10000])[0]
+        decade = budget_account(config.variant, setup, bound,
+                                [10000]).rows[0]
         growth = (rows[-1].envelope - decade.envelope) / decade.envelope
         assert (f"envelope growth over the last decade: {100 * growth:.4f}% "
                 f"(under 5%: {'yes' if growth < 0.05 else 'no'})") in stdout

@@ -214,16 +214,28 @@ class TestBuildSetup:
         assert setup.push_pull is not None
 
     def test_variant_requirements_enforced(self):
-        config = parse_config_text(TRACKING_TEXT)
-        with pytest.raises(ConfigError):
-            build_setup(config, variants=("alg1",))
+        tracking = parse_config_text(TRACKING_TEXT)
         static = parse_config_text(STATIC_TEXT)
-        with pytest.raises(ConfigError):
-            build_setup(static, variants=("alg2",))
-        with pytest.raises(ConfigError):
-            build_setup(static, variants=("pdop_alg1",))
-        with pytest.raises(ConfigError):
-            build_setup(static, variants=("nonsense",))
+        stepsize_only = parse_config_text(
+            STATIC_TEXT + "pdop.stepsize.form = geometric\n"
+            "pdop.stepsize.a = 0.02\npdop.stepsize.r = 0.995\n"
+        )
+        edges = "graph.edges = 0>1, 1>2, 2>3, 3>4, 4>0, 0>2, 1>4"
+        static_no_edges = parse_config_text(STATIC_TEXT.replace(edges, ""))
+        tracking_no_edges = parse_config_text(TRACKING_TEXT.replace(edges, ""))
+        cases = (
+            (tracking, "alg1", "schedules.coupling.form"),
+            (static, "alg2", "schedules.coupling_state.form"),
+            (static, "pdop_alg1", "pdop.stepsize.form"),
+            (stepsize_only, "pdop_push_pull", "pdop.stepsize.form"),
+            (static_no_edges, "dgd", "graph.edges"),
+            (tracking_no_edges, "push_pull", "graph.pull_edges"),
+            (static, "nonsense", "variant"),
+        )
+        for config, variant, key in cases:
+            with pytest.raises(ConfigError) as info:
+                build_setup(config, variants=(variant,))
+            assert info.value.key == key, variant
 
     def test_missing_edges_rejected(self):
         text = STATIC_TEXT.replace(

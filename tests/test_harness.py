@@ -14,14 +14,14 @@ from dpopt.harness import (
     Aggregate,
     BudgetRow,
     aggregate,
-    budget_report,
+    budget_account,
     format_column,
     format_value,
     monte_carlo,
     run_directory,
     write_aggregate,
+    write_breakdown,
     write_budget,
-    write_budget_breakdown,
     write_csv,
     write_failures,
     write_trace,
@@ -215,7 +215,7 @@ class TestWriters:
 class TestBudgetReport:
     def test_static_rows(self):
         setup = make_setup("static")
-        rows = budget_report("alg1", setup, 1.0, [100, 1000])
+        rows = budget_account("alg1", setup, 1.0, [100, 1000]).rows
         assert [r.horizon for r in rows] == [100, 1000]
         sch = effective_schedules("alg1", setup)
         series = conservative_budget_static(
@@ -230,9 +230,9 @@ class TestBudgetReport:
 
     def test_tracking_rows_use_double_messages(self):
         setup = make_setup("tracking")
-        rows = budget_report("alg2", setup, 1.0, [1000])
+        rows = budget_account("alg2", setup, 1.0, [1000]).rows
         static = make_setup("static")
-        srows = budget_report("alg1", static, 1.0, [1000])
+        srows = budget_account("alg1", static, 1.0, [1000]).rows
         # Same stepsize; the tracking envelope carries twice the message
         # count but a weaker noise growth, so just sanity-check signs.
         assert rows[0].envelope > 0
@@ -240,20 +240,20 @@ class TestBudgetReport:
 
     def test_unsorted_horizons_are_sorted(self):
         setup = make_setup("static")
-        rows = budget_report("alg1", setup, 1.0, [1000, 10, 100])
+        rows = budget_account("alg1", setup, 1.0, [1000, 10, 100]).rows
         assert [r.horizon for r in rows] == [10, 100, 1000]
 
     def test_noiseless_setup_rejected(self):
         setup = make_setup("static", noise=False)
         with pytest.raises(ConfigError):
-            budget_report("alg1", setup, 1.0, [100])
+            budget_account("alg1", setup, 1.0, [100]).rows
 
     def test_bad_horizons_rejected(self):
         setup = make_setup("static")
         with pytest.raises(ConfigError):
-            budget_report("alg1", setup, 1.0, [])
+            budget_account("alg1", setup, 1.0, []).rows
         with pytest.raises(ConfigError):
-            budget_report("alg1", setup, 1.0, [0, 10])
+            budget_account("alg1", setup, 1.0, [0, 10]).rows
 
     def test_divergent_envelope_marked(self):
         # A constant noise scale cannot pay for a stepsize whose sum
@@ -268,13 +268,13 @@ class TestBudgetReport:
             problem=base.problem, theta_star=base.theta_star,
             f_star=base.f_star, schedules=sch, consensus=base.consensus,
         )
-        rows = budget_report("alg1", setup, 1.0, [100])
+        rows = budget_account("alg1", setup, 1.0, [100]).rows
         assert not rows[0].summable
         assert rows[0].tail == math.inf
 
     def test_budget_csv(self, tmp_path):
         setup = make_setup("static")
-        rows = budget_report("alg1", setup, 1.0, [100, 1000])
+        rows = budget_account("alg1", setup, 1.0, [100, 1000]).rows
         path = str(tmp_path / "budget.csv")
         write_budget(path, rows)
         lines = open(path, encoding="utf-8").read().strip().split("\n")
@@ -285,8 +285,8 @@ class TestBudgetReport:
     def test_breakdown_strides_and_keeps_last_row(self, tmp_path):
         setup = make_setup("static")
         path = str(tmp_path / "breakdown.csv")
-        write_budget_breakdown(path, "alg1", setup, 1.0, 25_000,
-                               max_rows=1000)
+        write_breakdown(path, budget_account("alg1", setup, 1.0, [25_000])
+                        .conservative, max_rows=1000)
         lines = open(path, encoding="utf-8").read().strip().split("\n")
         assert lines[0] == "k,varsigma,per_term,epsilon_partial"
         ks = [int(line.split(",")[0]) for line in lines[1:]]

@@ -78,6 +78,19 @@ class TestEval:
         assert np.all(np.diff(dec) <= 0)
         assert np.all(np.diff(gro) >= 0)
 
+    def test_peak_bounds_every_value(self):
+        ks = np.arange(10_001)
+        for s, peak in (
+            (PowerSchedule.growing(1.0, 0.1, 0.3), np.inf),
+            (PowerSchedule.growing(1.0, 0.0, 0.3), 1.0),
+            (PowerSchedule.growing(1.0, 0.5, 0.0), 1.5),
+            (PowerSchedule.decaying(2.0, 0.1, 0.9), 2.0),
+            (PowerSchedule.geometric(0.5, 0.99), 0.5),
+            (PowerSchedule.constant(3.0), 3.0),
+        ):
+            assert s.peak == peak
+            assert np.all(s.values(ks) <= peak)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PowerSchedule(form="weird", a=1.0)

@@ -1,9 +1,15 @@
+import ast
+import dataclasses
+import math
+import pathlib
+
 import numpy as np
 import pytest
 
 from conftest import desk_graph, make_setup, static_schedules, tracking_schedules
 from oracles import step_static_per_agent, step_tracking_per_agent
 
+import dpopt
 from dpopt.errors import ConditionError, DivergenceError, RangeError
 from dpopt.graphs import (
     DirectedGraph,
@@ -15,9 +21,8 @@ from dpopt.privacy import conservative_budget_static, conservative_budget_tracki
 from dpopt.schedules import PowerSchedule, ScheduleSet
 from dpopt.solvers import (
     RunSetup,
-    STATIC_VARIANTS,
-    TRACKING_VARIANTS,
     VARIANTS,
+    Variant,
     effective_schedules,
     run,
     step_static,
@@ -289,6 +294,26 @@ class TestEffectiveSchedules:
         assert sch.noise_scale.form == "geometric"
         assert sch.coupling.value(5) == 1.0
 
+    def test_pdop_push_pull_runs_geometric_at_unit_couplings(self):
+        setup = make_setup("tracking", pdop=True)
+        sch = effective_schedules("pdop_push_pull", setup)
+        assert sch.stepsize is setup.pdop_stepsize
+        assert sch.noise_scale is setup.pdop_noise
+        assert sch.tracker_mix is None
+        assert sch.coupling_state.value(17) == 1.0
+        assert sch.coupling_tracker.value(17) == 1.0
+
+    def test_pdop_requires_both_geometric_schedules(self):
+        # A pdop stepsize without a pdop noise must not run noiseless.
+        stepsize = PowerSchedule.geometric(0.02, 0.995)
+        for kind, variant in (("static", "pdop_alg1"),
+                              ("tracking", "pdop_push_pull")):
+            setup = make_setup(kind, pdop_stepsize=stepsize)
+            with pytest.raises(ConditionError):
+                effective_schedules(variant, setup)
+            with pytest.raises(ConditionError):
+                validate_for_variant(variant, setup)
+
     def test_attenuated_variants_keep_their_bundle(self):
         static = make_setup("static")
         assert effective_schedules("alg1", static) is static.schedules
@@ -300,12 +325,11 @@ class TestValidateForVariant:
     def test_families_need_their_weights(self):
         static = make_setup("static")
         tracking = make_setup("tracking")
-        for variant in TRACKING_VARIANTS:
+        for variant in VARIANTS:
             with pytest.raises(ConditionError):
-                validate_for_variant(variant, static)
-        for variant in STATIC_VARIANTS:
-            with pytest.raises(ConditionError):
-                validate_for_variant(variant, tracking)
+                validate_for_variant(
+                    variant, static if Variant.of(variant).tracking else tracking
+                )
 
     def test_alg1_report_combines_matrix_and_schedules(self):
         report = validate_for_variant("alg1", make_setup("static"))
@@ -322,9 +346,72 @@ class TestValidateForVariant:
         assert "budget_sum_finite" in names
         assert report.overall
 
+    def test_peak_coupling_entries_on_reference_setups(self):
+        report = validate_for_variant("dgd", make_setup("static"))
+        entry = report.entry("coupling_peak_diag_positive")
+        assert entry.passed and entry.value == pytest.approx(0.6)
+        report = validate_for_variant("push_pull", make_setup("tracking"))
+        for name in ("coupling_state", "coupling_tracker"):
+            entry = report.entry(f"{name}_peak_diag_positive")
+            assert entry.passed and entry.value == pytest.approx(0.4)
+
+    def test_growing_coupling_fails_its_peak_entry(self):
+        grow = PowerSchedule.growing(1.0, 0.1, 0.5)
+        cases = (("static", "alg1", "coupling"),
+                 ("tracking", "alg2", "coupling_state"),
+                 ("tracking", "alg2", "coupling_tracker"))
+        for kind, variant, name in cases:
+            base = make_setup(kind, noise=False)
+            setup = dataclasses.replace(base, schedules=dataclasses.replace(
+                base.schedules, **{name: grow}))
+            report = validate_for_variant(variant, setup)
+            entry = report.entry(f"{name}_peak_diag_positive")
+            assert entry.value == math.inf and not entry.passed
+            assert not report.overall
+
+    def test_single_agent_peak_coupling_passes(self):
+        # One agent mixes nothing: its zero diagonal stays zero under
+        # any coupling, as the run-time contraction check agrees.
+        problem, _ = random_instance(seed=7, m=1, s=3, d=2)
+        setup = RunSetup.create(
+            problem,
+            ScheduleSet(stepsize=PowerSchedule.decaying(0.02, 0.1, 1.0),
+                        coupling=PowerSchedule.growing(1.0, 0.1, 0.5)),
+            consensus=build_consensus_weights(DirectedGraph(1, frozenset()),
+                                              0.2),
+        )
+        entry = validate_for_variant("alg1", setup).entry(
+            "coupling_peak_diag_positive")
+        assert entry.passed and entry.value == 0.0
+        assert run("alg1", setup, 50, seed=0).final_k == 50
+
     def test_all_variants_pass_on_reference_setups(self):
         static = make_setup("static", pdop=True)
         tracking = make_setup("tracking", pdop=True)
         for variant in VARIANTS:
-            setup = static if variant in STATIC_VARIANTS else tracking
+            setup = tracking if Variant.of(variant).tracking else static
             assert validate_for_variant(variant, setup).overall
+
+
+def test_variant_names_only_in_the_table():
+    """No module outside the variant table in solvers.py spells a
+    variant name as a string constant: dispatch goes through the table."""
+    found = []
+    for path in sorted(pathlib.Path(dpopt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        table = set()
+        if path.name == "solvers.py":
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "_VARIANT_TABLE"
+                    for t in node.targets
+                ):
+                    table = {id(n) for n in ast.walk(node.value)}
+            assert table, "solvers.py has no _VARIANT_TABLE"
+        found += [
+            f"{path.name}:{node.lineno} {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in VARIANTS and id(node) not in table
+        ]
+    assert found == []
