@@ -88,6 +88,19 @@ class QuadraticEstimationProblem:
         grads = 2.0 * np.einsum("isd,...is->...id", self.sensing, resid)
         return grads + 2.0 * self.reg * thetas
 
+    def affine_gradient(self) -> tuple[np.ndarray, np.ndarray]:
+        """(H, c) with all_gradients(x).ravel() = H @ x.ravel() - c up
+        to rounding, for x of shape (m, d): every local cost is
+        quadratic, so H = blockdiag(2 (M_i^T M_i + reg I)) of shape
+        (m d, m d) and c = (2 M_i^T z_i)_i of shape (m d,)."""
+        m, d = self.m, self.dim
+        blocks = 2.0 * (np.einsum("isd,ise->ide", self.sensing, self.sensing)
+                        + self.reg * np.eye(d))
+        H = np.zeros((m, d, m, d))
+        H[np.arange(m), :, np.arange(m), :] = blocks
+        c = 2.0 * np.einsum("isd,is->id", self.sensing, self.observations)
+        return H.reshape(m * d, m * d), c.ravel()
+
 
 def optimal_solution(problem: QuadraticEstimationProblem):
     """Global minimizer and optimal value via the normal equations.

@@ -297,10 +297,13 @@ def budget_tail_bound(
     """Upper bound on the budget paid after iteration `horizon`.
 
     Returns math.inf when sum lam/nu diverges.  Geometric envelopes get
-    the geometric tail t_T * rho / (1 - rho); power-law envelopes with
-    decay exponent e > 1 get the integral-test bound t_T * T / (e - 1),
-    with t_T the envelope term at the horizon so the bound dominates
-    both the envelope series and the raw lam/nu series beyond it.
+    the geometric tail t_T * rho / (1 - rho); from a horizon too early
+    for rho < 1 the terms up to the first T' with rho <= sqrt(r) are
+    bounded one by one and the tail is taken from T'.  Power-law
+    envelopes with decay exponent e > 1 get the integral-test bound
+    t_T * T / (e - 1), with t_T the envelope term at the horizon so the
+    bound dominates both the envelope series and the raw lam/nu series
+    beyond it.
     """
     expr = ScheduleExpr.of(stepsize) / nu
     res = series_class(expr)
@@ -310,14 +313,21 @@ def budget_tail_bound(
     if res.geometric_log_ratio < 0:
         # Any polynomially growing factor k^{-e} with e < 0 is absorbed
         # into the ratio via (k/T)^{-e} <= exp(-e (k - T) / T) for k >= T.
-        log_rho = res.geometric_log_ratio \
-            + max(0.0, -res.decay_exponent) / horizon
-        if log_rho >= 0.0:
-            raise RangeError(
-                "horizon too small for the geometric tail bound"
-            )
-        rho = math.exp(log_rho)
-        return scale * expr.term(horizon) * rho / (1.0 - rho)
+        log_r = res.geometric_log_ratio
+        growth = max(0.0, -res.decay_exponent)
+        start, head = horizon, 0.0
+        if log_r + growth / horizon >= 0.0:
+            # Too early for a ratio below 1: the terms up to
+            # T' = ceil(2 growth / -log r) are each at most
+            # t_T (T'/T)^growth, and from T' on the ratio is <= sqrt(r).
+            start = math.ceil(2.0 * growth / -log_r)
+            try:
+                head = (start - horizon) * expr.term(horizon) \
+                    * (start / horizon) ** growth
+            except OverflowError:
+                head = math.inf
+        rho = math.exp(log_r + growth / start)
+        return scale * expr.term(start) * rho / (1.0 - rho) + scale * head
     e, constant = expr.power_envelope()
     t_last = scale * constant * float(horizon) ** (-e)
     return t_last * horizon / (e - 1.0)

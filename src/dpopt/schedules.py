@@ -240,7 +240,12 @@ class ScheduleExpr:
                 return None
             d, lo, hi = bounds
             exponent += e * d
-            constant *= (hi if e > 0 else lo) ** e
+            try:
+                constant *= (hi if e > 0 else lo) ** e
+            except OverflowError:
+                # A subnormal coefficient (b = 5e-324) puts the bound
+                # past the float range: the envelope is unbounded.
+                constant = math.inf
         return exponent, constant
 
 

@@ -27,17 +27,40 @@ Every message is obscured by one fresh Laplace draw per sender per
 iteration; all receivers observe the same copy and the sender's own
 update uses its clean state.
 
-run_batch steps all R runs of a Monte Carlo batch together: states are
-stacked as (R, m, d) and every update, gradient and divergence check
-acts on the whole stack, while the seed-independent budget series is
-computed once per batch, before the loop, by the privacy accountant
-(the series `dpopt budget` reports).  Noise is keyed by (seed, agent,
-stream, iteration, coordinate), and is drawn in blocks of
-NOISE_CHUNK // R iterations, so memory stays flat in R and each run
-gets exactly its own draws.  Every batched trace therefore equals the serial run of its
+run_batch steps all R runs of a Monte Carlo batch together.  Every
+objective in the package is quadratic, grads = H x - c with H
+block-diagonal (objectives.affine_gradient), so one iteration of either
+family is an affine map of the flattened state: z <- z A_k^T + b_k,
+with z = x of shape (m d,) for static consensus and z = (x, y) of shape
+(2 m d,) for tracking, where the gradient at the new state and the
+cached one at the old state fold into the y rows (_AffineStep states
+A_k and b_k).  A non-quadratic objective would need the per-agent form
+back.  The operators A_k^T and the noise offsets b_k of all runs are
+built with vectorized operations once per chunk of NOISE_CHUNK // R
+iterations, so memory stays flat in R, and the loop body is one
+per-row product and one add per iteration.  Divergence, gradient
+bounds and record captures are then read from the chunk's stored
+states.  The seed-independent budget series is computed once per
+batch, before the loop, by the privacy accountant (the series
+`dpopt budget` reports).
+
+Noise is keyed by (seed, agent, stream, iteration, coordinate), so each
+run gets exactly its own draws, and every product that involves run
+states is per row (np.vecmat): a row's result does not depend on which
+rows share the stack, where a 2-D (R, n) @ (n, n) matmul may change
+with R.  Every batched trace therefore equals the serial run of its
 seed bit for bit; run is the R = 1 case.  A diverged run keeps its
-serial record (its gradient bound includes the diverging iteration)
-and leaves the batch, so it is never stepped further.
+serial record (diverged_at = k + 1, its gradient bound includes that
+iteration, its records stop at the last capture before it) and leaves
+the batch at the end of the chunk; rows never mix, so the states it
+reaches past divergence touch no other run.
+
+The affine arithmetic rounds differently from the per-agent form
+(step_static, step_tracking with all_gradients): on the shipped
+configs recorded gaps move by up to about 1e-11 relative, pdop_alg1
+consensus by up to about 2e-10, gradient bounds by up to about 6e-14.
+difference.py still steps the per-agent form, so its measured traces
+stay bit-identical to earlier releases.
 """
 
 from __future__ import annotations
@@ -226,6 +249,15 @@ def validate_for_variant(variant: str, setup: RunSetup) -> ConditionReport:
         value = coupling.peak * diag if diag else 0.0
         report.add(f"{name}_peak_diag_positive",
                    f"peak {name} * max|A_ii| < 1", value, value < 1.0)
+    if spec.tracking:
+        # The tracker sensitivity needs 1 - alpha^k - min|C_ii| gamma2^k
+        # > 0 at every k; the peaks bound both terms at once.
+        mix = 0.0 if sch.tracker_mix is None else sch.tracker_mix.peak
+        push = w.min_diag_push
+        value = mix + (push * sch.coupling_tracker.peak if push else 0.0)
+        report.add("tracker_mix_peak_contraction",
+                   "peak tracker_mix + min|C_ii| * peak coupling_tracker < 1",
+                   value, value < 1.0)
     if spec.schedules == "attenuated":
         sub = (validate_tracking_schedules if spec.tracking
                else validate_static_schedules)(sch)
@@ -235,13 +267,16 @@ def validate_for_variant(variant: str, setup: RunSetup) -> ConditionReport:
 
 
 def step_static(x, grads, W, W_off, gamma_k, lam_k, zeta):
-    """One stacked static-consensus update."""
+    """One static-consensus update in the per-agent form, on (m, d)
+    states; difference traces step it (run_batch uses _AffineStep)."""
     return x + gamma_k * (W @ x + W_off @ zeta) - lam_k * grads
 
 
 def step_tracking(x, y, g_prev, problem, R, R_off, C, C_off,
                   gamma1_k, gamma2_k, alpha_k, lam_k, zeta, xi):
-    """One stacked gradient-tracking update; returns (x, y, grads)."""
+    """One gradient-tracking update in the per-agent form; returns
+    (x, y, grads).  Difference traces step it (run_batch uses
+    _AffineStep)."""
     x_next = x + gamma1_k * (R @ x + R_off @ zeta) - lam_k * y
     g_next = problem.all_gradients(x_next)
     y_next = (1.0 - alpha_k) * (y - g_prev) \
@@ -274,14 +309,123 @@ def run(variant: str, setup: RunSetup, iterations: int, seed: int,
     return run_batch(variant, setup, iterations, [seed], force=force)[0]
 
 
-def _max_abs(a: np.ndarray) -> np.ndarray:
-    """Largest |entry| of each run's (m, d) block."""
-    return np.abs(a).max(axis=(-2, -1))
-
-
 def _gradient_norms(grads: np.ndarray) -> np.ndarray:
     """Largest per-agent ||grad f_i||_1 of each run, along leading axes."""
     return np.abs(grads).sum(axis=-1).max(axis=-1)
+
+
+def _transposed(A: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(A.T)
+
+
+class _AffineStep:
+    """One iteration of either family as an affine map of the
+    flattened state, z <- z T_k + b_k on row vectors (T_k = A_k^T).
+
+    Every objective is quadratic: grads = H x - c on the flattened
+    state x of shape (n,) = (m d,) (objectives.affine_gradient).
+    Writing [W] for W kron I_d, the static step is
+
+        A_k = I + gamma_k [W] - lam_k H,
+        b_k = lam_k c + gamma_k [W_off] zeta_k.
+
+    Tracking steps z = (x, y); the gradient at the new state and the
+    cached one at the old state, g = H x - c, fold into the y rows:
+
+        A_k = [[I + g1_k [R],            -lam_k I                         ],
+               [alpha_k H + g1_k H [R],  (1 - alpha_k) I + g2_k [C] - lam_k H]],
+        b_k = (g1_k [R_off] zeta_k,
+               g1_k H [R_off] zeta_k + g2_k [C_off] xi_k - alpha_k c).
+
+    The methods take a chunk's K schedule values as (K, 1, 1) columns.
+    Every product with states or noise is per row (np.vecmat), so a
+    run's rows do not depend on how many runs are stacked.
+    """
+
+    def __init__(self, spec: Variant, weights, problem):
+        self.tracking = spec.tracking
+        H, self.c = problem.affine_gradient()
+        self.n = H.shape[0]
+        self.eye = np.eye(self.n)
+        self.HT = _transposed(H)
+
+        def spread(A):
+            return np.kron(A, np.eye(problem.dim))
+
+        if spec.tracking:
+            R, C = spread(weights.pull), spread(weights.push)
+            R_off = spread(_off_diagonal(weights.pull))
+            self.RT, self.CT = _transposed(R), _transposed(C)
+            self.HRT = _transposed(H @ R)
+            self.RoffT = _transposed(R_off)
+            self.HRoffT = _transposed(H @ R_off)
+            self.CoffT = _transposed(spread(_off_diagonal(weights.push)))
+        else:
+            self.WT = _transposed(spread(weights.matrix))
+            self.WoffT = _transposed(spread(_off_diagonal(weights.matrix)))
+
+    def gradients(self, x: np.ndarray) -> np.ndarray:
+        """H x - c of every flattened state row x (..., n)."""
+        grads = np.vecmat(x, self.HT)
+        grads -= self.c
+        return grads
+
+    # The operators are assembled block by block in place: sums are
+    # commutative, so the values are those of the formulas above, and a
+    # chunk holds at most one (K, n, n) temporary besides T.
+
+    def operators(self, coefs) -> np.ndarray:
+        """T_k of every iteration of a chunk, (K, N, N)."""
+        n = self.n
+        if not self.tracking:
+            lam, gam = coefs
+            T = np.multiply(gam, self.WT)
+            T += self.eye
+            T -= lam * self.HT
+            return T
+        lam, g1, g2, alpha = coefs
+        T = np.empty((len(lam), 2 * n, 2 * n))
+        top_left, top_right = T[:, :n, :n], T[:, :n, n:]
+        bottom_left, bottom_right = T[:, n:, :n], T[:, n:, n:]
+        np.multiply(g1, self.RT, out=top_left)
+        top_left += self.eye
+        np.multiply(g1, self.HRT, out=top_right)
+        top_right += alpha * self.HT
+        np.multiply(-lam, self.eye, out=bottom_left)
+        np.multiply(g2, self.CT, out=bottom_right)
+        bottom_right += (1.0 - alpha) * self.eye
+        bottom_right -= lam * self.HT
+        return T
+
+    def offsets(self, coefs, draw) -> np.ndarray:
+        """b_k of every iteration and run of a chunk, (K, R, N);
+        draw(stream) gives that stream's (K, R, n) noise."""
+        zeta = draw("state")
+        if not self.tracking:
+            lam, gam = coefs
+            B = np.multiply(gam, np.vecmat(zeta, self.WoffT))
+            B += lam * self.c
+            return B
+        lam, g1, g2, alpha = coefs
+        n = self.n
+        B = np.empty(zeta.shape[:-1] + (2 * n,))
+        np.multiply(g1, np.vecmat(zeta, self.RoffT), out=B[..., :n])
+        b_y = B[..., n:]
+        np.multiply(g1, np.vecmat(zeta, self.HRoffT), out=b_y)
+        del zeta
+        b_y += g2 * np.vecmat(draw("tracker"), self.CoffT)
+        b_y -= alpha * self.c
+        return B
+
+
+def _step_chunk(z, T, Z) -> None:
+    """Overwrite the offsets Z (K, R, N) with the states they lead to
+    from z (R, N): Z[k] = z_k T[k] + Z[k], z_{k+1} = Z[k]."""
+    product = np.empty_like(z)
+    for T_k, z_next in zip(T, Z):
+        np.vecmat(z, T_k, out=product)
+        z_next += product
+        z = z_next
 
 
 def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
@@ -305,10 +449,6 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
     problem = setup.problem
     m, d = problem.m, problem.dim
     n_runs = len(seeds)
-    x = np.stack([
-        setup.init_radius * np.random.default_rng(s).standard_normal((m, d))
-        for s in seeds
-    ])
 
     record_ks = _record_points(iterations, setup.stride)
     n_rec = len(record_ks)
@@ -322,8 +462,6 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
     tracking = spec.tracking
     weights = spec.weights(setup)
     if tracking:
-        R, C = weights.pull, weights.push
-        R_off, C_off = _off_diagonal(R), _off_diagonal(C)
         u, v = weights.left_eigvec, weights.right_eigvec
         g1_vals = sch.coupling_state.values(ks_all)
         g2_vals = sch.coupling_tracker.values(ks_all)
@@ -334,14 +472,11 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
         # Coupling must keep the mixed diagonals positive at every k.
         contraction_at(weights, g1_vals.max(), side="pull")
         contraction_at(weights, g2_vals.max(), side="push")
-        grads = problem.all_gradients(x)
-        y = grads.copy()
+        schedule_vals = (lam_vals, g1_vals, g2_vals, al_vals)
     else:
-        W = weights.matrix
-        W_off = _off_diagonal(W)
         gmm_vals = sch.coupling.values(ks_all)
         contraction_at(weights, gmm_vals.max())
-        grads = problem.all_gradients(x)
+        schedule_vals = (lam_vals, gmm_vals)
 
     # The raw (unit gradient bound) budget does not depend on the seed:
     # one conservative series per batch, read at the record points.
@@ -353,30 +488,21 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
         ).epsilon_partial
         eps = np.append(0.0, partial[record_ks[1:] - 1])
 
-    grad_bound = _gradient_norms(grads)
+    step = _AffineStep(spec, weights, problem)
+    n = step.n
+    x0 = setup.init_radius * np.stack([
+        np.random.default_rng(s).standard_normal(n) for s in seeds
+    ])
+    grads0 = step.gradients(x0)
+    grad_bound = _gradient_norms(grads0.reshape(n_runs, m, d))
+    # Row r of z is the flattened state of run active[r]: x, then y.
+    z = np.concatenate([x0, grads0], axis=1) if tracking else x0
 
-    # Rows of x (and y, grads) belong to the runs listed in `active`.
-    active = np.arange(n_runs)
-    kept = np.full(n_runs, n_rec)
-    diverged_at = [None] * n_runs
-    magnitude = [float("nan")] * n_runs
-
-    # Record points of a chunk are snapshotted, (record index, runs, x,
-    # y), and reduced in bulk by flush_records; the steps return fresh
-    # arrays, so a snapshot needs no copy.
-    pending = []
-
-    def capture(idx):
-        pending.append((idx, active, x, y if tracking else None))
-
-    def flush_records():
-        if not pending:
-            return
-        rec = np.concatenate([np.full(len(p[1]), p[0]) for p in pending])
-        runs = np.concatenate([p[1] for p in pending])
-        xs = np.concatenate([p[2] for p in pending])
+    def record(rec, runs, states):
+        """Metrics of flattened states at record indices rec of runs."""
+        xs = states[:, :n].reshape(-1, m, d)
         if tracking:
-            ys = np.concatenate([p[3] for p in pending])
+            ys = states[:, n:].reshape(-1, m, d)
             xbar = (u @ xs) / m
             ybar = ys.mean(axis=-2)
             track[runs, rec] = np.sum(
@@ -390,81 +516,64 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
         # A stacked (1, d) @ (d, 1) product takes the same BLAS dot as
         # np.linalg.norm on one vector, so the distance matches it bitwise.
         dist[runs, rec] = np.sqrt((err[:, None, :] @ err[:, :, None])[:, 0, 0])
-        pending.clear()
 
-    rec_idx = 0
-    capture(rec_idx)
-    rec_idx += 1
-    next_rec = int(record_ks[rec_idx]) if rec_idx < n_rec else -1
+    active = np.arange(n_runs)
+    record(np.zeros(n_runs, dtype=int), active, z)
+    kept = np.full(n_runs, n_rec)
+    diverged_at = [None] * n_runs
+    magnitude = [float("nan")] * n_runs
 
     threshold = setup.divergence_threshold
     start = 0
     while start < iterations and active.size:
         # Noise blocks hold about NOISE_CHUNK x m x d draws per stream
-        # whatever the batch size.
+        # whatever the batch size, and so do the chunk operators.
         stop = min(start + max(1, NOISE_CHUNK // active.size), iterations)
         ks_chunk = np.arange(start, stop)
         run_seeds = [seeds[r] for r in active]
-        zeta_block = laplace_draws(sch.noise_scale, run_seeds, m, "state",
-                                   ks_chunk, d)
-        xi_block = laplace_draws(sch.noise_scale, run_seeds, m, "tracker",
-                                 ks_chunk, d) if tracking else None
-        # Gradients of the chunk, reduced to gradient bounds in bulk;
-        # rows from `flushed` on are not reduced yet.
-        grad_rows = np.empty((stop - start,) + grads.shape)
-        flushed = 0
-        for k in range(start, stop):
-            row = k - start
-            if tracking:
-                x, y, grads = step_tracking(
-                    x, y, grads, problem, R, R_off, C, C_off,
-                    g1_vals[k], g2_vals[k], al_vals[k], lam_vals[k],
-                    zeta_block[row], xi_block[row],
-                )
-                extreme = max(np.abs(x).max(), np.abs(y).max())
-            else:
-                x = step_static(
-                    x, grads, W, W_off, gmm_vals[k], lam_vals[k],
-                    zeta_block[row],
-                )
-                grads = problem.all_gradients(x)
-                extreme = np.abs(x).max()
-            grad_rows[row] = grads
-            if not np.isfinite(extreme) or extreme > threshold:
-                # The batch maximum trips whenever some run's own check
-                # does; resolve which runs those are.
-                if tracking:
-                    ext_x, ext_y = _max_abs(x), _max_abs(y)
-                    per_run = np.where(ext_y > ext_x, ext_y, ext_x)
-                else:
-                    per_run = _max_abs(x)
-                gone = ~np.isfinite(per_run) | (per_run > threshold)
-                if gone.any():
-                    _raise_bound(grad_bound, active,
-                                 grad_rows[flushed:row + 1])
-                    flushed = row + 1
-                    for pos in np.flatnonzero(gone):
-                        r = active[pos]
-                        diverged_at[r] = k + 1
-                        magnitude[r] = float(per_run[pos])
-                        kept[r] = rec_idx
-                    alive = ~gone
-                    active = active[alive]
-                    if not active.size:
-                        break
-                    x, grads = x[alive], grads[alive]
-                    zeta_block = zeta_block[:, alive]
-                    grad_rows = grad_rows[:, alive]
-                    if tracking:
-                        y = y[alive]
-                        xi_block = xi_block[:, alive]
-            if k + 1 == next_rec:
-                capture(rec_idx)
-                rec_idx += 1
-                next_rec = int(record_ks[rec_idx]) if rec_idx < n_rec else -1
-        if active.size:
-            _raise_bound(grad_bound, active, grad_rows[flushed:stop - start])
-        flush_records()
+        shape = (stop - start, active.size, n)
+
+        def draw(stream):
+            return laplace_draws(sch.noise_scale, run_seeds, m, stream,
+                                 ks_chunk, d).reshape(shape)
+
+        coefs = [vals[start:stop, None, None] for vals in schedule_vals]
+        Z = step.offsets(coefs, draw)
+        # A run that diverges inside the chunk is stepped on to its end
+        # (rows never mix) and its states past divergence are ignored.
+        with np.errstate(over="ignore", invalid="ignore"):
+            _step_chunk(z, step.operators(coefs), Z)
+            extreme = np.maximum(Z.max(axis=-1), -Z.min(axis=-1))
+            norms = _gradient_norms(
+                step.gradients(Z[..., :n]).reshape(shape[:2] + (m, d))
+            )
+            bad = ~np.isfinite(extreme) | (extreme > threshold)
+            gone = bad.any(axis=0)
+            if gone.any():
+                # The gradient bound includes the diverging iteration;
+                # NaN norms are skipped by fmax.
+                first = np.where(gone, bad.argmax(axis=0), shape[0])
+                norms[np.arange(shape[0])[:, None] > first] = np.nan
+                for pos in np.flatnonzero(gone):
+                    r = active[pos]
+                    diverged_at[r] = start + int(first[pos]) + 1
+                    magnitude[r] = float(extreme[first[pos], pos])
+                    kept[r] = np.searchsorted(record_ks, diverged_at[r])
+            peak = np.fmax.reduce(norms, axis=0)
+            current = grad_bound[active]
+            grad_bound[active] = np.where(peak > current, peak, current)
+            # Records of a diverged run past its last capture are
+            # written here but cut off by `kept`.
+            in_chunk = np.flatnonzero((record_ks > start) & (record_ks <= stop))
+            if in_chunk.size:
+                rows = record_ks[in_chunk] - start - 1
+                record(np.repeat(in_chunk, active.size),
+                       np.tile(active, in_chunk.size),
+                       Z[rows].reshape(-1, Z.shape[-1]))
+        alive = ~gone
+        active = active[alive]
+        z = Z[-1][alive]
+        del Z
         start = stop
 
     traces = []
@@ -488,14 +597,3 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
             gradient_bound=float(grad_bound[r]),
         ))
     return traces
-
-
-def _raise_bound(grad_bound, active, grad_rows) -> None:
-    """Raise each active run's gradient bound to the largest norm in
-    grad_rows (iterations x active runs x m x d).  NaN norms are
-    skipped, as a serial `if norm > bound` update skips them."""
-    if not len(grad_rows):
-        return
-    peak = np.fmax.reduce(_gradient_norms(grad_rows), axis=0)
-    current = grad_bound[active]
-    grad_bound[active] = np.where(peak > current, peak, current)

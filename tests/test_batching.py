@@ -1,12 +1,18 @@
-"""The run-batched solver against serial runs, bit for bit.
+"""The run-batched solver against serial runs.
 
 monte_carlo steps all runs of a variant in one loop.  Because the noise
-is keyed by (seed, agent, stream, iteration, coordinate), every batched
-trace must equal the trace of the same seed run alone, in every column
-and in its divergence and gradient-bound fields.  `serial_reference`
-below is a plain one-run loop, with its own per-iteration budget
-recursion, that pins those serial semantics independently of the
-batched code.
+is keyed by (seed, agent, stream, iteration, coordinate) and every
+contraction is a per-row product, every batched trace must equal the
+trace of the same seed run alone, bit for bit, in every column and in
+its divergence and gradient-bound fields.  Two one-run loops pin those
+serial semantics independently of the batched code:
+
+- `affine_reference` steps the flattened state with the affine map of
+  the solver docstring, z <- z T_k + b_k, built from scalar schedule
+  values one iteration at a time; the batch must equal it exactly;
+- `stepwise_reference` steps the per-agent form, `step_static` and
+  `step_tracking` with `all_gradients`; the batch must match it to
+  RTOL on every recorded column and exactly in its divergence point.
 """
 
 import dataclasses
@@ -37,6 +43,9 @@ from dpopt.solvers import (
 
 COLUMNS = ("ks", "consensus", "gap", "dist_opt", "tracking", "epsilon_partial")
 CHUNK = 2048
+# The affine step and the per-agent step round differently; measured
+# differences stay below 1e-9 relative on these horizons.
+RTOL = 1e-9
 
 
 def family(variant):
@@ -83,7 +92,7 @@ def check_batch(variant, setup, iterations, base_seed, n_runs):
 class SerialBudget:
     """The raw (unit gradient bound) conservative budget, stepped once
     per iteration beside the solver; NaN for a noiseless run.  Schedules
-    are read one index at a time, as in serial_reference."""
+    are read one index at a time, as in the serial references."""
 
     def __init__(self, variant, setup, sch):
         self.sch = sch
@@ -116,29 +125,25 @@ class SerialBudget:
         self.total += 2.0 * (self.sx + self.sy) / nu
 
 
-def serial_reference(variant, setup, iterations, seed):
+def _serial_run(variant, setup, iterations, seed, start, step):
     """One run, one iteration at a time; returns (trace fields, peak).
 
-    peak is the largest divergence-check value the run reached.
+    start(seed) returns the initial (state, x, y, grads) and
+    step(k, state, zeta, xi) the same after iteration k, with x, y and
+    grads of shape (m, d).  peak is the largest divergence-check value
+    the run reached.
     """
     sch = effective_schedules(variant, setup)
     problem = setup.problem
-    m, d = problem.m, problem.dim
-    x = setup.init_radius * np.random.default_rng(seed).standard_normal((m, d))
     noise = LaplaceNoiseSource(sch.noise_scale, seed)
     budget = SerialBudget(variant, setup, sch)
     record_ks = _record_points(iterations, setup.stride)
     rows = []
     tracking = family(variant) == "tracking"
-    grads = problem.all_gradients(x)
-    if tracking:
-        w = setup.push_pull
-        R, C = w.pull, w.push
-        y = grads.copy()
-    else:
-        W = setup.consensus.matrix
+    m, d = problem.m, problem.dim
+    w = setup.push_pull
 
-    def record():
+    def record(x, y):
         if tracking:
             xbar = (w.left_eigvec @ x) / m
             ybar = y.mean(axis=0)
@@ -152,13 +157,119 @@ def serial_reference(variant, setup, iterations, seed):
             track, budget.total,
         ))
 
-    record()
+    state, x, y, grads = start(seed)
+    record(x, y)
     bound = float(np.max(np.abs(grads).sum(axis=1)))
     diverged_at, magnitude, peak = None, float("nan"), 0.0
     for k in range(iterations):
         zeta = noise.sample_block(m, "state", [k], d)[0]
+        xi = noise.sample_block(m, "tracker", [k], d)[0] if tracking else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            state, x, y, grads = step(k, state, zeta, xi)
+            extreme = np.max(np.abs(x))
+            if tracking:
+                extreme = max(extreme, np.max(np.abs(y)))
+            budget.step(k)
+            bound = max(bound, float(np.max(np.abs(grads).sum(axis=1))))
+        peak = max(peak, float(extreme))
+        if not np.isfinite(extreme) or extreme > setup.divergence_threshold:
+            diverged_at, magnitude = k + 1, float(extreme)
+            break
+        if k + 1 in record_ks:
+            record(x, y)
+    cols = [np.array(c) for c in zip(*rows)]
+    eps = cols[4] if sch.noise_scale is None else cols[4] * bound
+    got = [record_ks[:len(rows)]] + cols[:4] + [eps]
+    return got + [diverged_at is not None, diverged_at, magnitude, bound], peak
+
+
+def affine_reference(variant, setup, iterations, seed):
+    """The affine step on the flattened state z (x, then y for
+    tracking), with T_k = A_k^T and b_k built from scalar schedule
+    values as the solver docstring states them."""
+    sch = effective_schedules(variant, setup)
+    problem = setup.problem
+    m, d = problem.m, problem.dim
+    n = m * d
+    H, c = problem.affine_gradient()
+    eye = np.eye(n)
+
+    def transposed(A):
+        return np.ascontiguousarray(A.T)
+
+    def spread(A):
+        return np.kron(A, np.eye(d))
+
+    def at(schedule, k):
+        return schedule.values([k])[0]
+
+    HT = transposed(H)
+    tracking = family(variant) == "tracking"
+    if tracking:
+        w = setup.push_pull
+        R, R_off = spread(w.pull), spread(_off_diagonal(w.pull))
+        RT, CT = transposed(R), transposed(spread(w.push))
+        HRT, HRoffT = transposed(H @ R), transposed(H @ R_off)
+        RoffT = transposed(R_off)
+        CoffT = transposed(spread(_off_diagonal(w.push)))
+    else:
+        WT = transposed(spread(setup.consensus.matrix))
+        WoffT = transposed(spread(_off_diagonal(setup.consensus.matrix)))
+
+    def unpack(z):
+        x = z[:n].reshape(m, d)
+        y = z[n:].reshape(m, d) if tracking else None
+        return z, x, y, (np.vecmat(z[:n], HT) - c).reshape(m, d)
+
+    def start(seed):
+        x = setup.init_radius * np.random.default_rng(seed).standard_normal(n)
+        g = np.vecmat(x, HT) - c
+        return unpack(np.concatenate([x, g]) if tracking else x)
+
+    def step(k, z, zeta, xi):
+        lam = at(sch.stepsize, k)
         if tracking:
-            xi = noise.sample_block(m, "tracker", [k], d)[0]
+            g1, g2 = at(sch.coupling_state, k), at(sch.coupling_tracker, k)
+            al = 0.0 if sch.tracker_mix is None else at(sch.tracker_mix, k)
+            T = np.block([
+                [eye + g1 * RT, al * HT + g1 * HRT],
+                [-lam * eye, (1.0 - al) * eye + g2 * CT - lam * HT],
+            ])
+            b = np.concatenate([
+                g1 * np.vecmat(zeta.ravel(), RoffT),
+                g1 * np.vecmat(zeta.ravel(), HRoffT)
+                + g2 * np.vecmat(xi.ravel(), CoffT) - al * c,
+            ])
+        else:
+            gam = at(sch.coupling, k)
+            T = eye + gam * WT - lam * HT
+            b = lam * c + gam * np.vecmat(zeta.ravel(), WoffT)
+        return unpack(np.vecmat(z, T) + b)
+
+    return _serial_run(variant, setup, iterations, seed, start, step)
+
+
+def stepwise_reference(variant, setup, iterations, seed):
+    """The per-agent form: step_static or step_tracking, with gradients
+    from all_gradients and the tracker's cached gradient."""
+    sch = effective_schedules(variant, setup)
+    problem = setup.problem
+    tracking = family(variant) == "tracking"
+    if tracking:
+        R, C = setup.push_pull.pull, setup.push_pull.push
+    else:
+        W = setup.consensus.matrix
+
+    def start(seed):
+        x = setup.init_radius * np.random.default_rng(seed).standard_normal(
+            (problem.m, problem.dim))
+        grads = problem.all_gradients(x)
+        y = grads.copy() if tracking else None
+        return (x, y, grads), x, y, grads
+
+    def step(k, state, zeta, xi):
+        x, y, grads = state
+        if tracking:
             mix = 0.0 if sch.tracker_mix is None else sch.tracker_mix.values([k])[0]
             x, y, grads = step_tracking(
                 x, y, grads, problem, R, _off_diagonal(R), C, _off_diagonal(C),
@@ -166,34 +277,34 @@ def serial_reference(variant, setup, iterations, seed):
                 sch.coupling_tracker.values([k])[0], mix,
                 sch.stepsize.values([k])[0], zeta, xi,
             )
-            extreme = max(np.max(np.abs(x)), np.max(np.abs(y)))
         else:
             x = step_static(x, grads, W, _off_diagonal(W),
                             sch.coupling.values([k])[0],
                             sch.stepsize.values([k])[0], zeta)
             grads = problem.all_gradients(x)
-            extreme = np.max(np.abs(x))
-        budget.step(k)
-        bound = max(bound, float(np.max(np.abs(grads).sum(axis=1))))
-        peak = max(peak, float(extreme))
-        if not np.isfinite(extreme) or extreme > setup.divergence_threshold:
-            diverged_at, magnitude = k + 1, float(extreme)
-            break
-        if k + 1 in record_ks:
-            record()
-    cols = [np.array(c) for c in zip(*rows)]
-    eps = cols[4] if sch.noise_scale is None else cols[4] * bound
-    got = [record_ks[:len(rows)]] + cols[:4] + [eps]
-    return got + [diverged_at is not None, diverged_at, magnitude, bound], peak
+        return (x, y, grads), x, y, grads
+
+    return _serial_run(variant, setup, iterations, seed, start, step)
 
 
 def assert_matches_reference(trace, variant, setup, iterations, seed):
-    want, _ = serial_reference(variant, setup, iterations, seed)
+    want, _ = affine_reference(variant, setup, iterations, seed)
     for a, b in zip(fields(trace), want):
         if isinstance(a, np.ndarray):
             assert np.array_equal(a, b, equal_nan=True)
         else:
             assert a == b or (a != a and b != b)
+
+
+def assert_close_to_stepwise(trace, variant, setup, iterations, seed):
+    want, _ = stepwise_reference(variant, setup, iterations, seed)
+    got = fields(trace)
+    for name, a, b in zip(COLUMNS, got, want):
+        np.testing.assert_allclose(a, b, rtol=RTOL, atol=0, equal_nan=True,
+                                   err_msg=name)
+    assert got[6:8] == want[6:8]  # diverged, diverged_at
+    np.testing.assert_allclose(got[8:], want[8:], rtol=RTOL, atol=0,
+                               equal_nan=True)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -215,12 +326,14 @@ def test_run_matches_serial_reference(variant):
     setup = shared_setup(family(variant), True)
     trace = run(variant, setup, 300, seed=5)
     assert_matches_reference(trace, variant, setup, 300, 5)
+    assert_close_to_stepwise(trace, variant, setup, 300, 5)
 
 
 def test_run_matches_serial_reference_across_chunks():
     setup = shared_setup("static", False)
     trace = run("alg1", setup, CHUNK + 9, seed=2)
     assert_matches_reference(trace, "alg1", setup, CHUNK + 9, 2)
+    assert_close_to_stepwise(trace, "alg1", setup, CHUNK + 9, 2)
 
 
 @pytest.mark.parametrize("variant", ["alg1", "alg2"])
@@ -234,7 +347,7 @@ def test_mixed_divergence_batch(variant):
     # then a threshold between them: only the runs above it diverge.
     free = dataclasses.replace(base, divergence_threshold=np.inf)
     peaks = sorted(
-        serial_reference(variant, free, iterations,
+        affine_reference(variant, free, iterations,
                          derive_seed(base_seed, i))[1]
         for i in range(n_runs)
     )
@@ -246,8 +359,9 @@ def test_mixed_divergence_batch(variant):
     assert len({t.diverged_at for t in diverged}) > 1
     assert all(t.final_k == iterations for t in batch if not t.diverged)
     for index, trace in enumerate(batch):
-        assert_matches_reference(trace, variant, setup, iterations,
-                                 derive_seed(base_seed, index))
+        seed = derive_seed(base_seed, index)
+        assert_matches_reference(trace, variant, setup, iterations, seed)
+        assert_close_to_stepwise(trace, variant, setup, iterations, seed)
 
 
 @pytest.mark.parametrize("variant", ["dgd", "push_pull"])
@@ -303,6 +417,41 @@ def test_batched_gradients_and_costs_equal_single_calls():
     for r in range(7):
         assert np.array_equal(grads[r], problem.all_gradients(thetas[r]))
         assert costs[r] == problem.global_cost(thetas[r, 0])
+
+
+@pytest.mark.parametrize("variant", ["alg1", "alg2"])
+def test_chunk_rows_do_not_depend_on_the_batch(variant):
+    # The chunk's offsets, states and gradients of one run are the same
+    # bits whichever runs share the batch: every contraction is per row.
+    setup = shared_setup(family(variant), True)
+    spec = Variant.of(variant)
+    sch = effective_schedules(variant, setup)
+    step = solvers._AffineStep(spec, spec.weights(setup), setup.problem)
+    m, d = setup.problem.m, setup.problem.dim
+    ks = np.arange(40, 100)
+    scheds = ((sch.stepsize, sch.coupling_state, sch.coupling_tracker,
+               sch.tracker_mix) if spec.tracking
+              else (sch.stepsize, sch.coupling))
+    coefs = [s.values(ks)[:, None, None] for s in scheds]
+    seeds = [derive_seed(4, i) for i in range(17)]
+    width = 2 * step.n if spec.tracking else step.n
+    z = np.random.default_rng(0).standard_normal((17, width))
+
+    def chunk(rows):
+        picked = [seeds[r] for r in rows]
+
+        def draw(stream):
+            return laplace_draws(sch.noise_scale, picked, m, stream, ks,
+                                 d).reshape(len(ks), len(rows), step.n)
+
+        Z = step.offsets(coefs, draw)
+        solvers._step_chunk(z[rows], step.operators(coefs), Z)
+        return Z, step.gradients(Z[..., :step.n])
+
+    full = chunk(np.arange(17))
+    for rows in [np.arange(r) for r in (1, 2, 3, 10, 17)] + [[0, 3, 4, 9, 16]]:
+        for got, want in zip(chunk(rows), full):
+            assert np.array_equal(got, want[:, rows])
 
 
 def with_schedules(setup, **changes):

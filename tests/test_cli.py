@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ElementTree
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ import dpopt
 from dpopt.cli import main
 from dpopt.config import build_setup, load_config
 from dpopt.harness import budget_account, write_breakdown, write_budget
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 PDOP_BLOCK = """
 pdop.stepsize.form = geometric
@@ -52,6 +55,24 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         out = capsys.readouterr().out
         assert "overall: FAIL" in out
+
+    def test_strong_tracker_mix_returns_one(self, tmp_path, capsys):
+        # Every schedule condition holds, but alpha^0 + min|C_ii|
+        # gamma2^0 > 1 leaves the tracker sensitivity without a bound:
+        # validate fails, and a forced noisy run stops at the accountant.
+        text = (CONFIGS / "alg2.cfg").read_text(encoding="utf-8").replace(
+            "schedules.tracker_mix.a = 0.02", "schedules.tracker_mix.a = 0.95")
+        path = tmp_path / "mix.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "tracker_mix_peak_contraction" in out
+        assert "overall: FAIL" in out
+        argv = ["run", str(path), "--runs", "2", "--iters", "200",
+                "--output", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert main(argv + ["--force"]) == 1
+        assert "mix too strong" in capsys.readouterr().err
 
     def test_missing_file_returns_two(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.cfg")]) == 2

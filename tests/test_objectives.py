@@ -64,6 +64,26 @@ class TestProblem:
                 stacked[agent], problem.local_gradient(agent, thetas[agent])
             )
 
+    def test_affine_gradient_matches_all_gradients(self, instance):
+        problem, _ = instance
+        H, c = problem.affine_gradient()
+        m, d = problem.m, problem.dim
+        M, z = problem.sensing, problem.observations
+        want_H = np.zeros((m * d, m * d))
+        for i in range(m):
+            want_H[i * d:(i + 1) * d, i * d:(i + 1) * d] = \
+                2.0 * (M[i].T @ M[i] + problem.reg * np.eye(d))
+        assert np.allclose(H, want_H, rtol=1e-14, atol=0)
+        assert np.allclose(c, 2.0 * np.einsum("isd,is->id", M, z).ravel(),
+                           rtol=1e-14, atol=0)
+        rng = np.random.default_rng(3)
+        scales = 10.0 ** rng.integers(-3, 4, size=(200, 1, 1))
+        thetas = scales * rng.standard_normal((200, m, d))
+        want = problem.all_gradients(thetas).reshape(200, m * d)
+        got = np.vecmat(thetas.reshape(200, m * d), H.T) - c
+        err = np.abs(got - want).max(axis=1)
+        assert np.all(err <= 1e-12 * np.abs(want).max(axis=1))
+
     def test_optimum_has_zero_mean_gradient(self, instance):
         problem, _ = instance
         theta_star, _ = optimal_solution(problem)

@@ -1,16 +1,20 @@
 import ast
 import dataclasses
+import functools
 import math
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import desk_graph, make_setup, static_schedules, tracking_schedules
 from oracles import step_static_per_agent, step_tracking_per_agent
 
 import dpopt
 from dpopt.errors import ConditionError, DivergenceError, RangeError
+from dpopt.harness import budget_account
 from dpopt.graphs import (
     DirectedGraph,
     build_consensus_weights,
@@ -25,6 +29,7 @@ from dpopt.solvers import (
     Variant,
     effective_schedules,
     run,
+    run_batch,
     step_static,
     step_tracking,
     validate_for_variant,
@@ -385,6 +390,33 @@ class TestValidateForVariant:
         assert entry.passed and entry.value == 0.0
         assert run("alg1", setup, 50, seed=0).final_k == 50
 
+    def test_tracker_mix_entry_on_reference_setups(self):
+        setup = make_setup("tracking", pdop=True)
+        push = setup.push_pull.min_diag_push
+        for variant, mix in (("alg2", 0.02), ("push_pull", 0.0),
+                             ("pdop_push_pull", 0.0)):
+            entry = validate_for_variant(variant, setup).entry(
+                "tracker_mix_peak_contraction")
+            assert entry.passed
+            assert entry.value == pytest.approx(mix + push)
+
+    @pytest.mark.parametrize("noise", [True, False],
+                             ids=["noisy", "noiseless"])
+    def test_strong_tracker_mix_fails_validation(self, noise):
+        # alpha^0 + min|C_ii| gamma2^0 > 1 while every schedule
+        # condition holds: validate fails, whether or not a noise
+        # schedule makes the run build the sensitivity series.
+        base = make_setup("tracking", noise=noise)
+        setup = dataclasses.replace(base, schedules=dataclasses.replace(
+            base.schedules, tracker_mix=PowerSchedule.decaying(0.95, 0.1, 1.0)))
+        report = validate_for_variant("alg2", setup)
+        assert report.failed_names() == ["tracker_mix_peak_contraction"]
+        if noise:
+            with pytest.raises(RangeError, match="mix too strong"):
+                run("alg2", setup, 50, seed=1, force=True)
+        else:
+            assert run("alg2", setup, 50, seed=1, force=True).final_k == 50
+
     def test_all_variants_pass_on_reference_setups(self):
         static = make_setup("static", pdop=True)
         tracking = make_setup("tracking", pdop=True)
@@ -415,3 +447,77 @@ def test_variant_names_only_in_the_table():
             and node.value in VARIANTS and id(node) not in table
         ]
     assert found == []
+
+
+def schedules(forms=("decaying", "growing", "geometric", "constant"),
+              a=st.floats(1e-3, 10.0), p=st.floats(0.0, 3.0),
+              b=st.floats(0.0, 10.0)):
+    """Schedules the config parser accepts (a > 0, b and p >= 0, r in
+    (0, 1)), over the given forms and ranges."""
+    return st.sampled_from(forms).flatmap(lambda form: {
+        "decaying": st.builds(PowerSchedule.decaying, a, b, p),
+        "growing": st.builds(PowerSchedule.growing, a, b, p),
+        "geometric": st.builds(PowerSchedule.geometric, a,
+                               st.floats(0.01, 0.999)),
+        "constant": st.builds(PowerSchedule.constant, a),
+    }[form])
+
+
+@st.composite
+def bundles(draw):
+    """(stepsize, coupling pair, tracker mix, noise scale): any
+    schedules the config accepts, or schedules shaped like the shipped
+    configs', among which alg1 and alg2 also validate."""
+    if draw(st.booleans()):
+        return tuple(draw(s) for s in (
+            schedules(), schedules(), schedules(), schedules(),
+            st.one_of(st.none(), schedules()),
+        ))
+
+    def near(form, a, p):
+        return schedules((form,), st.floats(1e-3, a), st.floats(*p),
+                         b=st.floats(0.01, 10.0))
+
+    # Exponents jittered around the shipped configs' (1, 0.9, 0.7, 1,
+    # 0.1), inside the region every schedule condition allows.
+    return tuple(draw(s) for s in (
+        near("decaying", 1.0, (0.96, 1.0)),
+        near("decaying", 2.5, (0.85, 0.9)),
+        near("decaying", 2.5, (0.6, 0.68)),
+        near("decaying", 1.0, (0.9, 0.95)),
+        st.one_of(st.none(), near("growing", 10.0, (0.05, 0.09))),
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    bundle=bundles(),
+    pdop=st.tuples(schedules(), schedules()),
+)
+def test_what_validates_runs_and_accounts(variant, bundle, pdop):
+    """Whatever validate_for_variant passes, a short run and a budget
+    account complete without a RangeError or ConditionError."""
+    stepsize, coupling_state, coupling_tracker, tracker_mix, noise = bundle
+    tracking = Variant.of(variant).tracking
+    if tracking:
+        sch = ScheduleSet(stepsize=stepsize, coupling_state=coupling_state,
+                          coupling_tracker=coupling_tracker,
+                          tracker_mix=tracker_mix, noise_scale=noise)
+    else:
+        sch = ScheduleSet(stepsize=stepsize, coupling=coupling_state,
+                          noise_scale=noise)
+    base = validity_setup("tracking" if tracking else "static")
+    setup = dataclasses.replace(base, schedules=sch, pdop_stepsize=pdop[0],
+                                pdop_noise=pdop[1])
+    if not validate_for_variant(variant, setup).overall:
+        return
+    event(f'{variant} validated')
+    run_batch(variant, setup, 60, [1, 2])
+    if effective_schedules(variant, setup).noise_scale is not None:
+        budget_account(variant, setup, 1.0, [60])
+
+
+@functools.lru_cache(maxsize=None)
+def validity_setup(kind):
+    return make_setup(kind, stride=7)
