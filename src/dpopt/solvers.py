@@ -543,6 +543,8 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
         # (rows never mix) and its states past divergence are ignored.
         with np.errstate(over="ignore", invalid="ignore"):
             _step_chunk(z, step.operators(coefs), Z)
+            # max |z| of each state, without an |Z| temporary; NaN
+            # propagates.
             extreme = np.maximum(Z.max(axis=-1), -Z.min(axis=-1))
             norms = _gradient_norms(
                 step.gradients(Z[..., :n]).reshape(shape[:2] + (m, d))
@@ -573,7 +575,7 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
         alive = ~gone
         active = active[alive]
         z = Z[-1][alive]
-        del Z
+        del Z  # before the next chunk's offsets are allocated
         start = stop
 
     traces = []

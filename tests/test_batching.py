@@ -166,11 +166,10 @@ def _serial_run(variant, setup, iterations, seed, start, step):
         xi = noise.sample_block(m, "tracker", [k], d)[0] if tracking else None
         with np.errstate(over="ignore", invalid="ignore"):
             state, x, y, grads = step(k, state, zeta, xi)
-            extreme = np.max(np.abs(x))
-            if tracking:
-                extreme = max(extreme, np.max(np.abs(y)))
-            budget.step(k)
+            # Any NaN in x or y makes the check value NaN.
+            extreme = np.max(np.abs(x if y is None else np.vstack([x, y])))
             bound = max(bound, float(np.max(np.abs(grads).sum(axis=1))))
+        budget.step(k)
         peak = max(peak, float(extreme))
         if not np.isfinite(extreme) or extreme > setup.divergence_threshold:
             diverged_at, magnitude = k + 1, float(extreme)
