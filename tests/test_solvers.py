@@ -466,8 +466,8 @@ def schedules(forms=("decaying", "growing", "geometric", "constant"),
 @st.composite
 def bundles(draw):
     """(stepsize, coupling pair, tracker mix, noise scale): any
-    schedules the config accepts, or schedules shaped like the shipped
-    configs', among which alg1 and alg2 also validate."""
+    schedules the config accepts, or schedules shaped like those of
+    the shipped configs, among which alg1 and alg2 also validate."""
     if draw(st.booleans()):
         return tuple(draw(s) for s in (
             schedules(), schedules(), schedules(), schedules(),
@@ -479,7 +479,7 @@ def bundles(draw):
                          b=st.floats(0.01, 10.0))
 
     # Exponents jittered around the shipped configs' (1, 0.9, 0.7, 1,
-    # 0.1), inside the region every schedule condition allows.
+    # 0.1), where the exponent conditions of validate hold.
     return tuple(draw(s) for s in (
         near("decaying", 1.0, (0.96, 1.0)),
         near("decaying", 2.5, (0.85, 0.9)),
@@ -489,13 +489,15 @@ def bundles(draw):
     ))
 
 
-SHIPPED_TRACKING = (
-    PowerSchedule.decaying(0.02, 0.1, 1.0),
-    PowerSchedule.decaying(1.0, 0.1, 0.9),
-    PowerSchedule.decaying(1.0, 0.1, 0.7),
-    PowerSchedule.decaying(0.02, 0.1, 1.0),
-    PowerSchedule.growing(1.0, 0.1, 0.1),
-)
+@functools.lru_cache(maxsize=None)
+def validity_setup(kind):
+    return make_setup(kind, stride=7)
+
+
+_shipped = tracking_schedules()
+SHIPPED_TRACKING = (_shipped.stepsize, _shipped.coupling_state,
+                    _shipped.coupling_tracker, _shipped.tracker_mix,
+                    _shipped.noise_scale)
 PDOP = (PowerSchedule.geometric(0.02, 0.995),
         PowerSchedule.geometric(0.118619, 0.999))
 
@@ -535,12 +537,8 @@ def test_what_validates_runs_and_accounts(variant, bundle, pdop):
                                 pdop_noise=pdop[1])
     if not validate_for_variant(variant, setup).overall:
         return
-    event(f'{variant} validated')
+    event(f"{variant} validated")
     run_batch(variant, setup, 60, [1, 2])
     if effective_schedules(variant, setup).noise_scale is not None:
         budget_account(variant, setup, 1.0, [60])
 
-
-@functools.lru_cache(maxsize=None)
-def validity_setup(kind):
-    return make_setup(kind, stride=7)
