@@ -299,7 +299,9 @@ def budget_tail_bound(
     Returns math.inf when sum lam/nu diverges.  Geometric envelopes get
     the geometric tail t_T * rho / (1 - rho); from a horizon too early
     for rho < 1 the terms up to the first T' with rho <= sqrt(r) are
-    bounded one by one and the tail is taken from T'.  Power-law
+    each bounded by their envelope's peak and the tail is taken from
+    T' (within a factor of about 2 of the remainder for
+    lam = 0.99^k, nu = 1 / (1 + k^2) from T = 1).  Power-law
     envelopes with decay exponent e > 1 get the integral-test bound
     t_T * T / (e - 1), with t_T the envelope term at the horizon so the
     bound dominates both the envelope series and the raw lam/nu series
@@ -317,13 +319,17 @@ def budget_tail_bound(
         growth = max(0.0, -res.decay_exponent)
         start, head = horizon, 0.0
         if log_r + growth / horizon >= 0.0:
-            # Too early for a ratio below 1: the terms up to
-            # T' = ceil(2 growth / -log r) are each at most
-            # t_T (T'/T)^growth, and from T' on the ratio is <= sqrt(r).
+            # Too early for a ratio below 1: from
+            # T' = ceil(2 growth / -log r) on the ratio is <= sqrt(r).
+            # Each term up to T' is at most t_T r^(k-T) (k/T)^growth,
+            # which peaks at k* = growth / -log r (T <= k* <= T' here).
             start = math.ceil(2.0 * growth / -log_r)
+            peak_k = max(float(horizon), growth / -log_r)
             try:
-                head = (start - horizon) * expr.term(horizon) \
-                    * (start / horizon) ** growth
+                head = (start - horizon) * expr.term(horizon) * math.exp(
+                    (peak_k - horizon) * log_r
+                    + growth * math.log(peak_k / horizon)
+                )
             except OverflowError:
                 head = math.inf
         rho = math.exp(log_r + growth / start)

@@ -31,29 +31,37 @@ run_batch steps all R runs of a Monte Carlo batch together.  Every
 objective in the package is quadratic, grads = H x - c with H
 block-diagonal (objectives.affine_gradient), so one iteration of either
 family is an affine map of the flattened state: z <- z A_k^T + b_k,
-with z = x of shape (m d,) for static consensus and z = (x, y) of shape
-(2 m d,) for tracking, where the gradient at the new state and the
-cached one at the old state fold into the y rows (_AffineStep states
-A_k and b_k).  A non-quadratic objective would need the per-agent form
-back.  The operators A_k^T and the noise offsets b_k of all runs are
-built with vectorized operations once per chunk of NOISE_CHUNK // R
-iterations, so memory stays flat in R, and the loop body is one
-per-row product and one add per iteration.  Divergence, gradient
-bounds and record captures are then read from the chunk's stored
-states.  The seed-independent budget series is computed once per
-batch, before the loop, by the privacy accountant (the series
-`dpopt budget` reports).
+with z = x of width N = m d for static consensus and z = (x, y) of
+width N = 2 m d for tracking, where the gradient at the new state and
+the cached one at the old state fold into the y rows (_AffineStep
+states A_k and b_k).  A non-quadratic objective would need the
+per-agent form back.  The dense operators also assume a small state:
+an iteration costs O(R N^2) against O(R (m^2 d + m s d)) per agent,
+which the affine form beats at the shipped m d = 10 but loses to from
+about m d = 50 on (README gives the timings).  The operators A_k^T and
+the noise offsets b_k of all runs are built with vectorized operations
+once per chunk of NOISE_CHUNK // max(R, N) iterations, so every chunk
+array holds at most NOISE_CHUNK x N floats whatever the batch or
+problem size, and the loop body is one per-row product and one add per
+iteration.  Divergence, gradient bounds and record captures are then
+read from the chunk's stored states.  The seed-independent budget
+series is computed once per batch, before the loop, by the privacy
+accountant (the series `dpopt budget` reports).
 
 Noise is keyed by (seed, agent, stream, iteration, coordinate), so each
 run gets exactly its own draws, and every product that involves run
-states is per row (np.vecmat): a row's result does not depend on which
-rows share the stack, where a 2-D (R, n) @ (n, n) matmul may change
-with R.  Every batched trace therefore equals the serial run of its
-seed bit for bit; run is the R = 1 case.  A diverged run keeps its
-serial record (diverged_at = k + 1, its gradient bound includes that
-iteration, its records stop at the last capture before it) and leaves
-the batch at the end of the chunk; rows never mix, so the states it
-reaches past divergence touch no other run.
+states is per row (_vecmat, a stacked (R, 1, n) @ (n, n) matmul): a
+row's result does not depend on which rows share the stack, where a
+2-D (R, n) @ (n, n) matmul may change with R.  Every batched trace
+therefore equals the serial run of its seed bit for bit; run is the
+R = 1 case.  A run diverges at the first iteration whose max |z| is
+NaN or above the threshold; for tracking that is over x and y
+together, so a NaN tracker stops the run while x is still finite.  A
+diverged run keeps its serial record (diverged_at = k + 1, its
+gradient bound includes that iteration, its records stop at the last
+capture before it) and leaves the batch at the end of the chunk; rows
+never mix, so the states it reaches past divergence touch no other
+run.
 
 The affine arithmetic rounds differently from the per-agent form
 (step_static, step_tracking with all_gradients): on the shipped
@@ -318,6 +326,19 @@ def _transposed(A: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(A.T)
 
 
+def _vecmat(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """x A for every row of x (..., n): one (1, n) @ (n, n) product per
+    row, so each row's bits are those of the row alone."""
+    return np.matmul(x[..., None, :], A)[..., 0, :]
+
+
+def _chunk_length(runs: int, width: int) -> int:
+    """Iterations per chunk: the offsets (K, runs, width) and the
+    operators (K, width, width) hold at most NOISE_CHUNK x width floats
+    each, and so do the noise blocks (K, runs, m, d)."""
+    return max(1, NOISE_CHUNK // max(runs, width))
+
+
 class _AffineStep:
     """One iteration of either family as an affine map of the
     flattened state, z <- z T_k + b_k on row vectors (T_k = A_k^T).
@@ -338,7 +359,7 @@ class _AffineStep:
                g1_k H [R_off] zeta_k + g2_k [C_off] xi_k - alpha_k c).
 
     The methods take a chunk's K schedule values as (K, 1, 1) columns.
-    Every product with states or noise is per row (np.vecmat), so a
+    Every product with states or noise is per row (_vecmat), so a
     run's rows do not depend on how many runs are stacked.
     """
 
@@ -366,7 +387,7 @@ class _AffineStep:
 
     def gradients(self, x: np.ndarray) -> np.ndarray:
         """H x - c of every flattened state row x (..., n)."""
-        grads = np.vecmat(x, self.HT)
+        grads = _vecmat(x, self.HT)
         grads -= self.c
         return grads
 
@@ -403,27 +424,29 @@ class _AffineStep:
         zeta = draw("state")
         if not self.tracking:
             lam, gam = coefs
-            B = np.multiply(gam, np.vecmat(zeta, self.WoffT))
+            B = np.multiply(gam, _vecmat(zeta, self.WoffT))
             B += lam * self.c
             return B
         lam, g1, g2, alpha = coefs
         n = self.n
         B = np.empty(zeta.shape[:-1] + (2 * n,))
-        np.multiply(g1, np.vecmat(zeta, self.RoffT), out=B[..., :n])
+        np.multiply(g1, _vecmat(zeta, self.RoffT), out=B[..., :n])
         b_y = B[..., n:]
-        np.multiply(g1, np.vecmat(zeta, self.HRoffT), out=b_y)
+        np.multiply(g1, _vecmat(zeta, self.HRoffT), out=b_y)
         del zeta
-        b_y += g2 * np.vecmat(draw("tracker"), self.CoffT)
+        b_y += g2 * _vecmat(draw("tracker"), self.CoffT)
         b_y -= alpha * self.c
         return B
 
 
 def _step_chunk(z, T, Z) -> None:
     """Overwrite the offsets Z (K, R, N) with the states they lead to
-    from z (R, N): Z[k] = z_k T[k] + Z[k], z_{k+1} = Z[k]."""
+    from z (R, N): Z[k] = z_k T[k] + Z[k], z_{k+1} = Z[k].  The states
+    are stepped as (R, 1, N) stacks, so each product is per row."""
+    z = z[:, None, :]
     product = np.empty_like(z)
-    for T_k, z_next in zip(T, Z):
-        np.vecmat(z, T_k, out=product)
+    for T_k, z_next in zip(T, Z[:, :, None, :]):
+        np.matmul(z, T_k, out=product)
         z_next += product
         z = z_next
 
@@ -526,9 +549,8 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
     threshold = setup.divergence_threshold
     start = 0
     while start < iterations and active.size:
-        # Noise blocks hold about NOISE_CHUNK x m x d draws per stream
-        # whatever the batch size, and so do the chunk operators.
-        stop = min(start + max(1, NOISE_CHUNK // active.size), iterations)
+        stop = min(start + _chunk_length(active.size, z.shape[1]),
+                   iterations)
         ks_chunk = np.arange(start, stop)
         run_seeds = [seeds[r] for r in active]
         shape = (stop - start, active.size, n)

@@ -17,21 +17,25 @@ serial semantics independently of the batched code:
 
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_setup
+from conftest import make_setup, tracking_schedules
 
 from dpopt import solvers
 from dpopt.errors import RangeError
+from dpopt.graphs import DirectedGraph, build_push_pull_weights
 from dpopt.harness import monte_carlo
 from dpopt.noise import LaplaceNoiseSource, derive_seed, laplace_draws
+from dpopt.objectives import random_instance
 from dpopt.schedules import PowerSchedule
 from dpopt.solvers import (
     VARIANTS,
+    RunSetup,
     Variant,
     _off_diagonal,
     _record_points,
@@ -218,11 +222,11 @@ def affine_reference(variant, setup, iterations, seed):
     def unpack(z):
         x = z[:n].reshape(m, d)
         y = z[n:].reshape(m, d) if tracking else None
-        return z, x, y, (np.vecmat(z[:n], HT) - c).reshape(m, d)
+        return z, x, y, (z[:n] @ HT - c).reshape(m, d)
 
     def start(seed):
         x = setup.init_radius * np.random.default_rng(seed).standard_normal(n)
-        g = np.vecmat(x, HT) - c
+        g = x @ HT - c
         return unpack(np.concatenate([x, g]) if tracking else x)
 
     def step(k, z, zeta, xi):
@@ -235,15 +239,15 @@ def affine_reference(variant, setup, iterations, seed):
                 [-lam * eye, (1.0 - al) * eye + g2 * CT - lam * HT],
             ])
             b = np.concatenate([
-                g1 * np.vecmat(zeta.ravel(), RoffT),
-                g1 * np.vecmat(zeta.ravel(), HRoffT)
-                + g2 * np.vecmat(xi.ravel(), CoffT) - al * c,
+                g1 * (zeta.ravel() @ RoffT),
+                g1 * (zeta.ravel() @ HRoffT)
+                + g2 * (xi.ravel() @ CoffT) - al * c,
             ])
         else:
             gam = at(sch.coupling, k)
             T = eye + gam * WT - lam * HT
-            b = lam * c + gam * np.vecmat(zeta.ravel(), WoffT)
-        return unpack(np.vecmat(z, T) + b)
+            b = lam * c + gam * (zeta.ravel() @ WoffT)
+        return unpack(z @ T + b)
 
     return _serial_run(variant, setup, iterations, seed, start, step)
 
@@ -310,8 +314,8 @@ def assert_close_to_stepwise(trace, variant, setup, iterations, seed):
 @pytest.mark.parametrize("noise", [True, False], ids=["noisy", "noiseless"])
 @pytest.mark.parametrize(
     "n_runs,iterations",
-    # Horizons cross the noise-chunk boundary, max(1, 2048 // R)
-    # iterations, and end off it.
+    # Horizons cross the chunk boundary, 2048 // max(R, N) iterations
+    # for state width N, and end off it.
     [(1, CHUNK + 52), (3, 700), (17, 250)],
 )
 def test_batch_equals_serial_runs(variant, noise, n_runs, iterations):
@@ -451,6 +455,51 @@ def test_chunk_rows_do_not_depend_on_the_batch(variant):
     for rows in [np.arange(r) for r in (1, 2, 3, 10, 17)] + [[0, 3, 4, 9, 16]]:
         for got, want in zip(chunk(rows), full):
             assert np.array_equal(got, want[:, rows])
+
+
+def test_nan_tracker_diverges_at_its_own_iteration(monkeypatch):
+    # A NaN tracker draw at iteration k0 makes y NaN after that
+    # iteration while x stays finite until the next one; the divergence
+    # check reads x and y together, so the run stops at k0 + 1.
+    k0 = 30
+
+    def poisoned(scale, seeds, m, stream, ks, d):
+        draws = laplace_draws(scale, seeds, m, stream, ks, d)
+        if stream == "tracker":
+            draws[np.asarray(ks) == k0] = np.nan
+        return draws
+
+    monkeypatch.setattr(solvers, "laplace_draws", poisoned)
+    setup = shared_setup("tracking", True)
+    for trace in [run("alg2", setup, 100, seed=3)] \
+            + monte_carlo("alg2", setup, 100, 3, 3):
+        assert trace.diverged_at == k0 + 1
+        assert np.isnan(trace.diverged_magnitude)
+        assert trace.final_k == 28  # the last capture on the stride-7 grid
+        assert np.isfinite(trace.gradient_bound)
+
+
+def test_chunk_memory_stays_flat_in_the_problem_size():
+    # A single 400-iteration run of a 10-agent, 4-dimensional tracking
+    # problem (state width N = 80): chunks of 2048 // N iterations keep
+    # its operators near 1 MB, where chunks of 2048 // R iterations
+    # held all 400 (80 x 80) operators, about 25 MB traced.
+    m = 10
+    problem, _ = random_instance(seed=7, m=m, s=3, d=4)
+    graph = DirectedGraph(m, frozenset(
+        {((i + 1) % m, i) for i in range(m)}
+        | {((i + 3) % m, i) for i in range(m)}
+    ))
+    setup = RunSetup.create(problem, tracking_schedules(False),
+                            push_pull=build_push_pull_weights(graph, graph, 0.2))
+    tracemalloc.start()
+    try:
+        trace = run("alg2", setup, 400, seed=1, force=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not trace.diverged
+    assert peak < 6 * 2**20
 
 
 def with_schedules(setup, **changes):

@@ -80,7 +80,7 @@ class TestProblem:
         scales = 10.0 ** rng.integers(-3, 4, size=(200, 1, 1))
         thetas = scales * rng.standard_normal((200, m, d))
         want = problem.all_gradients(thetas).reshape(200, m * d)
-        got = np.vecmat(thetas.reshape(200, m * d), H.T) - c
+        got = thetas.reshape(200, m * d) @ H.T - c
         err = np.abs(got - want).max(axis=1)
         assert np.all(err <= 1e-12 * np.abs(want).max(axis=1))
 
