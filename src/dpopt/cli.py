@@ -7,7 +7,8 @@ Subcommands:
     compare <config>      several variants on one shared problem
 
 Exit codes: 0 on success, 1 when an experiment fails validation or a
-run-level check, 2 on config or IO errors.
+run-level check or every run of a batch diverged, 2 on config or IO
+errors.
 """
 
 from __future__ import annotations
@@ -20,16 +21,7 @@ import sys
 import numpy as np
 
 from .config import build_setup, load_config
-from .errors import (
-    ConditionError,
-    ConfigError,
-    ConnectivityError,
-    DegenerateProblemError,
-    DivergenceError,
-    RangeError,
-    SpectralError,
-    StructureError,
-)
+from .errors import ConfigError, DpoptError
 from .harness import (
     Aggregate,
     BudgetRow,
@@ -44,18 +36,8 @@ from .harness import (
     write_failures,
     write_trace,
 )
-from .solvers import VARIANTS, Variant, effective_schedules, validate_for_variant
+from .solvers import VARIANTS, effective_schedules, validate_for_variant
 from .svgplot import Series, line_plot, std_band
-
-_VALIDATION_ERRORS = (
-    ConditionError,
-    ConnectivityError,
-    DegenerateProblemError,
-    DivergenceError,
-    RangeError,
-    SpectralError,
-    StructureError,
-)
 
 SUMMARY_COLUMNS = (
     "variant", "runs", "completed", "failures", "mean_final_gap",
@@ -91,96 +73,82 @@ def _parse_variants(text: str) -> list[str]:
             raise ConfigError(
                 f"unknown variant {name!r}; choose from {', '.join(VARIANTS)}"
             )
-    seen = set()
-    unique = []
-    for name in names:
-        if name not in seen:
-            seen.add(name)
-            unique.append(name)
-    return unique
+    return list(dict.fromkeys(names))
 
 
-def _config_with_overrides(args) -> "tuple":
+def _config_with_overrides(args):
+    """Load the config and resolve --iters and --runs against it."""
     config = load_config(args.config)
-    iterations = args.iters if args.iters is not None else config.iterations
-    runs = args.runs if args.runs is not None else config.monte_carlo
-    if iterations < 1:
-        raise ConfigError("--iters must be positive")
-    if runs < 1:
-        raise ConfigError("--runs must be positive")
-    return config, iterations, runs
+    args.iters = config.iterations if args.iters is None else args.iters
+    args.runs = config.monte_carlo if args.runs is None else args.runs
+    for flag, value in (("--iters", args.iters), ("--runs", args.runs)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be positive")
+    return config
 
 
-def _write_run_outputs(
-    out_dir: str,
-    variant: str,
-    setup,
-    traces,
-    agg: Aggregate,
-    gradient_bound: float,
-    iterations: int,
-    plot: bool,
-) -> BudgetRow | None:
-    """Write a batch's traces, aggregate, failures, budget and plots;
-    return the budget row at the horizon, None for a noiseless variant."""
+# Each plotted Aggregate column: the subject of its title and its y label.
+_PLOTS = {
+    "gap": ("optimality gap", "f(mean state) - f*"),
+    "consensus": ("consensus error", "mean squared distance to network mean"),
+    "tracking": ("gradient tracking error", "mean squared tracker residual"),
+}
+
+
+def _plot(path: str, column: str, aggregates: dict[str, Aggregate],
+          title_suffix: str) -> None:
+    """Plot a column's mean with a one-std band for each aggregate."""
+    subject, y_label = _PLOTS[column]
+    series = []
+    for name, agg in aggregates.items():
+        mean = getattr(agg, f"mean_{column}")
+        band = std_band(mean, getattr(agg, f"var_{column}"))
+        series.append(Series(name, agg.ks, mean, band=band))
+    line_plot(path, series, title=subject + title_suffix, y_label=y_label,
+              log_y=True)
+
+
+def _run_variant(
+    args, config, setup, variant: str, out_dir: str, plot: bool
+) -> tuple[Aggregate, BudgetRow | None]:
+    """Run one variant's batch and write its traces, aggregate, failures,
+    budget and, with `plot`, its plots; return the aggregate and the
+    budget row at the horizon, None for a noiseless variant."""
+    traces = monte_carlo(
+        variant, setup, args.iters, config.noise_seed, args.runs,
+        force=args.force,
+    )
+    agg = aggregate(variant, traces, config.noise_seed)
     for index, trace in enumerate(traces):
         if not trace.diverged:
-            write_trace(
-                os.path.join(out_dir, f"run_{index:03d}.csv"), trace
-            )
+            write_trace(os.path.join(out_dir, f"run_{index:03d}.csv"), trace)
     write_aggregate(os.path.join(out_dir, "aggregate.csv"), agg)
     write_failures(os.path.join(out_dir, "failures.csv"), agg)
     row = None
     if effective_schedules(variant, setup).noise_scale is not None:
-        rows = budget_account(variant, setup, gradient_bound, [iterations]).rows
+        rows = budget_account(
+            variant, setup, config.gradient_bound, [args.iters]
+        ).rows
         write_budget(os.path.join(out_dir, "budget.csv"), rows)
         row = rows[0]
     if plot:
-        _plot_aggregate(out_dir, variant, agg)
-    return row
+        columns = ["gap", "consensus"]
+        # Only tracking variants record the tracking column.
+        if np.isfinite(agg.mean_tracking).any():
+            columns.append("tracking")
+        for column in columns:
+            _plot(os.path.join(out_dir, f"{column}.svg"), column,
+                  {variant: agg}, ", mean with one-std band")
+    return agg, row
 
 
-def _plot_aggregate(out_dir: str, variant: str, agg: Aggregate) -> None:
-    gap_band = std_band(agg.mean_gap, agg.var_gap)
-    line_plot(
-        os.path.join(out_dir, "gap.svg"),
-        [Series(variant, agg.ks, agg.mean_gap, band=gap_band)],
-        title="optimality gap, mean with one-std band",
-        y_label="f(mean state) - f*",
-        log_y=True,
-    )
-    cons_band = std_band(agg.mean_consensus, agg.var_consensus)
-    line_plot(
-        os.path.join(out_dir, "consensus.svg"),
-        [Series(variant, agg.ks, agg.mean_consensus, band=cons_band)],
-        title="consensus error, mean with one-std band",
-        y_label="mean squared distance to network mean",
-        log_y=True,
-    )
-    if Variant.of(variant).tracking and np.isfinite(agg.mean_tracking).any():
-        track_band = std_band(agg.mean_tracking, agg.var_tracking)
-        line_plot(
-            os.path.join(out_dir, "tracking.svg"),
-            [Series(variant, agg.ks, agg.mean_tracking, band=track_band)],
-            title="gradient tracking error, mean with one-std band",
-            y_label="mean squared tracker residual",
-            log_y=True,
-        )
-
-
-def _print_run_summary(agg: Aggregate) -> None:
-    print(
-        f"{agg.variant}: {agg.completed}/{agg.requested} runs completed, "
-        f"{len(agg.failures)} diverged"
-    )
-    print(
-        f"  final gap mean {agg.mean_final_gap:.6g} "
-        f"(se {agg.se_final_gap:.3g}), final consensus mean "
-        f"{float(np.mean(agg.final_consensus)):.6g}"
-    )
-    eps = agg.epsilon_partial[-1]
-    if np.isfinite(eps):
-        print(f"  privacy budget bound at final record: {eps:.6g}")
+def _exit_code(agg: Aggregate) -> int:
+    """1, with a line on stderr, when every run of the batch diverged."""
+    if agg.completed:
+        return 0
+    print(f"error: every run of {agg.variant} diverged; see failures.csv",
+          file=sys.stderr)
+    return 1
 
 
 def cmd_validate(args) -> int:
@@ -198,21 +166,26 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config, iterations, runs = _config_with_overrides(args)
+    config = _config_with_overrides(args)
     setup = build_setup(config)
     out_dir = run_directory(args.output or config.output_dir)
-    traces = monte_carlo(
-        config.variant, setup, iterations, config.noise_seed, runs,
-        force=args.force,
+    agg, _ = _run_variant(
+        args, config, setup, config.variant, out_dir, args.plot
     )
-    agg = aggregate(config.variant, traces, config.noise_seed)
-    _write_run_outputs(
-        out_dir, config.variant, setup, traces, agg,
-        config.gradient_bound, iterations, args.plot,
+    print(
+        f"{agg.variant}: {agg.completed}/{agg.requested} runs completed, "
+        f"{len(agg.failures)} diverged"
     )
-    _print_run_summary(agg)
+    print(
+        f"  final gap mean {agg.mean_final_gap:.6g} "
+        f"(se {agg.se_final_gap:.3g}), final consensus mean "
+        f"{float(np.mean(agg.final_consensus)):.6g}"
+    )
+    eps = agg.epsilon_partial[-1]
+    if np.isfinite(eps):
+        print(f"  privacy budget bound at final record: {eps:.6g}")
     print(f"outputs in {out_dir}")
-    return 0
+    return _exit_code(agg)
 
 
 def cmd_budget(args) -> int:
@@ -237,8 +210,8 @@ def cmd_budget(args) -> int:
     write_breakdown(
         os.path.join(out_dir, "breakdown.csv"), account.conservative
     )
-    header = f"{'horizon':>10}  {'bound':>14}  {'envelope':>14}  {'tail':>12}  summable"
-    print(header)
+    print(f"{'horizon':>10}  {'bound':>14}  {'envelope':>14}  {'tail':>12}  "
+          "summable")
     for row in rows:
         print(
             f"{row.horizon:>10}  {row.conservative:>14.6g}  "
@@ -263,36 +236,29 @@ def cmd_budget(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config, iterations, runs = _config_with_overrides(args)
+    config = _config_with_overrides(args)
     variants = _parse_variants(args.variants)
     setup = build_setup(config, variants)
     base = run_directory(args.output or config.output_dir)
     aggregates: dict[str, Aggregate] = {}
     summary_rows = []
     for variant in variants:
-        out_dir = run_directory(base, variant)
-        traces = monte_carlo(
-            variant, setup, iterations, config.noise_seed, runs,
-            force=args.force,
-        )
-        agg = aggregate(variant, traces, config.noise_seed)
-        row = _write_run_outputs(
-            out_dir, variant, setup, traces, agg,
-            config.gradient_bound, iterations, plot=False,
+        agg, row = _run_variant(
+            args, config, setup, variant, run_directory(base, variant),
+            plot=False,
         )
         aggregates[variant] = agg
-        if row is not None:
-            eps_bound, eps_env = row.conservative, row.envelope
-        else:
-            eps_bound, eps_env = math.nan, math.nan
+        eps = (row.conservative, row.envelope) if row else (math.nan,) * 2
         summary_rows.append((
             variant, agg.requested, agg.completed, len(agg.failures),
             agg.mean_final_gap, agg.se_final_gap,
-            float(np.mean(agg.final_consensus)), eps_bound, eps_env,
+            float(np.mean(agg.final_consensus)), *eps,
         ))
     write_csv(os.path.join(base, "summary.csv"), SUMMARY_COLUMNS, summary_rows)
     if args.plot:
-        _plot_compare(base, aggregates)
+        for column in ("gap", "consensus"):
+            _plot(os.path.join(base, f"compare_{column}.svg"), column,
+                  aggregates, " by variant")
     print(
         f"{'variant':>16}  {'done':>5}  {'final gap':>12}  {'se':>10}  "
         f"{'eps bound':>12}"
@@ -303,32 +269,19 @@ def cmd_compare(args) -> int:
             f"{row[5]:>10.3g}  {row[7]:>12.6g}"
         )
     print(f"outputs in {base}")
-    return 0
+    return max([_exit_code(agg) for agg in aggregates.values()])
 
 
-def _plot_compare(base: str, aggregates: dict[str, Aggregate]) -> None:
-    gap_series = [
-        Series(name, agg.ks, agg.mean_gap,
-               band=std_band(agg.mean_gap, agg.var_gap))
-        for name, agg in aggregates.items()
-    ]
-    line_plot(
-        os.path.join(base, "compare_gap.svg"), gap_series,
-        title="optimality gap by variant",
-        y_label="f(mean state) - f*",
-        log_y=True,
-    )
-    cons_series = [
-        Series(name, agg.ks, agg.mean_consensus,
-               band=std_band(agg.mean_consensus, agg.var_consensus))
-        for name, agg in aggregates.items()
-    ]
-    line_plot(
-        os.path.join(base, "compare_consensus.svg"), cons_series,
-        title="consensus error by variant",
-        y_label="mean squared distance to network mean",
-        log_y=True,
-    )
+def _batch_options(p: argparse.ArgumentParser) -> None:
+    """The options run and compare share."""
+    p.add_argument("--plot", action="store_true", help="write SVG plots")
+    p.add_argument("--force", action="store_true",
+                   help="run even when schedule validation fails")
+    p.add_argument("--runs", type=int, default=None,
+                   help="override run.monte_carlo")
+    p.add_argument("--iters", type=int, default=None,
+                   help="override run.iterations")
+    p.add_argument("--output", default=None, help="override run.output_dir")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,14 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="Monte Carlo batch of the configured variant")
     p.add_argument("config", help="path to experiment config")
-    p.add_argument("--plot", action="store_true", help="write SVG plots")
-    p.add_argument("--force", action="store_true",
-                   help="run even when schedule validation fails")
-    p.add_argument("--runs", type=int, default=None,
-                   help="override run.monte_carlo")
-    p.add_argument("--iters", type=int, default=None,
-                   help="override run.iterations")
-    p.add_argument("--output", default=None, help="override run.output_dir")
+    _batch_options(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("budget", help="privacy budget report at chosen horizons")
@@ -370,14 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="path to experiment config")
     p.add_argument("--variants", required=True,
                    help="comma-separated variant names")
-    p.add_argument("--plot", action="store_true", help="write SVG plots")
-    p.add_argument("--force", action="store_true",
-                   help="run even when schedule validation fails")
-    p.add_argument("--runs", type=int, default=None,
-                   help="override run.monte_carlo")
-    p.add_argument("--iters", type=int, default=None,
-                   help="override run.iterations")
-    p.add_argument("--output", default=None, help="override run.output_dir")
+    _batch_options(p)
     p.set_defaults(func=cmd_compare)
 
     return parser
@@ -394,7 +333,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except _VALIDATION_ERRORS as exc:
+    except DpoptError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
 

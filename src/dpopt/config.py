@@ -24,8 +24,6 @@ from .objectives import random_instance
 from .schedules import PowerSchedule, ScheduleSet
 from .solvers import VARIANTS, RunSetup, Variant
 
-_SCHEDULE_FIELDS = ("form", "a", "b", "p", "r")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -115,18 +113,10 @@ def _to_int(raw: _RawConfig, key: str, value: str) -> int:
     return int(number)
 
 
-def _take_float(raw, key, default=None, required=False):
-    value = raw.take(key, required=required)
-    if value is None:
-        return default
-    return _to_float(raw, key, value)
-
-
-def _take_int(raw, key, default=None, required=False):
-    value = raw.take(key, required=required)
-    if value is None:
-        return default
-    return _to_int(raw, key, value)
+def _take(raw: _RawConfig, key: str, parse, default):
+    """The value of an optional key through parse(raw, key, text)."""
+    value = raw.take(key)
+    return default if value is None else parse(raw, key, value)
 
 
 def _parse_edges(raw: _RawConfig, key: str, value: str):
@@ -152,13 +142,6 @@ def _parse_edges(raw: _RawConfig, key: str, value: str):
             ) from None
         edges.append((receiver, sender))
     return tuple(edges)
-
-
-def _take_edges(raw, key, default=None, required=False):
-    value = raw.take(key, required=required)
-    if value is None:
-        return default
-    return _parse_edges(raw, key, value)
 
 
 def _take_schedule(raw, prefix, required=False, allow_zero=False):
@@ -195,17 +178,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
             line=raw.line("variant"), key="variant",
         )
 
-    problem_seed = _take_int(raw, "problem.seed", default=7)
-    agents = _take_int(raw, "problem.agents", default=5)
-    measurements = _take_int(raw, "problem.measurements", default=3)
-    dimension = _take_int(raw, "problem.dimension", default=2)
-    regularization = _take_float(raw, "problem.regularization", default=0.01)
-    noise_std = _take_float(raw, "problem.noise_std", default=1.0)
+    problem_seed = _take(raw, "problem.seed", _to_int, 7)
+    agents = _take(raw, "problem.agents", _to_int, 5)
+    measurements = _take(raw, "problem.measurements", _to_int, 3)
+    dimension = _take(raw, "problem.dimension", _to_int, 2)
+    regularization = _take(raw, "problem.regularization", _to_float, 0.01)
+    noise_std = _take(raw, "problem.noise_std", _to_float, 1.0)
 
-    edges = _take_edges(raw, "graph.edges", default=())
-    edge_weight = _take_float(raw, "graph.edge_weight", default=0.2)
-    pull_edges = _take_edges(raw, "graph.pull_edges", default=edges)
-    push_edges = _take_edges(raw, "graph.push_edges", default=edges)
+    edges = _take(raw, "graph.edges", _parse_edges, ())
+    edge_weight = _take(raw, "graph.edge_weight", _to_float, 0.2)
+    pull_edges = _take(raw, "graph.pull_edges", _parse_edges, edges)
+    push_edges = _take(raw, "graph.push_edges", _parse_edges, edges)
 
     stepsize = _take_schedule(raw, "schedules.stepsize", required=True)
     coupling = _take_schedule(raw, "schedules.coupling")
@@ -243,13 +226,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
         schedules=schedules,
         pdop_stepsize=pdop_stepsize,
         pdop_noise=pdop_noise,
-        noise_seed=_take_int(raw, "noise.seed", default=1),
-        iterations=_take_int(raw, "run.iterations", default=10_000),
-        monte_carlo=_take_int(raw, "run.monte_carlo", default=1),
-        stride=_take_int(raw, "run.stride", default=10),
-        init_radius=_take_float(raw, "run.init_radius", default=1.0),
+        noise_seed=_take(raw, "noise.seed", _to_int, 1),
+        iterations=_take(raw, "run.iterations", _to_int, 10_000),
+        monte_carlo=_take(raw, "run.monte_carlo", _to_int, 1),
+        stride=_take(raw, "run.stride", _to_int, 10),
+        init_radius=_take(raw, "run.init_radius", _to_float, 1.0),
         output_dir=raw.take("run.output_dir", default="out"),
-        gradient_bound=_take_float(raw, "budget.gradient_bound", default=1.0),
+        gradient_bound=_take(raw, "budget.gradient_bound", _to_float, 1.0),
     )
     raw.reject_unconsumed()
     _check_ranges(config)

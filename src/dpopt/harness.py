@@ -155,16 +155,6 @@ def monte_carlo(
     return run_batch(variant, setup, iterations, seeds, force=force)
 
 
-def _stat_columns(traces: list[Trace], name: str):
-    stack = np.vstack([t.column(name) for t in traces])
-    mean = stack.mean(axis=0)
-    if stack.shape[0] >= 2:
-        var = stack.var(axis=0, ddof=1)
-    else:
-        var = np.zeros(stack.shape[1])
-    return mean, var
-
-
 def aggregate(variant: str, traces: list[Trace], base_seed: int) -> Aggregate:
     if not traces:
         raise ValueError("cannot aggregate an empty run list")
@@ -177,30 +167,26 @@ def aggregate(variant: str, traces: list[Trace], base_seed: int) -> Aggregate:
         )
         for i, t in enumerate(traces) if t.diverged
     ]
-    completed = [t for t in traces if not t.diverged]
     # With every run diverged there is no shared full grid; fall back to
     # the k = 0 record, which every trace carries.
-    if completed:
-        basis = completed
-        ks = completed[0].ks
-    else:
-        basis = [
-            Trace(
-                variant=t.variant, ks=t.ks[:1], consensus=t.consensus[:1],
-                gap=t.gap[:1], dist_opt=t.dist_opt[:1],
-                tracking=t.tracking[:1], epsilon_partial=t.epsilon_partial[:1],
-            )
-            for t in traces
-        ]
-        ks = basis[0].ks
-    mean_gap, var_gap = _stat_columns(basis, "gap")
-    mean_cons, var_cons = _stat_columns(basis, "consensus")
-    mean_track, var_track = _stat_columns(basis, "tracking")
-    eps, _ = _stat_columns(basis, "epsilon_partial")
+    basis = [t for t in traces if not t.diverged]
+    width = None if basis else 1
+    basis = basis or traces
+
+    def stats(name: str):
+        stack = np.vstack([t.column(name)[:width] for t in basis])
+        if stack.shape[0] < 2:
+            return stack.mean(axis=0), np.zeros(stack.shape[1])
+        return stack.mean(axis=0), stack.var(axis=0, ddof=1)
+
+    mean_gap, var_gap = stats("gap")
+    mean_cons, var_cons = stats("consensus")
+    mean_track, var_track = stats("tracking")
+    eps, _ = stats("epsilon_partial")
     return Aggregate(
         variant=variant,
         requested=len(traces),
-        ks=ks,
+        ks=basis[0].ks[:width],
         mean_gap=mean_gap,
         var_gap=var_gap,
         mean_consensus=mean_cons,

@@ -296,12 +296,14 @@ def budget_tail_bound(
 ) -> float:
     """Upper bound on the budget paid after iteration `horizon`.
 
-    Returns math.inf when sum lam/nu diverges.  Geometric envelopes get
-    the geometric tail t_T * rho / (1 - rho); from a horizon too early
-    for rho < 1 the terms up to the first T' with rho <= sqrt(r) are
-    each bounded by their envelope's peak and the tail is taken from
-    T' (within a factor of about 2 of the remainder for
-    lam = 0.99^k, nu = 1 / (1 + k^2) from T = 1).  Power-law
+    Returns math.inf when sum lam/nu diverges; raises RangeError when a
+    geometric pair underflows to 0 / 0 by the tail.  Geometric
+    envelopes get the geometric tail t_T * rho / (1 - rho); from a
+    horizon before the first T' with rho <= sqrt(r), the terms up to T'
+    are each bounded by their envelope's peak and the tail is taken
+    from T' (for lam = 0.99^k, nu = 1 / (1 + k^2) the bound is 2.45
+    times the remainder at T = 1 and 1.24 times just past the peak,
+    T = 199 and 200).  Power-law
     envelopes with decay exponent e > 1 get the integral-test bound
     t_T * T / (e - 1), with t_T the envelope term at the horizon so the
     bound dominates both the envelope series and the raw lam/nu series
@@ -317,13 +319,11 @@ def budget_tail_bound(
         # into the ratio via (k/T)^{-e} <= exp(-e (k - T) / T) for k >= T.
         log_r = res.geometric_log_ratio
         growth = max(0.0, -res.decay_exponent)
-        start, head = horizon, 0.0
-        if log_r + growth / horizon >= 0.0:
-            # Too early for a ratio below 1: from
-            # T' = ceil(2 growth / -log r) on the ratio is <= sqrt(r).
+        # From T' = ceil(2 growth / -log r) on the ratio is <= sqrt(r).
+        start, head = max(horizon, math.ceil(2.0 * growth / -log_r)), 0.0
+        if horizon < start:
             # Each term up to T' is at most t_T r^(k-T) (k/T)^growth,
-            # which peaks at k* = growth / -log r (T <= k* <= T' here).
-            start = math.ceil(2.0 * growth / -log_r)
+            # which peaks at max(T, k*), k* = growth / -log r.
             peak_k = max(float(horizon), growth / -log_r)
             try:
                 head = (start - horizon) * expr.term(horizon) * math.exp(
@@ -333,7 +333,11 @@ def budget_tail_bound(
             except OverflowError:
                 head = math.inf
         rho = math.exp(log_r + growth / start)
-        return scale * expr.term(start) * rho / (1.0 - rho) + scale * head
+        tail = scale * expr.term(start) * rho / (1.0 - rho) + scale * head
+        if math.isnan(tail):
+            raise RangeError(f"budget tail undefined at T = {horizon}: a "
+                             "schedule underflows to zero")
+        return tail
     e, constant = expr.power_envelope()
     t_last = scale * constant * float(horizon) ** (-e)
     return t_last * horizon / (e - 1.0)

@@ -76,15 +76,8 @@ class PowerSchedule:
         return cls(CONSTANT, a=a)
 
     def value(self, k: int) -> float:
-        if k < 0:
-            raise RangeError("iteration index must be nonnegative")
-        if self.form == DECAYING:
-            return self.a / (1.0 + self.b * k**self.p)
-        if self.form == GROWING:
-            return self.a + self.b * k**self.p
-        if self.form == GEOMETRIC:
-            return self.a * self.r**k
-        return self.a
+        """values() at one index, so both give the same bits."""
+        return float(self.values([k])[0])
 
     def values(self, ks: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over an integer index array."""
@@ -206,10 +199,8 @@ class ScheduleExpr:
         return ScheduleExpr(tuple((s, e * exponent) for s, e in self.factors))
 
     def term(self, k: int) -> float:
-        out = 1.0
-        for sched, e in self.factors:
-            out *= sched.value(k) ** e
-        return out
+        """terms() at one index, so both give the same bits."""
+        return float(self.terms([k])[0])
 
     def terms(self, ks: np.ndarray) -> np.ndarray:
         out = np.ones(np.shape(ks), dtype=float)

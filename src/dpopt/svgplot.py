@@ -9,7 +9,7 @@ reproducible as the CSVs next to them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +33,6 @@ class Series:
     xs: np.ndarray
     ys: np.ndarray
     band: tuple[np.ndarray, np.ndarray] | None = None
-
-
-@dataclass
-class _Canvas:
-    parts: list[str] = field(default_factory=list)
-
-    def add(self, fragment: str) -> None:
-        self.parts.append(fragment)
 
 
 def _fmt(v: float) -> str:
@@ -155,17 +147,17 @@ def line_plot(
     def py(t: float) -> float:
         return _MARGIN_T + (1.0 - (t - y_lo) / (y_hi - y_lo)) * plot_h
 
-    c = _Canvas()
-    c.add(
+    parts: list[str] = []
+    parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    c.add(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
-    c.add(
+    parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
+    parts.append(
         '<g font-family="sans-serif" font-size="13" fill="#333333">'
     )
-    c.add(
+    parts.append(
         f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
         f'font-size="16">{_escape(title)}</text>'
     )
@@ -176,12 +168,12 @@ def line_plot(
         if t < y_lo or t > y_hi:
             continue
         yy = py(t)
-        c.add(
+        parts.append(
             f'<line x1="{_MARGIN_L}" y1="{_fmt(yy)}" '
             f'x2="{_WIDTH - _MARGIN_R}" y2="{_fmt(yy)}" '
             f'stroke="#dddddd" stroke-width="1"/>'
         )
-        c.add(
+        parts.append(
             f'<text x="{_MARGIN_L - 8}" y="{_fmt(yy + 4)}" '
             f'text-anchor="end">{_tick_label(t, log_y)}</text>'
         )
@@ -189,32 +181,32 @@ def line_plot(
         if t < x_lo or t > x_hi:
             continue
         xx = px(t)
-        c.add(
+        parts.append(
             f'<line x1="{_fmt(xx)}" y1="{_MARGIN_T}" '
             f'x2="{_fmt(xx)}" y2="{_HEIGHT - _MARGIN_B}" '
             f'stroke="#eeeeee" stroke-width="1"/>'
         )
-        c.add(
+        parts.append(
             f'<text x="{_fmt(xx)}" y="{_HEIGHT - _MARGIN_B + 20}" '
             f'text-anchor="middle">{_tick_label(t, False)}</text>'
         )
 
     # Axes.
-    c.add(
+    parts.append(
         f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" '
         f'y2="{_HEIGHT - _MARGIN_B}" stroke="#333333" stroke-width="1.5"/>'
     )
-    c.add(
+    parts.append(
         f'<line x1="{_MARGIN_L}" y1="{_HEIGHT - _MARGIN_B}" '
         f'x2="{_WIDTH - _MARGIN_R}" y2="{_HEIGHT - _MARGIN_B}" '
         f'stroke="#333333" stroke-width="1.5"/>'
     )
-    c.add(
+    parts.append(
         f'<text x="{_WIDTH / 2:.0f}" y="{_HEIGHT - 14}" '
         f'text-anchor="middle">{_escape(x_label)}</text>'
     )
     mid_y = _MARGIN_T + plot_h / 2
-    c.add(
+    parts.append(
         f'<text x="20" y="{_fmt(mid_y)}" text-anchor="middle" '
         f'transform="rotate(-90 20 {_fmt(mid_y)})">{_escape(y_label)}</text>'
     )
@@ -237,7 +229,7 @@ def line_plot(
             pts.append(f"{_fmt(px(x))},{_fmt(py(v))}")
         for x, v in zip(xs[::-1], ty(lo_v)[::-1]):
             pts.append(f"{_fmt(px(x))},{_fmt(py(v))}")
-        c.add(
+        parts.append(
             f'<polygon points="{" ".join(pts)}" fill="{color}" '
             f'fill-opacity="0.15" stroke="none"/>'
         )
@@ -254,7 +246,7 @@ def line_plot(
             f"{_fmt(px(x))},{_fmt(py(v))}"
             for x, v in zip(xs[keep], ty(ys[keep]))
         )
-        c.add(
+        parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.8"/>'
         )
@@ -265,18 +257,18 @@ def line_plot(
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         y0 = lyy + 18 * i
-        c.add(
+        parts.append(
             f'<line x1="{lx}" y1="{y0}" x2="{lx + 26}" y2="{y0}" '
             f'stroke="{color}" stroke-width="2.5"/>'
         )
-        c.add(
+        parts.append(
             f'<text x="{lx + 32}" y="{y0 + 4}">{_escape(s.label)}</text>'
         )
 
-    c.add("</g>")
-    c.add("</svg>")
+    parts.append("</g>")
+    parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(c.parts) + "\n")
+        handle.write("\n".join(parts) + "\n")
 
 
 def std_band(mean: np.ndarray, var: np.ndarray):

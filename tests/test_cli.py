@@ -145,13 +145,35 @@ class TestRun:
         out = str(tmp_path / "out")
         code = main(["run", str(path), "--runs", "2", "--iters", "300",
                      "--output", out])
-        assert code == 0
+        assert code == 1
         names = sorted(os.listdir(out))
         assert "run_000.csv" not in names
         lines = open(os.path.join(out, "failures.csv"),
                      encoding="utf-8").read().strip().split("\n")
         assert len(lines) == 3
-        assert "2 diverged" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "2 diverged" in captured.out
+        assert "every run of dgd diverged" in captured.err
+
+    def test_partly_diverged_batch_returns_zero(self, tmp_path, capsys):
+        # A stepsize just past stability for the first few dozen
+        # iterations: the runs whose noise pushes them furthest cross
+        # the divergence threshold, the others recover.
+        text = STATIC_TEXT.replace("variant = alg1", "variant = dgd").replace(
+            "schedules.stepsize.a = 0.02", "schedules.stepsize.a = 0.33"
+        )
+        path = tmp_path / "partial.cfg"
+        path.write_text(text, encoding="utf-8")
+        out = str(tmp_path / "out")
+        code = main(["run", str(path), "--runs", "4", "--iters", "100",
+                     "--output", out])
+        assert code == 0
+        failures = open(os.path.join(out, "failures.csv"),
+                        encoding="utf-8").read().strip().split("\n")[1:]
+        assert 0 < len(failures) < 4
+        runs = [n for n in os.listdir(out) if n.startswith("run_")]
+        assert len(runs) + len(failures) == 4
+        assert capsys.readouterr().err == ""
 
     def test_validation_failure_returns_one_and_force_runs(self, tmp_path):
         text = STATIC_TEXT.replace("schedules.coupling.p = 0.9",
@@ -291,6 +313,26 @@ class TestCompare:
         first, second = files(outs[0]), files(outs[1])
         assert "summary.csv" in first and len(first) > 10
         assert first == second
+
+    def test_fully_diverged_variant_returns_one(self, tmp_path, capsys):
+        # pdop_alg1 runs on its own stepsize, far past stability; alg1
+        # completes.  Every output is still written before the exit.
+        text = STATIC_TEXT + PDOP_BLOCK.replace(
+            "pdop.stepsize.a = 0.02", "pdop.stepsize.a = 10.0")
+        path = tmp_path / "div.cfg"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["compare", str(path), "--variants", "alg1,pdop_alg1",
+                     "--runs", "2", "--iters", "300", "--plot",
+                     "--output", str(out)])
+        assert code == 1
+        for name in ("summary.csv", "compare_gap.svg",
+                     "compare_consensus.svg", "alg1/run_001.csv",
+                     "pdop_alg1/failures.csv", "pdop_alg1/budget.csv"):
+            assert (out / name).exists()
+        assert not (out / "pdop_alg1" / "run_000.csv").exists()
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and "every run of pdop_alg1 diverged" in err[0]
 
     def test_unknown_variant_returns_two(self, static_cfg, tmp_path):
         assert main(["compare", static_cfg, "--variants", "alg1,warp",

@@ -4,6 +4,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_setup, static_schedules, tracking_schedules
 from oracles import sensitivity_static_closed_form, sensitivity_tracking_closed_form
@@ -204,18 +206,46 @@ class TestTailBound:
         # Equality holds in exact arithmetic, so allow summation rounding.
         assert raw_remainder <= tail * (1.0 + 1e-12)
 
+    def test_underflowing_pair_raises(self):
+        # Both geometric schedules underflow to zero before k = 1e6, so
+        # their ratio is 0 / 0 there: a reasoned error, not a NaN tail.
+        lam = PowerSchedule.geometric(0.02, 0.995)
+        nu = PowerSchedule.geometric(0.118619, 0.999)
+        with np.errstate(all="ignore"), pytest.raises(RangeError,
+                                                      match="underflows"):
+            budget_tail_bound(lam, nu, 10**6)
+
     def test_geometric_tail_absorbs_power_growth(self):
         lam = PowerSchedule.geometric(1.0, 0.99)
         nu = PowerSchedule.decaying(1.0, 1.0, 2.0)
-        # From T = 400 the ratio bound r exp(2 / T) is below 1; before
-        # that the early terms get their own bound.  Either way the
-        # tail covers the raw remainder, within a small factor (bounding
-        # each early term by the last one's envelope gave 125x at T = 1).
-        for horizon in (1, 100, 400):
+        # From T' = 400 the ratio bound r exp(2 / T) is at most sqrt(r);
+        # before that the early terms get their own bound.  Either way
+        # the tail covers the raw remainder within a small factor, also
+        # just past the peak k* = 199, where the ratio bound is barely
+        # below 1 (the plain geometric tail gave 47,600x at T = 199).
+        for horizon in (1, 100, 199, 200, 400):
             tail = budget_tail_bound(lam, nu, horizon)
             ks = np.arange(horizon + 1, 10001).astype(float)
             raw_remainder = float(np.sum(lam.values(ks) / nu.values(ks)))
             assert raw_remainder <= tail <= 3.0 * raw_remainder
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(1e-2, 1e2), r=st.floats(0.9, 0.999),
+       nu_form=st.sampled_from(("decaying", "growing", "constant")),
+       b=st.floats(0.0, 5.0), p=st.floats(0.0, 3.0),
+       horizon=st.integers(1, 3000))
+def test_tail_bound_covers_numerical_remainder(a, r, nu_form, b, p, horizon):
+    lam = PowerSchedule.geometric(a, r)
+    nu = PowerSchedule(nu_form, a=1.0, b=b, p=p)
+    # Past T' = 2 growth / |log r| the terms fall at least like
+    # sqrt(r)^k, so 80 / |log r| further iterations leave out less than
+    # e^-40 of the remainder.
+    growth = p if nu_form == "decaying" and b > 0 else 0.0
+    last = max(horizon, math.ceil(2 * growth / -math.log(r)))
+    ks = np.arange(horizon + 1, last + math.ceil(80 / -math.log(r)))
+    remainder = float(np.sum(lam.values(ks) / nu.values(ks)))
+    assert remainder <= budget_tail_bound(lam, nu, horizon) * (1 + 1e-9)
 
 
 class TestCoupledDifference:

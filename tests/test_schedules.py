@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpopt.errors import ConditionError, RangeError
 from dpopt.schedules import (
@@ -61,15 +63,30 @@ class TestEval:
             PowerSchedule.constant(1.0).values(np.array([0, -2]))
 
     def test_values_matches_value(self):
-        ks = np.arange(50)
+        # One formula per form: the scalar and the array evaluation give
+        # the same bits (separate formulas differed in the last ulp at
+        # 411 of these 1e4 values of the p = 0.9 coupling).
+        ks = np.arange(10_000)
         for s in (
             PowerSchedule.decaying(0.02, 0.1, 1.0),
+            PowerSchedule.decaying(1.0, 0.1, 0.9),
+            PowerSchedule.decaying(1.0, 0.1, 0.7),
             PowerSchedule.growing(1.0, 0.1, 0.3),
             PowerSchedule.geometric(0.5, 0.99),
             PowerSchedule.constant(3.0),
         ):
             expected = np.array([s.value(int(k)) for k in ks])
-            assert np.allclose(s.values(ks), expected, rtol=1e-14, atol=0)
+            assert np.array_equal(s.values(ks), expected)
+
+    def test_terms_matches_term(self):
+        pdop = (PowerSchedule.geometric(0.02, 0.995)
+                / PowerSchedule.geometric(0.118619, 0.999))
+        attenuated = (PowerSchedule.decaying(0.02, 0.1, 1.0) ** 2
+                      / PowerSchedule.growing(1.0, 0.1, 0.3))
+        ks = np.arange(1, 5000)
+        for expr in (pdop, attenuated):
+            expected = np.array([expr.term(int(k)) for k in ks])
+            assert np.array_equal(expr.terms(ks), expected)
 
     def test_monotone_over_ten_thousand(self):
         ks = np.arange(10_001)
@@ -197,6 +214,27 @@ class TestPowerEnvelope:
         e, const = expr.power_envelope()
         k = 10**14
         assert expr.term(k) / (const * k ** (-e)) > 0.99
+
+
+@st.composite
+def power_schedules(draw):
+    """A decaying, growing or constant schedule (no geometric factor)."""
+    form = draw(st.sampled_from(("decaying", "growing", "constant")))
+    a = draw(st.floats(1e-3, 1e3))
+    if form == "constant":
+        return PowerSchedule.constant(a)
+    return PowerSchedule(form, a=a, b=draw(st.floats(0.0, 10.0)),
+                         p=draw(st.floats(0.0, 3.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=power_schedules(), den=power_schedules(),
+       e_num=st.floats(0.25, 3.0), e_den=st.floats(0.25, 3.0))
+def test_power_envelope_dominates_terms(num, den, e_num, e_den):
+    expr = num ** e_num / den ** e_den
+    e, const = expr.power_envelope()
+    ks = np.unique(np.logspace(0.0, 6.0, 241).round())
+    assert np.all(expr.terms(ks) <= const * ks ** (-e) * (1 + 1e-12))
 
 
 class TestRatioLimit:
