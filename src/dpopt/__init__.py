@@ -45,7 +45,7 @@ from .harness import (
     write_failures,
     write_trace,
 )
-from .noise import LaplaceNoiseSource, derive_seed, laplace_inverse_cdf
+from .noise import derive_seed, laplace_inverse_cdf
 from .objectives import (
     AdjacentVariant,
     QuadraticEstimationProblem,
@@ -58,8 +58,6 @@ from .privacy import (
     asymptotic_budget,
     budget_tail_bound,
     conservative_budget,
-    conservative_budget_static,
-    conservative_budget_tracking,
     infinite_tail,
     sensitivity_static,
     sensitivity_tracking,

@@ -104,8 +104,7 @@ def _plot(path: str, column: str, aggregates: dict[str, Aggregate],
         mean = getattr(agg, f"mean_{column}")
         band = std_band(mean, getattr(agg, f"var_{column}"))
         series.append(Series(name, agg.ks, mean, band=band))
-    line_plot(path, series, title=subject + title_suffix, y_label=y_label,
-              log_y=True)
+    line_plot(path, series, title=subject + title_suffix, y_label=y_label)
 
 
 def _run_variant(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-from .noise import LaplaceNoiseSource
+from .noise import NOISE_CHUNK, laplace_draws
 from .objectives import AdjacentVariant
 from .privacy import (
     _recurse,
@@ -55,9 +55,9 @@ class DifferenceTrace:
     violation_k: int | None
 
 
-def _ratio_scan(ks, diffs, bounds, tolerance=1e-9):
+def _ratio_scan(ks, diffs, bounds):
     """Largest diff/bound ratio over k >= 1 and all streams, and the
-    first k at which any stream exceeds 1 + tolerance.
+    first k at which any stream exceeds 1 + 1e-9.
 
     A zero bound counts as ratio 0 for a zero difference and inf
     otherwise; NaN ratios are skipped.
@@ -68,9 +68,27 @@ def _ratio_scan(ks, diffs, bounds, tolerance=1e-9):
         ratio = np.where(b > 0, d / b, np.where(d == 0.0, 0.0, math.inf))
     positive = ratio[ratio > 0.0]
     worst = float(positive.max()) if positive.size else 0.0
-    over = np.flatnonzero((ratio > 1.0 + tolerance).any(axis=0))
+    over = np.flatnonzero((ratio > 1.0 + 1e-9).any(axis=0))
     violation = int(ks[over[0] + 1]) if over.size else None
     return worst, violation
+
+
+def _trace(diffs, bounds) -> DifferenceTrace:
+    """The trace of the state pair, plus the tracker pair when given."""
+    ks = np.arange(len(diffs[0]))
+    worst, violation = _ratio_scan(ks, diffs, bounds)
+    tracker = (diffs[1], bounds[1]) if len(diffs) > 1 else (None, None)
+    return DifferenceTrace(ks, diffs[0], bounds[0], *tracker,
+                           worst, violation is None, violation)
+
+
+def _draws(scale, seed, n_agents, stream, iterations, dim):
+    """Yield one run's (n_agents, dim) draws of iterations 0, 1, ...,
+    iterations - 1 in turn, drawn NOISE_CHUNK iterations at a time."""
+    for start in range(0, iterations, NOISE_CHUNK):
+        ks = np.arange(start, min(start + NOISE_CHUNK, iterations))
+        yield from laplace_draws(scale, [seed], n_agents, stream, ks,
+                                 dim)[:, 0]
 
 
 def coupled_difference_trace(
@@ -91,104 +109,86 @@ def coupled_difference_trace(
     and the bound uses the constant envelope throughout; domination is
     then exact in exact arithmetic.  In floating point max_ratio can
     reach 1 + a few ulp (1.0000000000000024 on alg2 at envelope 0.3
-    over 5000 iterations), which the 1e-9 tolerance of _ratio_scan
+    over 5000 iterations), which the 1e-9 slack of _ratio_scan
     absorbs.
     """
     if iterations < 1:
         raise RangeError("iterations must be positive")
     sch = effective_schedules(variant, setup)
-    agent = adjacent.agent
-    ks_axis = np.arange(iterations + 1)
     difference = _difference_tracking if Variant.of(variant).tracking \
         else _difference_static
-    return difference(setup, adjacent, sch, agent, iterations, seed,
-                      envelope, ks_axis)
+    return difference(setup, adjacent, sch, iterations, seed, envelope)
 
 
-def _difference_static(setup, adjacent, sch, agent, iterations, seed,
-                       envelope, ks_axis):
+def _difference_static(setup, adjacent, sch, iterations, seed, envelope):
+    agent = adjacent.agent
     W = setup.consensus.matrix
-    wbar = setup.consensus.min_diag_mag
-    self_mag = abs(float(W[agent, agent]))
-    lam = sch.stepsize.values(np.arange(iterations))
-    gam = sch.coupling.values(np.arange(iterations))
-    s_bound = sensitivity_static(sch.stepsize, sch.coupling, wbar, iterations)
+    ks = np.arange(iterations)
+    lam = sch.stepsize.values(ks)
+    gam = sch.coupling.values(ks)
+    s_bound = sensitivity_static(sch.stepsize, sch.coupling,
+                                 setup.consensus.min_diag_mag, iterations)
+    shrink = 1.0 - abs(float(W[agent, agent])) * gam
+    if np.any(shrink <= 0.0):
+        raise RangeError("coupling too strong for the perturbed agent")
 
     bound = np.zeros(iterations + 1)
-
     if envelope is not None:
-        shrink = 1.0 - self_mag * gam
-        if np.any(shrink <= 0.0):
-            raise RangeError("coupling too strong for the perturbed agent")
-        diff = _recurse(shrink, lam * envelope)
         bound[1:] = envelope * s_bound[1:]
-        worst, violation = _ratio_scan(ks_axis, [diff], [bound])
-        return DifferenceTrace(ks_axis, diff, bound, None, None,
-                               worst, violation is None, violation)
+        return _trace([_recurse(shrink, lam * envelope)], [bound])
 
     diff = np.zeros(iterations + 1)
     problem = setup.problem
     m, d_dim = problem.m, problem.dim
     rng = np.random.default_rng(seed)
     x = setup.init_radius * rng.standard_normal((m, d_dim))
-    noise = LaplaceNoiseSource(sch.noise_scale, seed)
     W_off = _off_diagonal(W)
     grads = problem.all_gradients(x)
     e = np.zeros(d_dim)
     run_env = 0.0
-    zetas = noise.iter_draws(m, "state", iterations, d_dim)
-    for k, zeta in zip(range(iterations), zetas):
-        if 1.0 - self_mag * gam[k] <= 0.0:
-            raise RangeError("coupling too strong for the perturbed agent")
+    zetas = _draws(sch.noise_scale, seed, m, "state", iterations, d_dim)
+    for k, zeta in enumerate(zetas):
         gdiff = problem.local_gradient(agent, x[agent]) \
             - adjacent.local_gradient(agent, x[agent] - e)
         run_env = max(run_env, float(np.abs(gdiff).sum()))
-        e = (1.0 - self_mag * gam[k]) * e - lam[k] * gdiff
+        e = shrink[k] * e - lam[k] * gdiff
         x = step_static(x, grads, W, W_off, gam[k], lam[k], zeta)
         grads = problem.all_gradients(x)
         diff[k + 1] = float(np.abs(e).sum())
         bound[k + 1] = run_env * s_bound[k + 1]
-    worst, violation = _ratio_scan(ks_axis, [diff], [bound])
-    return DifferenceTrace(ks_axis, diff, bound, None, None,
-                           worst, violation is None, violation)
+    return _trace([diff], [bound])
 
 
-def _difference_tracking(setup, adjacent, sch, agent, iterations, seed,
-                         envelope, ks_axis):
+def _difference_tracking(setup, adjacent, sch, iterations, seed, envelope):
+    agent = adjacent.agent
     weights = setup.push_pull
     R, C = weights.pull, weights.push
-    self_pull = abs(float(R[agent, agent]))
-    self_push = abs(float(C[agent, agent]))
-    idx = np.arange(iterations)
-    lam = sch.stepsize.values(idx)
-    g1 = sch.coupling_state.values(idx)
-    g2 = sch.coupling_tracker.values(idx)
+    ks = np.arange(iterations)
+    lam = sch.stepsize.values(ks)
+    g1 = sch.coupling_state.values(ks)
+    g2 = sch.coupling_tracker.values(ks)
     alpha = np.zeros(iterations) if sch.tracker_mix is None \
-        else sch.tracker_mix.values(idx)
+        else sch.tracker_mix.values(ks)
     sx_bound, sy_bound = sensitivity_tracking(
         sch.stepsize, sch.tracker_mix, sch.coupling_state,
         sch.coupling_tracker, weights.min_diag_pull, weights.min_diag_push,
         iterations,
     )
+    shrink_y = 1.0 - alpha - abs(float(C[agent, agent])) * g2
+    shrink_x = 1.0 - abs(float(R[agent, agent])) * g1
+    if np.any(shrink_y <= 0.0) or np.any(shrink_x <= 0.0):
+        raise RangeError("coupling too strong for the perturbed agent")
 
     xbound = np.zeros(iterations + 1)
     ybound = np.zeros(iterations + 1)
-
     if envelope is not None:
-        shrink_y = 1.0 - alpha - self_push * g2
-        shrink_x = 1.0 - self_pull * g1
-        if np.any(shrink_y <= 0.0) or np.any(shrink_x <= 0.0):
-            raise RangeError("coupling too strong for the perturbed agent")
-        xdiff, ydiff = _recurse_pair(
-            shrink_x, lam, shrink_y, (2.0 - alpha) * 2.0 * envelope
-        )
         xbound[1:] = 2.0 * envelope * sx_bound[1:]
         ybound[1:] = 2.0 * envelope * sy_bound[1:]
-        worst, violation = _ratio_scan(
-            ks_axis, [xdiff, ydiff], [xbound, ybound]
+        return _trace(
+            _recurse_pair(shrink_x, lam, shrink_y,
+                          (2.0 - alpha) * 2.0 * envelope),
+            [xbound, ybound],
         )
-        return DifferenceTrace(ks_axis, xdiff, xbound, ydiff, ybound,
-                               worst, violation is None, violation)
 
     xdiff = np.zeros(iterations + 1)
     ydiff = np.zeros(iterations + 1)
@@ -196,7 +196,6 @@ def _difference_tracking(setup, adjacent, sch, agent, iterations, seed,
     m, d_dim = problem.m, problem.dim
     rng = np.random.default_rng(seed)
     x = setup.init_radius * rng.standard_normal((m, d_dim))
-    noise = LaplaceNoiseSource(sch.noise_scale, seed)
     R_off, C_off = _off_diagonal(R), _off_diagonal(C)
     grads = problem.all_gradients(x)
     y = grads.copy()
@@ -210,14 +209,10 @@ def _difference_tracking(setup, adjacent, sch, agent, iterations, seed,
     ex = np.zeros(d_dim)
     ey = np.zeros(d_dim)
     run_env = float(np.abs(gdiff_prev).sum())
-    zetas = noise.iter_draws(m, "state", iterations, d_dim)
-    xis = noise.iter_draws(m, "tracker", iterations, d_dim)
-    for k, zeta, xi in zip(range(iterations), zetas, xis):
-        shrink_y = 1.0 - alpha[k] - self_push * g2[k]
-        shrink_x = 1.0 - self_pull * g1[k]
-        if shrink_y <= 0.0 or shrink_x <= 0.0:
-            raise RangeError("coupling too strong for the perturbed agent")
-        ex_next = shrink_x * ex - lam[k] * ey
+    zetas = _draws(sch.noise_scale, seed, m, "state", iterations, d_dim)
+    xis = _draws(sch.noise_scale, seed, m, "tracker", iterations, d_dim)
+    for k, (zeta, xi) in enumerate(zip(zetas, xis)):
+        ex_next = shrink_x[k] * ex - lam[k] * ey
         x, y, grads = step_tracking(
             x, y, grads, problem, R, R_off, C, C_off,
             g1[k], g2[k], alpha[k], lam[k], zeta, xi,
@@ -225,13 +220,11 @@ def _difference_tracking(setup, adjacent, sch, agent, iterations, seed,
         gdiff = problem.local_gradient(agent, x[agent]) \
             - adjacent.local_gradient(agent, x[agent] - ex_next)
         run_env = max(run_env, float(np.abs(gdiff).sum()))
-        ey = shrink_y * ey + gdiff - (1.0 - alpha[k]) * gdiff_prev
+        ey = shrink_y[k] * ey + gdiff - (1.0 - alpha[k]) * gdiff_prev
         ex = ex_next
         xdiff[k + 1] = float(np.abs(ex).sum())
         ydiff[k + 1] = float(np.abs(ey).sum())
         xbound[k + 1] = run_env * sx_bound[k + 1]
         ybound[k + 1] = run_env * sy_bound[k + 1]
         gdiff_prev = gdiff
-    worst, violation = _ratio_scan(ks_axis, [xdiff, ydiff], [xbound, ybound])
-    return DifferenceTrace(ks_axis, xdiff, xbound, ydiff, ybound,
-                           worst, violation is None, violation)
+    return _trace([xdiff, ydiff], [xbound, ybound])

@@ -305,12 +305,11 @@ def write_budget(path: str, rows: list[BudgetRow]) -> None:
     )
 
 
-def write_breakdown(
-    path: str, series: BudgetSeries, max_rows: int = 10_000
-) -> None:
-    """Per-iteration terms of a budget series, strided to max_rows."""
+def write_breakdown(path: str, series: BudgetSeries) -> None:
+    """Per-iteration terms of a budget series, strided to about 10,000
+    rows plus the last."""
     horizon = len(series.ks)
-    stride = max(1, horizon // max_rows)
+    stride = max(1, horizon // 10_000)
     idx = np.arange(0, horizon, stride)
     if idx[-1] != horizon - 1:
         idx = np.append(idx, horizon - 1)

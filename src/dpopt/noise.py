@@ -17,11 +17,7 @@ noise" exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .schedules import PowerSchedule
 
 STATE_STREAM = 0
 TRACKER_STREAM = 1
@@ -118,37 +114,3 @@ def derive_seed(base_seed: int, index: int) -> int:
         word = _mix64(np.uint64(base_seed & _SEED_MASK) ^
                       ((np.uint64(index) + np.uint64(1)) * _M2))
     return int(word & np.uint64(0x7FFFFFFFFFFFFFFF))
-
-
-@dataclass(frozen=True)
-class LaplaceNoiseSource:
-    """Stateless Laplace noise keyed by (agent, stream, iteration, coord).
-
-    scale is the noise-scale schedule; None disables the source (every
-    sample is exactly zero), which is how noiseless diagnostics run.
-    """
-
-    scale: PowerSchedule | None
-    seed: int
-
-    def sample_block(
-        self, n_agents: int, stream: str, iterations: np.ndarray, dim: int
-    ) -> np.ndarray:
-        """Draws for all agents and coordinates over a range of iterations.
-
-        Returns an array of shape (len(iterations), n_agents, dim);
-        entry [t, i, c] is keyed by (seed, i, stream, iterations[t], c).
-        """
-        return laplace_draws(
-            self.scale, [self.seed], n_agents, stream, iterations, dim
-        )[:, 0]
-
-    def iter_draws(self, n_agents: int, stream: str, iterations: int,
-                   dim: int):
-        """Yield the (n_agents, dim) draws of iterations 0, 1, ...,
-        iterations - 1 in turn, drawn NOISE_CHUNK iterations at a time."""
-        for start in range(0, iterations, NOISE_CHUNK):
-            stop = min(start + NOISE_CHUNK, iterations)
-            yield from self.sample_block(
-                n_agents, stream, np.arange(start, stop), dim
-            )

@@ -175,53 +175,6 @@ class BudgetSeries:
         return float(self.epsilon_partial[idx])
 
 
-def _nu_values(nu: PowerSchedule | None, horizon: int) -> np.ndarray:
-    if nu is None:
-        raise RangeError("budget accounting needs a noise scale schedule")
-    return nu.values(np.arange(1, horizon + 1))
-
-
-def conservative_budget_static(
-    stepsize: PowerSchedule,
-    coupling: PowerSchedule,
-    min_coupling: float,
-    nu: PowerSchedule,
-    gradient_bound: float,
-    horizon: int,
-) -> BudgetSeries:
-    """Finite-horizon budget from the static sensitivity recursion."""
-    s = sensitivity_static(stepsize, coupling, min_coupling, horizon)[1:]
-    per = gradient_bound * s / _nu_values(nu, horizon)
-    return BudgetSeries(
-        ks=np.arange(1, horizon + 1), varsigma=s, per_term=per,
-        epsilon_partial=np.cumsum(per),
-    )
-
-
-def conservative_budget_tracking(
-    stepsize: PowerSchedule,
-    tracker_mix: PowerSchedule | None,
-    coupling_state: PowerSchedule,
-    coupling_tracker: PowerSchedule,
-    min_diag_pull: float,
-    min_diag_push: float,
-    nu: PowerSchedule,
-    gradient_bound: float,
-    horizon: int,
-) -> BudgetSeries:
-    """Finite-horizon budget from the tracking sensitivity recursions."""
-    sx, sy = sensitivity_tracking(
-        stepsize, tracker_mix, coupling_state, coupling_tracker,
-        min_diag_pull, min_diag_push, horizon,
-    )
-    s = (sx + sy)[1:]
-    per = 2.0 * gradient_bound * s / _nu_values(nu, horizon)
-    return BudgetSeries(
-        ks=np.arange(1, horizon + 1), varsigma=s, per_term=per,
-        epsilon_partial=np.cumsum(per),
-    )
-
-
 def conservative_budget(
     schedules: ScheduleSet,
     weights: ConsensusWeights | PushPullWeights,
@@ -229,19 +182,41 @@ def conservative_budget(
     horizon: int,
 ) -> BudgetSeries:
     """Conservative budget series of a schedule bundle over
-    k = 1..horizon: the static recursion for consensus weights, the
-    tracking pair for push-pull weights."""
-    s = schedules
+    k = 1..horizon: C s^k / nu^k from the static recursion for
+    consensus weights, 2 C (s_x^k + s_y^k) / nu^k from the tracking
+    pair for push-pull weights.
+
+    Raises RangeError at the first k whose term is not finite, as when
+    a geometric noise scale underflows on a long horizon.
+    """
+    sch = schedules
+    if sch.noise_scale is None:
+        raise RangeError("budget accounting needs a noise scale schedule")
     if isinstance(weights, ConsensusWeights):
-        return conservative_budget_static(
-            s.stepsize, s.coupling, weights.min_diag_mag, s.noise_scale,
-            gradient_bound, horizon,
+        s = sensitivity_static(sch.stepsize, sch.coupling,
+                               weights.min_diag_mag, horizon)[1:]
+        scale = gradient_bound
+    else:
+        sx, sy = sensitivity_tracking(
+            sch.stepsize, sch.tracker_mix, sch.coupling_state,
+            sch.coupling_tracker, weights.min_diag_pull,
+            weights.min_diag_push, horizon,
         )
-    return conservative_budget_tracking(
-        s.stepsize, s.tracker_mix, s.coupling_state, s.coupling_tracker,
-        weights.min_diag_pull, weights.min_diag_push, s.noise_scale,
-        gradient_bound, horizon,
-    )
+        s = (sx + sy)[1:]
+        scale = 2.0 * gradient_bound
+    ks = np.arange(1, horizon + 1)
+    nu = sch.noise_scale.values(ks)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        per = scale * s / nu
+    bad = np.flatnonzero(~np.isfinite(per))
+    if bad.size:
+        i = bad[0]
+        raise RangeError(
+            f"conservative budget term not finite at k = {i + 1}: "
+            f"sensitivity {s[i]:.6g} over noise scale {nu[i]:.6g}"
+        )
+    return BudgetSeries(ks=ks, varsigma=s, per_term=per,
+                        epsilon_partial=np.cumsum(per))
 
 
 def asymptotic_budget(

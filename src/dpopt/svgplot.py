@@ -1,7 +1,7 @@
 """Self-contained SVG 1.1 line plots, no plotting dependency.
 
-Built for metric-versus-iteration curves: linear x axis, linear or
-log10 y axis, optional shaded mean-plus-minus-one-std band per series.
+Built for metric-versus-iteration curves: linear x axis, log10 y
+axis, optional shaded mean-plus-minus-one-std band per series.
 Output is deterministic for identical input, so plot files are as
 reproducible as the CSVs next to them.
 """
@@ -39,9 +39,7 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _tick_label(value: float, log_y: bool) -> str:
-    if log_y:
-        return f"1e{int(round(value))}"
+def _tick_label(value: float) -> str:
     if value == 0:
         return "0"
     if abs(value) >= 1e4 or abs(value) < 1e-3:
@@ -85,26 +83,24 @@ def line_plot(
     path: str,
     series: list[Series],
     title: str,
-    x_label: str = "iteration",
     y_label: str = "value",
-    log_y: bool = False,
 ) -> None:
-    """Write an SVG line chart of the given series to path."""
+    """Write an SVG line chart of the given series against iteration to
+    path, with a log10 y axis."""
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    # Collect plottable points.  Under a log axis, nonpositive values are
-    # clamped to half the smallest positive value so curves that touch
-    # zero stay visible as a floor instead of vanishing.
+    # Collect plottable points.  Nonpositive values are clamped to half
+    # the smallest positive value so curves that touch zero stay visible
+    # as a floor instead of vanishing.
     floor = math.inf
     xs_all, ys_all = [], []
     for s in series:
         ys = np.asarray(s.ys, dtype=float)
         finite = np.isfinite(ys)
-        if log_y:
-            pos = ys[finite & (ys > 0)]
-            if pos.size:
-                floor = min(floor, float(pos.min()))
+        pos = ys[finite & (ys > 0)]
+        if pos.size:
+            floor = min(floor, float(pos.min()))
         if finite.any():
             ys_all.append(ys[finite])
             xs_all.append(np.asarray(s.xs, dtype=float)[finite])
@@ -112,21 +108,18 @@ def line_plot(
             for edge in s.band:
                 e = np.asarray(edge, dtype=float)
                 keep = np.isfinite(e)
-                if log_y:
-                    pos = e[keep & (e > 0)]
-                    if pos.size:
-                        floor = min(floor, float(pos.min()))
+                pos = e[keep & (e > 0)]
+                if pos.size:
+                    floor = min(floor, float(pos.min()))
                 if keep.any():
                     ys_all.append(e[keep])
     if not xs_all:
         raise ValueError("nothing to plot: every series is empty")
-    if log_y and not math.isfinite(floor):
+    if not math.isfinite(floor):
         raise ValueError("log axis needs at least one positive value")
-    floor = floor / 2.0 if log_y else 0.0
+    floor = floor / 2.0
 
     def ty(values: np.ndarray) -> np.ndarray:
-        if not log_y:
-            return values
         return np.log10(np.maximum(values, floor))
 
     x_lo = min(float(x.min()) for x in xs_all)
@@ -163,8 +156,7 @@ def line_plot(
     )
 
     # Gridlines and tick labels.
-    y_ticks = _log_ticks(y_lo, y_hi) if log_y else _linear_ticks(y_lo, y_hi)
-    for t in y_ticks:
+    for t in _log_ticks(y_lo, y_hi):
         if t < y_lo or t > y_hi:
             continue
         yy = py(t)
@@ -175,7 +167,7 @@ def line_plot(
         )
         parts.append(
             f'<text x="{_MARGIN_L - 8}" y="{_fmt(yy + 4)}" '
-            f'text-anchor="end">{_tick_label(t, log_y)}</text>'
+            f'text-anchor="end">1e{int(round(t))}</text>'
         )
     for t in _linear_ticks(x_lo, x_hi):
         if t < x_lo or t > x_hi:
@@ -188,7 +180,7 @@ def line_plot(
         )
         parts.append(
             f'<text x="{_fmt(xx)}" y="{_HEIGHT - _MARGIN_B + 20}" '
-            f'text-anchor="middle">{_tick_label(t, False)}</text>'
+            f'text-anchor="middle">{_tick_label(t)}</text>'
         )
 
     # Axes.
@@ -203,7 +195,7 @@ def line_plot(
     )
     parts.append(
         f'<text x="{_WIDTH / 2:.0f}" y="{_HEIGHT - 14}" '
-        f'text-anchor="middle">{_escape(x_label)}</text>'
+        'text-anchor="middle">iteration</text>'
     )
     mid_y = _MARGIN_T + plot_h / 2
     parts.append(

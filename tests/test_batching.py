@@ -27,10 +27,11 @@ from hypothesis import strategies as st
 from conftest import make_setup, tracking_schedules
 
 from dpopt import solvers
+from dpopt.difference import _draws
 from dpopt.errors import RangeError
 from dpopt.graphs import DirectedGraph, build_push_pull_weights
 from dpopt.harness import monte_carlo
-from dpopt.noise import LaplaceNoiseSource, derive_seed, laplace_draws
+from dpopt.noise import derive_seed, laplace_draws
 from dpopt.objectives import random_instance
 from dpopt.schedules import PowerSchedule
 from dpopt.solvers import (
@@ -139,7 +140,6 @@ def _serial_run(variant, setup, iterations, seed, start, step):
     """
     sch = effective_schedules(variant, setup)
     problem = setup.problem
-    noise = LaplaceNoiseSource(sch.noise_scale, seed)
     budget = SerialBudget(variant, setup, sch)
     record_ks = _record_points(iterations, setup.stride)
     rows = []
@@ -166,8 +166,9 @@ def _serial_run(variant, setup, iterations, seed, start, step):
     bound = float(np.max(np.abs(grads).sum(axis=1)))
     diverged_at, magnitude, peak = None, float("nan"), 0.0
     for k in range(iterations):
-        zeta = noise.sample_block(m, "state", [k], d)[0]
-        xi = noise.sample_block(m, "tracker", [k], d)[0] if tracking else None
+        zeta = laplace_draws(sch.noise_scale, [seed], m, "state", [k], d)[0, 0]
+        xi = laplace_draws(sch.noise_scale, [seed], m, "tracker", [k],
+                           d)[0, 0] if tracking else None
         with np.errstate(over="ignore", invalid="ignore"):
             state, x, y, grads = step(k, state, zeta, xi)
             # Any NaN in x or y makes the check value NaN.
@@ -399,17 +400,18 @@ def test_seed_axis_draws_equal_single_source_draws():
     block = laplace_draws(scale, seeds, 4, "tracker", ks, 3)
     assert block.shape == (len(ks), len(seeds), 4, 3)
     for r, seed in enumerate(seeds):
-        alone = LaplaceNoiseSource(scale, seed).sample_block(4, "tracker", ks, 3)
+        alone = laplace_draws(scale, [seed], 4, "tracker", ks, 3)[:, 0]
         assert np.array_equal(block[:, r], alone)
 
 
 def test_iter_draws_equal_per_iteration_blocks():
-    source = LaplaceNoiseSource(PowerSchedule.growing(1.0, 0.1, 0.3), 8)
-    draws = list(source.iter_draws(5, "state", CHUNK + 3, 2))
+    # The chunked draws of a difference trace, one run.
+    scale = PowerSchedule.growing(1.0, 0.1, 0.3)
+    draws = list(_draws(scale, 8, 5, "state", CHUNK + 3, 2))
     assert len(draws) == CHUNK + 3
     for k in (0, 1, CHUNK - 1, CHUNK, CHUNK + 2):
         assert np.array_equal(draws[k],
-                              source.sample_block(5, "state", [k], 2)[0])
+                              laplace_draws(scale, [8], 5, "state", [k], 2)[0, 0])
 
 
 def test_batched_gradients_and_costs_equal_single_calls():

@@ -155,6 +155,24 @@ class TestRun:
         assert "2 diverged" in captured.out
         assert "every run of dgd diverged" in captured.err
 
+    def test_non_finite_budget_term_returns_one(self, tmp_path, capsys):
+        # pdop noise 0.118619 * 0.01^k is subnormal by k = 155, where the
+        # budget term overflows: validate passes, and run stops there
+        # with its reason instead of writing inf budget cells.
+        text = (STATIC_TEXT + PDOP_BLOCK).replace(
+            "variant = alg1", "variant = pdop_alg1"
+        ).replace("pdop.noise.r = 0.999", "pdop.noise.r = 0.01")
+        path = tmp_path / "underflow.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "out"
+        code = main(["run", str(path), "--runs", "2", "--iters", "300",
+                     "--output", str(out)])
+        assert code == 1
+        assert "conservative budget term not finite at k = 155" \
+            in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_partly_diverged_batch_returns_zero(self, tmp_path, capsys):
         # A stepsize just past stability for the first few dozen
         # iterations: the runs whose noise pushes them furthest cross

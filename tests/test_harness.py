@@ -27,7 +27,7 @@ from dpopt.harness import (
     write_trace,
 )
 from dpopt.noise import derive_seed
-from dpopt.privacy import conservative_budget_static
+from dpopt.privacy import conservative_budget
 from dpopt.schedules import PowerSchedule, ScheduleSet
 from dpopt.solvers import RunSetup, effective_schedules, run
 
@@ -218,10 +218,7 @@ class TestBudgetReport:
         rows = budget_account("alg1", setup, 1.0, [100, 1000]).rows
         assert [r.horizon for r in rows] == [100, 1000]
         sch = effective_schedules("alg1", setup)
-        series = conservative_budget_static(
-            sch.stepsize, sch.coupling, setup.consensus.min_diag_mag,
-            sch.noise_scale, 1.0, 1000,
-        )
+        series = conservative_budget(sch, setup.consensus, 1.0, 1000)
         assert rows[0].conservative == pytest.approx(series.epsilon_at(100))
         assert rows[1].conservative == pytest.approx(series.epsilon_at(1000))
         assert rows[0].envelope < rows[1].envelope
@@ -286,17 +283,16 @@ class TestBudgetReport:
         setup = make_setup("static")
         path = str(tmp_path / "breakdown.csv")
         write_breakdown(path, budget_account("alg1", setup, 1.0, [25_000])
-                        .conservative, max_rows=1000)
+                        .conservative)
         lines = open(path, encoding="utf-8").read().strip().split("\n")
         assert lines[0] == "k,varsigma,per_term,epsilon_partial"
         ks = [int(line.split(",")[0]) for line in lines[1:]]
         assert ks[0] == 1
         assert ks[-1] == 25_000
-        assert len(ks) <= 1002
+        # 25,000 rows over at most 10,000: every second k, plus the last.
+        assert ks[1] - ks[0] == 2
+        assert len(ks) == 12_501
         sch = effective_schedules("alg1", setup)
-        series = conservative_budget_static(
-            sch.stepsize, sch.coupling, setup.consensus.min_diag_mag,
-            sch.noise_scale, 1.0, 25_000,
-        )
+        series = conservative_budget(sch, setup.consensus, 1.0, 25_000)
         last = lines[-1].split(",")
         assert float(last[3]) == pytest.approx(series.epsilon_total)

@@ -4,61 +4,60 @@ import pytest
 from oracles import sample, variance
 
 from dpopt.errors import RangeError
-from dpopt.noise import LaplaceNoiseSource, derive_seed, laplace_inverse_cdf
+from dpopt.noise import derive_seed, laplace_draws, laplace_inverse_cdf
 from dpopt.schedules import PowerSchedule
 
-
-def make_source(seed=11):
-    return LaplaceNoiseSource(scale=PowerSchedule.growing(1.0, 0.1, 0.3), seed=seed)
+SCALE = PowerSchedule.growing(1.0, 0.1, 0.3)
+SEED = 11
 
 
 class TestSample:
     def test_repeat_call_identical(self):
-        src = make_source()
-        a = sample(src, 2, "state", 17, 4)
-        b = sample(src, 2, "state", 17, 4)
+        a = sample(SCALE, SEED, 2, "state", 17, 4)
+        b = sample(SCALE, SEED, 2, "state", 17, 4)
         assert np.array_equal(a, b)
 
     def test_streams_distinct(self):
-        src = make_source()
         assert not np.array_equal(
-            sample(src, 0, "state", 5, 3), sample(src, 0, "tracker", 5, 3)
+            sample(SCALE, SEED, 0, "state", 5, 3),
+            sample(SCALE, SEED, 0, "tracker", 5, 3),
         )
 
     def test_agents_and_iterations_distinct(self):
-        src = make_source()
-        base = sample(src, 0, "state", 5, 3)
-        assert not np.array_equal(base, sample(src, 1, "state", 5, 3))
-        assert not np.array_equal(base, sample(src, 0, "state", 6, 3))
+        base = sample(SCALE, SEED, 0, "state", 5, 3)
+        assert not np.array_equal(base, sample(SCALE, SEED, 1, "state", 5, 3))
+        assert not np.array_equal(base, sample(SCALE, SEED, 0, "state", 6, 3))
 
     def test_seed_changes_draws(self):
-        a = sample(make_source(seed=1), 0, "state", 0, 8)
-        b = sample(make_source(seed=2), 0, "state", 0, 8)
+        a = sample(SCALE, 1, 0, "state", 0, 8)
+        b = sample(SCALE, 2, 0, "state", 0, 8)
         assert not np.array_equal(a, b)
 
     def test_block_matches_per_call(self):
-        src = make_source()
         ks = np.arange(3, 9)
-        block = src.sample_block(4, "tracker", ks, 5)
+        block = laplace_draws(SCALE, [SEED], 4, "tracker", ks, 5)[:, 0]
         assert block.shape == (6, 4, 5)
         for i, k in enumerate(ks):
             for agent in range(4):
-                assert np.array_equal(block[i, agent], sample(src, agent, "tracker", int(k), 5))
+                assert np.array_equal(
+                    block[i, agent],
+                    sample(SCALE, SEED, agent, "tracker", int(k), 5),
+                )
 
     def test_none_scale_is_silent(self):
-        src = LaplaceNoiseSource(scale=None, seed=3)
-        assert np.all(sample(src, 0, "state", 0, 4) == 0.0)
-        assert np.all(src.sample_block(3, "state", np.arange(5), 4) == 0.0)
-        assert variance(src, 123) == 0.0
+        assert np.all(sample(None, 3, 0, "state", 0, 4) == 0.0)
+        assert np.all(
+            laplace_draws(None, [3], 3, "state", np.arange(5), 4) == 0.0
+        )
+        assert variance(None, 123) == 0.0
 
     def test_negative_arguments_rejected(self):
-        src = make_source()
         with pytest.raises(RangeError):
-            sample(src, -1, "state", 0, 2)
+            sample(SCALE, SEED, -1, "state", 0, 2)
         with pytest.raises(RangeError):
-            sample(src, 0, "state", -1, 2)
+            sample(SCALE, SEED, 0, "state", -1, 2)
         with pytest.raises(RangeError):
-            sample(src, 0, "state", 0, 0)
+            sample(SCALE, SEED, 0, "state", 0, 0)
 
 
 class TestDistribution:
@@ -76,8 +75,8 @@ class TestDistribution:
         assert np.all(np.diff(vals) > 0)
 
     def test_moments_match_laplace(self):
-        src = LaplaceNoiseSource(scale=PowerSchedule.constant(1.5), seed=21)
-        draws = src.sample_block(64, "state", np.arange(512), 8).ravel()
+        draws = laplace_draws(PowerSchedule.constant(1.5), [21], 64, "state",
+                              np.arange(512), 8).ravel()
         n = draws.size
         # mean 0, variance 2 scale^2; tolerances sized for n = 262144.
         assert abs(draws.mean()) < 4.0 * np.sqrt(2.0 * 1.5**2 / n)
@@ -85,10 +84,9 @@ class TestDistribution:
         assert np.mean(np.abs(draws)) == pytest.approx(1.5, rel=0.05)
 
     def test_variance_tracks_schedule(self):
-        src = make_source()
         for k in (0, 10, 1000):
-            s = src.scale.value(k)
-            assert variance(src, k) == pytest.approx(2.0 * s * s)
+            s = SCALE.value(k)
+            assert variance(SCALE, k) == pytest.approx(2.0 * s * s)
 
 
 class TestDeriveSeed:

@@ -1,4 +1,5 @@
 import ast
+import functools
 import math
 import pathlib
 
@@ -8,18 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_setup, static_schedules, tracking_schedules
-from oracles import sensitivity_static_closed_form, sensitivity_tracking_closed_form
+from oracles import (
+    difference_static_measured,
+    difference_tracking_measured,
+    sensitivity_static_closed_form,
+    sensitivity_tracking_closed_form,
+)
 
 from dpopt import privacy
 from dpopt.difference import _ratio_scan, coupled_difference_trace
 from dpopt.errors import RangeError
+from dpopt.graphs import ConsensusWeights, PushPullWeights
+from dpopt.noise import NOISE_CHUNK
 from dpopt.objectives import adjacent_variant
 from dpopt.privacy import (
     BLOCK,
     asymptotic_budget,
     budget_tail_bound,
-    conservative_budget_static,
-    conservative_budget_tracking,
+    conservative_budget,
     infinite_tail,
     sensitivity_static,
     sensitivity_tracking,
@@ -34,6 +41,14 @@ ALPHA = PowerSchedule.decaying(0.02, 0.1, 1.0)
 G1 = PowerSchedule.decaying(1.0, 0.1, 0.9)
 G2 = PowerSchedule.decaying(1.0, 0.1, 0.7)
 WBAR = 0.4
+# Weights that carry only the diagonal magnitudes the budget reads.
+W_STATIC = ConsensusWeights(np.zeros((0, 0)), WBAR, 0.0)
+W_TRACKING = PushPullWeights(*[np.zeros(0)] * 4, WBAR, WBAR)
+
+
+def static_budget(nu, gradient_bound, horizon):
+    schedules = ScheduleSet(stepsize=LAM, coupling=GAM, noise_scale=nu)
+    return conservative_budget(schedules, W_STATIC, gradient_bound, horizon)
 
 
 class TestSensitivityStatic:
@@ -100,7 +115,7 @@ class TestSensitivityTracking:
 
 class TestConservativeBudget:
     def test_terms_and_partials(self):
-        series = conservative_budget_static(LAM, GAM, WBAR, NU, 2.0, 100)
+        series = static_budget(NU, 2.0, 100)
         s = sensitivity_static(LAM, GAM, WBAR, 100)[1:]
         nus = NU.values(np.arange(1, 101))
         assert np.allclose(series.per_term, 2.0 * s / nus, rtol=1e-14)
@@ -112,24 +127,26 @@ class TestConservativeBudget:
             series.epsilon_at(101)
 
     def test_linear_in_gradient_bound(self):
-        one = conservative_budget_static(LAM, GAM, WBAR, NU, 1.0, 50)
-        three = conservative_budget_static(LAM, GAM, WBAR, NU, 3.0, 50)
+        one = static_budget(NU, 1.0, 50)
+        three = static_budget(NU, 3.0, 50)
         assert np.allclose(three.epsilon_partial, 3.0 * one.epsilon_partial)
 
     def test_inverse_in_noise_scale(self):
-        one = conservative_budget_static(LAM, GAM, WBAR, NU, 1.0, 50)
+        one = static_budget(NU, 1.0, 50)
         double_nu = PowerSchedule.growing(2.0, 0.2, 0.3)
-        half = conservative_budget_static(LAM, GAM, WBAR, double_nu, 1.0, 50)
+        half = static_budget(double_nu, 1.0, 50)
         assert np.allclose(half.epsilon_partial, 0.5 * one.epsilon_partial)
 
     def test_static_reference_value(self):
-        series = conservative_budget_static(LAM, GAM, WBAR, NU, 1.0, 10**4)
+        series = static_budget(NU, 1.0, 10**4)
         assert series.epsilon_total == pytest.approx(105.537579, rel=1e-6)
 
     def test_tracking_combines_both_sensitivities(self):
-        series = conservative_budget_tracking(
-            LAM, ALPHA, G1, G2, WBAR, WBAR, NU, 1.5, 100
+        schedules = ScheduleSet(
+            stepsize=LAM, tracker_mix=ALPHA, coupling_state=G1,
+            coupling_tracker=G2, noise_scale=NU,
         )
+        series = conservative_budget(schedules, W_TRACKING, 1.5, 100)
         sx, sy = sensitivity_tracking(LAM, ALPHA, G1, G2, WBAR, WBAR, 100)
         nus = NU.values(np.arange(1, 101))
         expected = 2.0 * 1.5 * (sx + sy)[1:] / nus
@@ -137,7 +154,23 @@ class TestConservativeBudget:
 
     def test_missing_noise_rejected(self):
         with pytest.raises(RangeError):
-            conservative_budget_static(LAM, GAM, WBAR, None, 1.0, 10)
+            static_budget(None, 1.0, 10)
+
+    @pytest.mark.parametrize("r, first_bad", [(0.999, 742_565), (0.01, 155)])
+    def test_non_finite_term_raises_with_its_k(self, r, first_bad):
+        # The shipped pdop noise 0.118619 * 0.999^k is 0.0 from
+        # k = 742,565; at r = 0.01 it is subnormal by k = 155, where the
+        # term overflows.  Up to the k before, every term is finite.
+        schedules = ScheduleSet(
+            stepsize=PowerSchedule.geometric(0.02, 0.995),
+            coupling=PowerSchedule.constant(1.0),
+            noise_scale=PowerSchedule.geometric(0.118619, r),
+        )
+        series = conservative_budget(schedules, W_STATIC, 1.0, first_bad - 1)
+        assert np.all(np.isfinite(series.per_term))
+        with pytest.raises(RangeError,
+                           match=rf"not finite at k = {first_bad}:"):
+            conservative_budget(schedules, W_STATIC, 1.0, first_bad + 10)
 
 
 class TestAsymptoticBudget:
@@ -401,6 +434,33 @@ def difference_tracking_envelope_loop(variant, setup, agent, iterations,
 
 B = BLOCK
 BLOCK_HORIZONS = (1, B - 1, B, B + 1, 3 * B + 7, 10**5)
+# Measured traces draw their noise NOISE_CHUNK iterations at a time.
+MEASURED_HORIZONS = (1, NOISE_CHUNK - 1, NOISE_CHUNK, NOISE_CHUNK + 1)
+
+
+def measured_case(variant):
+    """Setup and adjacent problem of a measured-trace check."""
+    kind = "tracking" if variant in ("alg2", "push_pull") else "static"
+    setup = make_setup(kind, pdop=True)
+    agent = 2 if kind == "tracking" else 1
+    return setup, adjacent_variant(setup.problem, agent=agent, delta=0.5,
+                                   eta=2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def measured_reference(variant):
+    """(diffs, bounds) of the one-iteration-at-a-time loop at the longest
+    measured horizon; a shorter horizon's arrays are their prefixes."""
+    setup, adjacent = measured_case(variant)
+    iterations = MEASURED_HORIZONS[-1]
+    if setup.push_pull is None:
+        diff, bound = difference_static_measured(variant, setup, adjacent,
+                                                 iterations, seed=3)
+        return [diff], [bound]
+    xdiff, xbound, ydiff, ybound = difference_tracking_measured(
+        variant, setup, adjacent, iterations, seed=3
+    )
+    return [xdiff, ydiff], [xbound, ybound]
 
 STATIC_PAIRS = {
     "decaying": (LAM, GAM),
@@ -486,6 +546,28 @@ class TestBlockedRecursions:
         assert trace.max_ratio == worst
         assert trace.violation_k == violation
 
+    @pytest.mark.parametrize("iterations", MEASURED_HORIZONS)
+    @pytest.mark.parametrize("variant",
+                             ["alg1", "dgd", "pdop_alg1", "alg2", "push_pull"])
+    def test_measured_trace_matches_loop(self, variant, iterations):
+        setup, adjacent = measured_case(variant)
+        trace = coupled_difference_trace(variant, setup, adjacent,
+                                         iterations, seed=3)
+        diffs, bounds = [[a[:iterations + 1] for a in arrays]
+                         for arrays in measured_reference(variant)]
+        assert np.array_equal(trace.ks, np.arange(iterations + 1))
+        assert np.array_equal(trace.state_diff, diffs[0])
+        assert np.array_equal(trace.state_bound, bounds[0])
+        if len(diffs) == 1:
+            assert trace.tracker_diff is None and trace.tracker_bound is None
+        else:
+            assert np.array_equal(trace.tracker_diff, diffs[1])
+            assert np.array_equal(trace.tracker_bound, bounds[1])
+        worst, violation = ratio_scan_loop(trace.ks, diffs, bounds)
+        assert trace.max_ratio == worst
+        assert trace.violation_k == violation
+        assert trace.ok == (violation is None)
+
     def test_envelope_trace_rejects_strong_self_coupling(self):
         # min |W_ii| = 0.4 keeps the sensitivity bound contracting while
         # agent 0's |W_00| = 0.6 does not.
@@ -499,9 +581,10 @@ class TestBlockedRecursions:
             ),
         )
         adjacent = adjacent_variant(setup.problem, agent=0, delta=0.5, eta=1.0)
-        with pytest.raises(RangeError):
-            coupled_difference_trace("alg1", setup, adjacent, 50, seed=1,
-                                     envelope=1.0)
+        for envelope in (None, 1.0):
+            with pytest.raises(RangeError, match="perturbed agent"):
+                coupled_difference_trace("alg1", setup, adjacent, 50, seed=1,
+                                         envelope=envelope)
 
 
 class TestRatioScan:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpopt.errors import ConditionError, RangeError
@@ -235,6 +235,51 @@ def test_power_envelope_dominates_terms(num, den, e_num, e_den):
     e, const = expr.power_envelope()
     ks = np.unique(np.logspace(0.0, 6.0, 241).round())
     assert np.all(expr.terms(ks) <= const * ks ** (-e) * (1 + 1e-12))
+
+
+def block_ratio(expr, j=16):
+    """Sum of the terms over [2^j, 2^(j+1)) over the sum over
+    [2^(j-1), 2^j).  For terms ~ k^(-e) it tends to 2^(1-e) (Cauchy
+    condensation), below 1 exactly when the series converges."""
+    low = expr.terms(np.arange(2 ** (j - 1), 2 ** j, dtype=float)).sum()
+    high = expr.terms(np.arange(2 ** j, 2 ** (j + 1), dtype=float)).sum()
+    return high / low
+
+
+@st.composite
+def asymptotic_schedules(draw):
+    """A decaying, growing or constant schedule whose b k^p is at least
+    100 max(a, 1) from k = 2^15 on, so that blocks 15 and 16 see its
+    power law within one percent."""
+    form = draw(st.sampled_from(("decaying", "growing", "constant")))
+    a = draw(st.floats(0.1, 10.0))
+    if form == "constant":
+        return PowerSchedule.constant(a)
+    p = draw(st.floats(0.25, 3.0))
+    b_min = 100.0 * max(a, 1.0) * 2.0 ** (-15.0 * p)
+    b = draw(st.floats(b_min, max(10.0, 10.0 * b_min)))
+    return PowerSchedule(form, a=a, b=b, p=p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=asymptotic_schedules(), den=asymptotic_schedules())
+def test_series_class_matches_power_block_ratio(num, den):
+    expr = ScheduleExpr.of(num) / den
+    # Away from the harmonic boundary 2^(1-e) is outside [0.87, 1.15].
+    assume(abs(expr.decay_exponent - 1.0) >= 0.2)
+    assert (block_ratio(expr) < 1.0) == series_class(expr).convergent
+
+
+@settings(max_examples=100, deadline=None)
+@given(num=asymptotic_schedules(), den=asymptotic_schedules(),
+       r=st.floats(0.996, 0.9995), decays=st.booleans())
+def test_series_class_matches_geometric_block_ratio(num, den, r, decays):
+    # |log r| >= 5e-4 moves a block sum by e^16 or more, past any power
+    # factor; |log r| <= 4e-3 keeps every term inside float range.
+    geometric = PowerSchedule.geometric(1.0, r)
+    expr = ScheduleExpr.of(num) / den
+    expr = expr * geometric if decays else expr / geometric
+    assert (block_ratio(expr) < 1.0) == series_class(expr).convergent
 
 
 class TestRatioLimit:

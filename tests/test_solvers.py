@@ -21,7 +21,7 @@ from dpopt.graphs import (
     build_push_pull_weights,
 )
 from dpopt.objectives import random_instance
-from dpopt.privacy import conservative_budget_static, conservative_budget_tracking
+from dpopt.privacy import conservative_budget
 from dpopt.schedules import PowerSchedule, ScheduleSet
 from dpopt.solvers import (
     RunSetup,
@@ -169,9 +169,8 @@ class TestRun:
         setup = make_setup("static")
         trace = run("alg1", setup, iterations=200, seed=3)
         sch = effective_schedules("alg1", setup)
-        series = conservative_budget_static(
-            sch.stepsize, sch.coupling, setup.consensus.min_diag_mag,
-            sch.noise_scale, trace.gradient_bound, 200,
+        series = conservative_budget(
+            sch, setup.consensus, trace.gradient_bound, 200
         )
         for i, k in enumerate(trace.ks):
             expected = 0.0 if k == 0 else series.epsilon_at(int(k))
@@ -181,11 +180,8 @@ class TestRun:
         setup = make_setup("tracking")
         trace = run("alg2", setup, iterations=200, seed=3)
         sch = effective_schedules("alg2", setup)
-        series = conservative_budget_tracking(
-            sch.stepsize, sch.tracker_mix, sch.coupling_state,
-            sch.coupling_tracker, setup.push_pull.min_diag_pull,
-            setup.push_pull.min_diag_push, sch.noise_scale,
-            trace.gradient_bound, 200,
+        series = conservative_budget(
+            sch, setup.push_pull, trace.gradient_bound, 200
         )
         for i, k in enumerate(trace.ks):
             expected = 0.0 if k == 0 else series.epsilon_at(int(k))

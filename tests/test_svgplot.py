@@ -6,9 +6,9 @@ import pytest
 from dpopt.svgplot import Series, line_plot, std_band
 
 
-def render(tmp_path, series, **kwargs):
+def render(tmp_path, series):
     path = str(tmp_path / "plot.svg")
-    line_plot(path, series, title="test plot", **kwargs)
+    line_plot(path, series, title="test plot")
     return open(path, encoding="utf-8").read()
 
 
@@ -33,14 +33,14 @@ class TestLinePlot:
         xs = np.arange(0, 30)
         ys = np.exp(-xs.astype(float))
         ys[5] = 0.0
-        text = render(tmp_path, [Series("metric", xs, ys)], log_y=True)
+        text = render(tmp_path, [Series("metric", xs, ys)])
         ElementTree.fromstring(text)
         assert "1e" in text
 
     def test_log_axis_needs_positive_values(self, tmp_path):
         xs = np.arange(5)
         with pytest.raises(ValueError):
-            render(tmp_path, [Series("flat", xs, np.zeros(5))], log_y=True)
+            render(tmp_path, [Series("flat", xs, np.zeros(5))])
 
     def test_band_rendered_as_polygon(self, tmp_path):
         xs = np.arange(1, 20)
