@@ -67,7 +67,6 @@ from .schedules import (
     PowerSchedule,
     ScheduleExpr,
     ScheduleSet,
-    SeriesClass,
     SeriesResult,
     recursion_envelope_ratio,
     recursion_envelope_series,

@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when an experiment fails validation or a
 run-level check or every run of a batch diverged, 2 on config or IO
-errors.
+errors.  A failed validation prints "validation error:", any other
+run-level stop "error:".
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 import numpy as np
 
 from .config import build_setup, load_config
-from .errors import ConfigError, DpoptError
+from .errors import ConditionError, ConfigError, DpoptError, RangeError
 from .harness import (
     Aggregate,
     BudgetRow,
@@ -36,7 +37,10 @@ from .harness import (
     write_failures,
     write_trace,
 )
-from .solvers import VARIANTS, effective_schedules, validate_for_variant
+from .privacy import conservative_budget
+from .solvers import (
+    VARIANTS, Variant, effective_schedules, validate_for_variant,
+)
 from .svgplot import Series, line_plot, std_band
 
 SUMMARY_COLUMNS = (
@@ -154,6 +158,19 @@ def cmd_validate(args) -> int:
     config = load_config(args.config)
     setup = build_setup(config)
     report = validate_for_variant(config.variant, setup)
+    schedules = effective_schedules(config.variant, setup)
+    if schedules.noise_scale is not None:
+        # The finiteness check run and budget make, over run.iterations.
+        try:
+            value = conservative_budget(
+                schedules, Variant.of(config.variant).weights(setup),
+                config.gradient_bound, config.iterations,
+            ).epsilon_total
+        except RangeError:
+            value = math.inf
+        report.add("budget_finite_through_horizon",
+                   "conservative epsilon at run.iterations < inf",
+                   value, math.isfinite(value))
     print(report.format_table())
     for warning in report.warnings:
         print(f"warning: {warning}")
@@ -332,8 +349,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except DpoptError as exc:
+    except ConditionError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 1
+    except DpoptError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -20,9 +20,6 @@ import numpy as np
 from .conditions import ConditionReport
 from .errors import ConnectivityError, RangeError, SpectralError, StructureError
 
-_NULL_TOL = 1e-12
-_NULL_MAX_ITER = 10_000
-
 
 @dataclass(frozen=True)
 class DirectedGraph:
@@ -91,7 +88,7 @@ class ConsensusWeights:
     min_diag_mag: min_i |W_ii|, the weakest self-coupling; it controls
         how fast a single agent's perturbation is forgotten.  Zero only
         for the degenerate single-agent graph.
-    contraction: the 2-norm of I + W - (1/m) 1 1^T, strictly below 1.
+    contraction: the spectral radius (= 2-norm) of I + W - (1/m) 1 1^T, below 1.
     """
 
     matrix: np.ndarray
@@ -99,10 +96,20 @@ class ConsensusWeights:
     contraction: float
 
 
-def _consensus_contraction(W: np.ndarray) -> float:
-    m = W.shape[0]
-    M = np.eye(m) + W - np.ones((m, m)) / m
-    return float(np.max(np.abs(np.linalg.eigvalsh(M))))
+def _zero_sum(m: int, edges, weight: float, axis: int) -> np.ndarray:
+    """Matrix with weight on each (receiver, sender) edge and the negated
+    sums along axis (1: rows, 0: columns) on the diagonal."""
+    A = np.zeros((m, m))
+    for i, j in edges:
+        A[i, j] = weight
+    np.fill_diagonal(A, -A.sum(axis=axis))
+    return A
+
+
+def _centered_norm(A: np.ndarray, gamma: float, average: np.ndarray) -> float:
+    """Spectral radius of the centered mixing map I + gamma A - average."""
+    M = np.eye(A.shape[0]) + gamma * A - average
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def build_consensus_weights(
@@ -123,11 +130,8 @@ def build_consensus_weights(
             "consensus weights need a connected undirected graph"
         )
     m = graph.m
-    W = np.zeros((m, m))
-    for i, j in graph.undirected().edges:
-        W[i, j] = edge_weight
-    np.fill_diagonal(W, -W.sum(axis=1))
-    contraction = _consensus_contraction(W)
+    W = _zero_sum(m, graph.undirected().edges, edge_weight, axis=1)
+    contraction = _centered_norm(W, 1.0, np.ones((m, m)) / m)
     if m > 1 and contraction >= 1.0:
         raise SpectralError(
             f"no contraction at edge_weight={edge_weight} "
@@ -214,37 +218,15 @@ def validate_push_pull_graphs(
     return report
 
 
-def _null_vector(A: np.ndarray, seed: int) -> np.ndarray:
-    """Unit null vector of a singular square matrix by inverse iteration.
-
-    Uses a tiny diagonal shift so the solve is well posed; the rounding
-    error introduced by the shift aligns with the null direction, which
-    is exactly the component inverse iteration amplifies.
-    """
-    m = A.shape[0]
-    shifted = A + 1e-12 * np.eye(m)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(m)
-    v /= np.linalg.norm(v)
-    for _ in range(_NULL_MAX_ITER):
-        try:
-            w = np.linalg.solve(shifted, v)
-        except np.linalg.LinAlgError:
-            w, *_ = np.linalg.lstsq(shifted, v, rcond=None)
-        w /= np.linalg.norm(w)
-        if np.linalg.norm(w - v) < _NULL_TOL or np.linalg.norm(w + v) < _NULL_TOL:
-            v = w
-            break
-        v = w
-    if np.sum(v) < 0:
-        v = -v
-    return v
-
-
-def _null_dimension(A: np.ndarray) -> int:
-    svals = np.linalg.svd(A, compute_uv=False)
-    scale = svals[0] if svals[0] > 0 else 1.0
-    return int(np.sum(svals <= 1e-10 * scale))
+def _null_vector(A: np.ndarray) -> np.ndarray:
+    """The null vector of A scaled to sum to m, from one SVD: the right
+    singular vector of the smallest singular value.  Raises
+    StructureError unless exactly one singular value is at most 1e-10
+    times the largest."""
+    _, svals, vt = np.linalg.svd(A)
+    if np.sum(svals <= 1e-10 * svals[0]) != 1:
+        raise StructureError("push-pull weight null space is degenerate")
+    return vt[-1] * (len(A) / vt[-1].sum())
 
 
 def build_push_pull_weights(
@@ -267,21 +249,10 @@ def build_push_pull_weights(
             + ", ".join(report.failed_names())
         )
     m = graph_pull.m
-    R = np.zeros((m, m))
-    for i, j in graph_pull.edges:
-        R[i, j] = edge_weight
-    np.fill_diagonal(R, -R.sum(axis=1))
-    C = np.zeros((m, m))
-    for i, j in graph_push.edges:
-        C[i, j] = edge_weight
-    np.fill_diagonal(C, -C.sum(axis=0))
-
-    if _null_dimension(R.T) != 1 or _null_dimension(C) != 1:
-        raise StructureError("push-pull weight null space is degenerate")
-    u = _null_vector(R.T, seed=0x5EED)
-    v = _null_vector(C, seed=0x5EED + 1)
-    u = u * (m / np.sum(u))
-    v = v * (m / np.sum(v))
+    R = _zero_sum(m, graph_pull.edges, edge_weight, axis=1)
+    C = _zero_sum(m, graph_push.edges, edge_weight, axis=0)
+    u = _null_vector(R.T)
+    v = _null_vector(C)
     if np.min(u) < -1e-9 or np.min(v) < -1e-9:
         raise StructureError("null vector has a negative component")
     if float(u @ v) <= 0:
@@ -297,39 +268,33 @@ def build_push_pull_weights(
 
 
 def contraction_at(weights, gamma: float, side: str = "pull") -> float:
-    """Norm of the centered mixing map at coupling strength gamma.
+    """Spectral radius of the centered mixing map I + gamma A - average
+    at coupling strength gamma.
 
-    For consensus weights this is the 2-norm of I + gamma W - (1/m)11^T.
-    For push-pull weights it is the spectral radius of the analogous
-    centered map, I + gamma R - (1/m) 1 u^T on the pull side or
-    I + gamma C - (1/m) v 1^T on the push side.  gamma must keep every
-    diagonal entry of the mixed matrix positive.
+    For consensus weights A = W and average = (1/m) 1 1^T (the radius is
+    the 2-norm, W being symmetric); for push-pull weights A = R and
+    average = (1/m) 1 u^T on the pull side, A = C and (1/m) v 1^T on the
+    push side.  gamma must keep every diagonal entry of the mixed matrix
+    positive.
     """
     if gamma < 0:
         raise RangeError("gamma must be nonnegative")
     if isinstance(weights, ConsensusWeights):
-        W = weights.matrix
-        m = W.shape[0]
-        if gamma > 0 and 1.0 + gamma * float(np.min(np.diag(W))) <= 0:
-            raise RangeError(
-                "gamma too large: a diagonal entry of I + gamma W is nonpositive"
-            )
-        M = np.eye(m) + gamma * W - np.ones((m, m)) / m
-        return float(np.max(np.abs(np.linalg.eigvalsh(M))))
-    if isinstance(weights, PushPullWeights):
+        A = weights.matrix
+        average = np.ones(A.shape) / len(A)
+    elif isinstance(weights, PushPullWeights):
+        ones = np.ones(len(weights.pull))
         if side == "pull":
-            A, u = weights.pull, weights.left_eigvec
-            m = A.shape[0]
-            M = np.eye(m) + gamma * A - np.outer(np.ones(m), u) / m
+            A, average = weights.pull, np.outer(ones, weights.left_eigvec)
         elif side == "push":
-            A, v = weights.push, weights.right_eigvec
-            m = A.shape[0]
-            M = np.eye(m) + gamma * A - np.outer(v, np.ones(m)) / m
+            A, average = weights.push, np.outer(weights.right_eigvec, ones)
         else:
             raise ValueError(f"unknown side {side!r}")
-        if gamma > 0 and 1.0 + gamma * float(np.min(np.diag(A))) <= 0:
-            raise RangeError(
-                "gamma too large: a diagonal entry of the mixed matrix is nonpositive"
-            )
-        return float(np.max(np.abs(np.linalg.eigvals(M))))
-    raise TypeError(f"unsupported weights type {type(weights)!r}")
+        average = average / len(ones)
+    else:
+        raise TypeError(f"unsupported weights type {type(weights)!r}")
+    if gamma > 0 and 1.0 + gamma * float(np.min(np.diag(A))) <= 0:
+        raise RangeError(
+            "gamma too large: a diagonal entry of the mixed matrix is nonpositive"
+        )
+    return _centered_norm(A, gamma, average)

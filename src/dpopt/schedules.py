@@ -12,7 +12,6 @@ dominates every power of k.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -145,21 +144,11 @@ class PowerSchedule:
         return ScheduleExpr.of(self) ** exponent
 
 
-class SeriesClass(enum.Enum):
-    CONVERGENT = "convergent-sum"
-    DIVERGENT = "divergent-sum"
-    INDETERMINATE = "indeterminate"
-
-
 @dataclass(frozen=True)
 class SeriesResult:
-    classification: SeriesClass
+    convergent: bool
     decay_exponent: float
     geometric_log_ratio: float
-
-    @property
-    def convergent(self) -> bool:
-        return self.classification is SeriesClass.CONVERGENT
 
 
 @dataclass(frozen=True)
@@ -247,17 +236,12 @@ def series_class(expr) -> SeriesResult:
     power-law factors; net geometric growth makes it divergent.  Pure
     power-law terms ~ k^(-e) converge iff e > 1 (e = 1 is the harmonic
     boundary and diverges).  The closed family never produces the
-    logarithmic corrections that would need the indeterminate verdict.
+    logarithmic corrections that would leave the verdict open.
     """
     expr = ScheduleExpr.of(expr)
     e = expr.decay_exponent
     g = expr.geometric_log_ratio
-    if g < 0:
-        return SeriesResult(SeriesClass.CONVERGENT, e, g)
-    if g > 0:
-        return SeriesResult(SeriesClass.DIVERGENT, e, g)
-    cls = SeriesClass.CONVERGENT if e > 1.0 else SeriesClass.DIVERGENT
-    return SeriesResult(cls, e, g)
+    return SeriesResult(g < 0 or (not g > 0 and e > 1.0), e, g)
 
 
 def ratio_limit(num, den) -> str:

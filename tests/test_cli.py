@@ -99,11 +99,10 @@ class TestRun:
         assert "3/3 runs completed" in stdout
         assert "privacy budget bound" in stdout
 
-    def test_coupling_growing_past_contraction_returns_one(self, tmp_path,
-                                                           capsys):
-        # Noiseless with a growing coupling, the schedule conditions
-        # hold, but gamma^k grows past the contraction limit: validate
-        # fails on the coupling's peak, and a forced run stops in time.
+    @staticmethod
+    def growing_coupling_cfg(tmp_path) -> str:
+        """Noiseless with a growing coupling: the schedule conditions
+        hold, but gamma^k grows past the contraction limit."""
         text = STATIC_TEXT.replace(
             "schedules.coupling.form = decaying",
             "schedules.coupling.form = growing",
@@ -114,11 +113,30 @@ class TestRun:
         )
         path = tmp_path / "growing.cfg"
         path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_coupling_growing_past_contraction_returns_one(self, tmp_path,
+                                                           capsys):
+        # validate fails on the coupling's peak, and a forced run stops
+        # in time.
+        path = self.growing_coupling_cfg(tmp_path)
         assert main(["validate", str(path)]) == 1
         code = main(["run", str(path), "--runs", "1", "--force",
                      "--output", str(tmp_path / "out")])
         assert code == 1
         assert "gamma too large" in capsys.readouterr().err
+
+    def test_error_labels(self, tmp_path, capsys):
+        # A failed validation is labelled as such; a run-time stop is not.
+        path = self.growing_coupling_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert main(["run", path, "--runs", "1", "--output", out]) == 1
+        assert capsys.readouterr().err.startswith("validation error: ")
+        assert main(["run", path, "--runs", "1", "--force",
+                     "--output", out]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: gamma too large: a diagonal entry of the mixed matrix "
+            "is nonpositive")
 
     def test_plot_writes_svgs(self, static_cfg, tmp_path):
         out = str(tmp_path / "out")
@@ -157,14 +175,14 @@ class TestRun:
 
     def test_non_finite_budget_term_returns_one(self, tmp_path, capsys):
         # pdop noise 0.118619 * 0.01^k is subnormal by k = 155, where the
-        # budget term overflows: validate passes, and run stops there
-        # with its reason instead of writing inf budget cells.
+        # budget term overflows: validate fails on the budget entry, and
+        # run stops there with its reason instead of writing inf cells.
         text = (STATIC_TEXT + PDOP_BLOCK).replace(
             "variant = alg1", "variant = pdop_alg1"
         ).replace("pdop.noise.r = 0.999", "pdop.noise.r = 0.01")
         path = tmp_path / "underflow.cfg"
         path.write_text(text, encoding="utf-8")
-        assert main(["validate", str(path)]) == 0
+        assert main(["validate", str(path)]) == 1
         out = tmp_path / "out"
         code = main(["run", str(path), "--runs", "2", "--iters", "300",
                      "--output", str(out)])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dpopt.errors import (
     ConnectivityError,
@@ -10,6 +12,7 @@ from dpopt.errors import (
 from dpopt.graphs import (
     ConsensusWeights,
     DirectedGraph,
+    PushPullWeights,
     build_consensus_weights,
     build_push_pull_weights,
     contraction_at,
@@ -177,3 +180,50 @@ class TestContraction:
             contraction_at(w, 10.0)
         with pytest.raises(RangeError):
             contraction_at(w, -0.5)
+
+
+@st.composite
+def digraphs(draw, m: int) -> DirectedGraph:
+    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    edges = draw(st.sets(st.sampled_from(pairs), min_size=m - 1))
+    return DirectedGraph(m, edges)
+
+
+@st.composite
+def push_pull_weights(draw) -> PushPullWeights:
+    """Weights on digraph pairs that meet the spanning-tree conditions."""
+    m = draw(st.integers(2, 7))
+    pull, push = draw(digraphs(m)), draw(digraphs(m))
+    assume(validate_push_pull_graphs(pull, push).overall)
+    return build_push_pull_weights(pull, push, draw(st.floats(0.05, 0.5)))
+
+
+@st.composite
+def consensus_weights(draw) -> ConsensusWeights:
+    """Weights on a random tree plus random extra edges: connected, and
+    edge weights of at most 1/m keep the averaging map contracting."""
+    m = draw(st.integers(2, 7))
+    tree = {(i, draw(st.integers(0, i - 1))) for i in range(1, m)}
+    graph = DirectedGraph(m, tree | draw(digraphs(m)).edges)
+    return build_consensus_weights(graph, draw(st.floats(0.05, 1.0 / m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=push_pull_weights())
+def test_push_pull_null_vectors(w):
+    m = len(w.pull)
+    u, v = w.left_eigvec, w.right_eigvec
+    assert u.min() >= -1e-9 and v.min() >= -1e-9
+    assert abs(u.sum() - m) <= 1e-12 * m
+    assert abs(v.sum() - m) <= 1e-12 * m
+    assert np.max(np.abs(u @ w.pull)) <= 1e-12
+    assert np.max(np.abs(w.push @ v)) <= 1e-12
+    assert u @ v > 0
+    for side in ("pull", "push"):
+        assert contraction_at(w, 0.0, side=side) == pytest.approx(1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=consensus_weights())
+def test_consensus_contraction_matches_build(w):
+    assert contraction_at(w, 1.0) == pytest.approx(w.contraction, abs=1e-12)
