@@ -60,7 +60,7 @@ def _parse_horizons(text: str) -> list[int]:
             value = float(token)
         except ValueError:
             raise ConfigError(f"bad horizon {token!r}") from None
-        if value < 1 or value != int(value):
+        if not math.isfinite(value) or value < 1 or value != int(value):
             raise ConfigError(f"horizons must be positive integers, got {token!r}")
         horizons.append(int(value))
     if not horizons:
@@ -165,6 +165,7 @@ def cmd_validate(args) -> int:
             value = conservative_budget(
                 schedules, Variant.of(config.variant).weights(setup),
                 config.gradient_bound, config.iterations,
+                keep=[config.iterations],
             ).epsilon_total
         except RangeError:
             value = math.inf

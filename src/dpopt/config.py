@@ -12,6 +12,7 @@ carries the offending line number and key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -106,7 +107,7 @@ def _to_float(raw: _RawConfig, key: str, value: str) -> float:
 
 def _to_int(raw: _RawConfig, key: str, value: str) -> int:
     number = _to_float(raw, key, value)
-    if number != int(number):
+    if not math.isfinite(number) or number != int(number):
         raise ConfigError(
             f"expected an integer, got {value!r}", line=raw.line(key), key=key
         )

@@ -18,12 +18,7 @@ import numpy as np
 from .errors import RangeError
 from .noise import NOISE_CHUNK, laplace_draws
 from .objectives import AdjacentVariant
-from .privacy import (
-    _recurse,
-    _recurse_pair,
-    sensitivity_static,
-    sensitivity_tracking,
-)
+from .privacy import _recurse, sensitivity_static, sensitivity_tracking
 from .solvers import (
     RunSetup,
     Variant,
@@ -135,7 +130,8 @@ def _difference_static(setup, adjacent, sch, iterations, seed, envelope):
     bound = np.zeros(iterations + 1)
     if envelope is not None:
         bound[1:] = envelope * s_bound[1:]
-        return _trace([_recurse(shrink, lam * envelope)], [bound])
+        return _trace([np.append(0.0, _recurse(shrink, lam * envelope))],
+                      [bound])
 
     diff = np.zeros(iterations + 1)
     problem = setup.problem
@@ -184,11 +180,10 @@ def _difference_tracking(setup, adjacent, sch, iterations, seed, envelope):
     if envelope is not None:
         xbound[1:] = 2.0 * envelope * sx_bound[1:]
         ybound[1:] = 2.0 * envelope * sy_bound[1:]
-        return _trace(
-            _recurse_pair(shrink_x, lam, shrink_y,
-                          (2.0 - alpha) * 2.0 * envelope),
-            [xbound, ybound],
-        )
+        ydiff = np.append(0.0, _recurse(shrink_y,
+                                        (2.0 - alpha) * 2.0 * envelope))
+        xdiff = np.append(0.0, _recurse(shrink_x, lam * ydiff[:-1]))
+        return _trace([xdiff, ydiff], [xbound, ybound])
 
     xdiff = np.zeros(iterations + 1)
     ydiff = np.zeros(iterations + 1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, RangeError
 from .noise import derive_seed
 from .privacy import (
     BudgetSeries,
@@ -248,8 +248,9 @@ def budget_account(
     gradient_bound: float,
     horizons,
 ) -> BudgetAccount:
-    """Budget series and rows of one variant, each series computed once
-    at the largest horizon.
+    """Budget series and rows of one variant, each series walked once to
+    the largest horizon and kept at the horizons, each horizon // 10
+    and the breakdown grid of the largest horizon.
 
     conservative: the finite-horizon sensitivity-recursion bound.
     envelope: partial sums of the dominating stepsize-over-noise power
@@ -270,13 +271,17 @@ def budget_account(
             "budget accounting needs a nonzero noise scale",
             key="noise.scale.form",
         )
+    # A set, not np.union1d: np.unique imports numpy.ma, about 1 MB.
+    keep = sorted({*_breakdown_ks(top).tolist(), *horizons,
+                   *(h // 10 for h in horizons if h >= 10)})
     conservative = conservative_budget(
-        sch, spec.weights(setup), gradient_bound, top
+        sch, spec.weights(setup), gradient_bound, top, keep
     )
     # Tracking variants send two noisy messages per iteration.
     factor = 2.0 if spec.tracking else 1.0
     envelope = asymptotic_budget(
-        sch.stepsize, nu, gradient_bound, top, message_factor=factor
+        sch.stepsize, nu, gradient_bound, top, message_factor=factor,
+        keep=keep,
     )
     summable = not infinite_tail(sch.stepsize, nu)
     rows = [
@@ -305,14 +310,21 @@ def write_budget(path: str, rows: list[BudgetRow]) -> None:
     )
 
 
-def write_breakdown(path: str, series: BudgetSeries) -> None:
-    """Per-iteration terms of a budget series, strided to about 10,000
-    rows plus the last."""
-    horizon = len(series.ks)
+def _breakdown_ks(horizon: int) -> np.ndarray:
+    """The k's of a breakdown through horizon: every stride-th k from 1,
+    strided to about 10,000 rows, plus the horizon."""
     stride = max(1, horizon // 10_000)
-    idx = np.arange(0, horizon, stride)
-    if idx[-1] != horizon - 1:
-        idx = np.append(idx, horizon - 1)
+    ks = np.arange(1, horizon + 1, stride)
+    return ks if ks[-1] == horizon else np.append(ks, horizon)
+
+
+def write_breakdown(path: str, series: BudgetSeries) -> None:
+    """Per-iteration terms of a budget series at the breakdown grid of
+    its last k; the series must hold every k of that grid."""
+    grid = _breakdown_ks(int(series.ks[-1]))
+    idx = np.searchsorted(series.ks, grid)
+    if not np.array_equal(series.ks[idx], grid):
+        raise RangeError("budget series lacks k's of its breakdown grid")
     write_csv(path, BREAKDOWN_COLUMNS, columns=(
         series.ks[idx], series.varsigma[idx], series.per_term[idx],
         series.epsilon_partial[idx],

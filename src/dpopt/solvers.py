@@ -507,9 +507,9 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
         eps = np.full(n_rec, np.nan)
     else:
         partial = conservative_budget(
-            sch, weights, 1.0, iterations
+            sch, weights, 1.0, iterations, keep=record_ks[1:]
         ).epsilon_partial
-        eps = np.append(0.0, partial[record_ks[1:] - 1])
+        eps = np.append(0.0, partial)
 
     step = _AffineStep(spec, weights, problem)
     n = step.n

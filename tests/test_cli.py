@@ -269,6 +269,14 @@ class TestBudget:
         assert main(["budget", static_cfg, "--horizons", "ten",
                      "--output", out]) == 2
 
+    @pytest.mark.parametrize("token", ["inf", "nan", "1e400", "-inf"])
+    def test_non_finite_horizons_return_two(self, static_cfg, tmp_path,
+                                            capsys, token):
+        assert main(["budget", static_cfg, "--horizons", f"100,{token}",
+                     "--output", str(tmp_path / "out")]) == 2
+        assert ("config error: horizons must be positive integers, "
+                f"got {token!r}") in capsys.readouterr().err
+
     @pytest.mark.parametrize("cfg", ["static_cfg", "tracking_cfg"])
     def test_one_pass_matches_separate_reports(self, cfg, tmp_path, capsys,
                                                request):

@@ -154,6 +154,13 @@ class TestParse:
             parse_config_text(STATIC_TEXT.replace("run.iterations = 200",
                                                   "run.iterations = 2.5"))
 
+    @pytest.mark.parametrize("value", ["1e400", "inf", "nan"])
+    def test_non_finite_integer_rejected(self, value):
+        with pytest.raises(ConfigError, match="expected an integer") as info:
+            parse_config_text(STATIC_TEXT.replace(
+                "run.iterations = 200", f"run.iterations = {value}"))
+        assert info.value.key == "run.iterations"
+
     def test_bad_edge_syntax_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text(STATIC_TEXT.replace("4>0", "4-0"))

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_setup
 
-from dpopt.errors import ConfigError
+from dpopt.errors import ConfigError, RangeError
 from dpopt.harness import (
     AGGREGATE_COLUMNS,
     FAILURE_COLUMNS,
@@ -296,3 +296,15 @@ class TestBudgetReport:
         series = conservative_budget(sch, setup.consensus, 1.0, 25_000)
         last = lines[-1].split(",")
         assert float(last[3]) == pytest.approx(series.epsilon_total)
+        # The full series gives the same file as the account's kept one.
+        full = str(tmp_path / "full.csv")
+        write_breakdown(full, series)
+        assert open(full, "rb").read() == open(path, "rb").read()
+
+    def test_breakdown_needs_its_grid(self, tmp_path):
+        setup = make_setup("static")
+        sch = effective_schedules("alg1", setup)
+        series = conservative_budget(sch, setup.consensus, 1.0, 25_000,
+                                     keep=[2_500, 25_000])
+        with pytest.raises(RangeError, match="breakdown grid"):
+            write_breakdown(str(tmp_path / "breakdown.csv"), series)

@@ -2,6 +2,7 @@ import ast
 import functools
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from oracles import (
 )
 
 from dpopt import privacy
+from dpopt.config import build_setup, load_config
 from dpopt.difference import _ratio_scan, coupled_difference_trace
 from dpopt.errors import RangeError
+from dpopt.harness import budget_account
 from dpopt.graphs import ConsensusWeights, PushPullWeights
 from dpopt.noise import NOISE_CHUNK
 from dpopt.objectives import adjacent_variant
@@ -585,6 +588,167 @@ class TestBlockedRecursions:
             with pytest.raises(RangeError, match="perturbed agent"):
                 coupled_difference_trace("alg1", setup, adjacent, 50, seed=1,
                                          envelope=envelope)
+
+
+STREAM_SCHEDULES = {
+    "static": (ScheduleSet(stepsize=LAM, coupling=GAM, noise_scale=NU),
+               W_STATIC),
+    "tracking": (ScheduleSet(stepsize=LAM, tracker_mix=ALPHA,
+                             coupling_state=G1, coupling_tracker=G2,
+                             noise_scale=NU), W_TRACKING),
+    "geometric": (ScheduleSet(stepsize=PowerSchedule.geometric(0.02, 0.995),
+                              coupling=GAM,
+                              noise_scale=PowerSchedule.geometric(1.0, 0.9999)),
+                  W_STATIC),
+}
+STREAM_HORIZONS = (B - 1, B, B + 1, 2 * B + 7)
+
+
+def conservative_budget_whole(schedules, weights, gradient_bound, horizon):
+    """(varsigma, per_term, epsilon_partial) over k = 1..horizon from
+    whole-horizon arrays and one np.cumsum."""
+    sch = schedules
+    if isinstance(weights, ConsensusWeights):
+        s = sensitivity_static_loop(sch.stepsize, sch.coupling,
+                                    weights.min_diag_mag, horizon)[1:]
+        scale = gradient_bound
+    else:
+        sx, sy = sensitivity_tracking_loop(
+            sch.stepsize, sch.tracker_mix, sch.coupling_state,
+            sch.coupling_tracker, weights.min_diag_pull,
+            weights.min_diag_push, horizon,
+        )
+        s = (sx + sy)[1:]
+        scale = 2.0 * gradient_bound
+    per = scale * s / sch.noise_scale.values(np.arange(1, horizon + 1))
+    return s, per, np.cumsum(per)
+
+
+def asymptotic_budget_whole(stepsize, nu, gradient_bound, horizon, factor):
+    ks = np.arange(1, horizon + 1)
+    expr = privacy.ScheduleExpr.of(stepsize) / nu
+    envelope = expr.power_envelope()
+    if envelope is None:
+        base = expr.terms(ks)
+    else:
+        base = envelope[1] * ks.astype(float) ** (-envelope[0])
+    per = factor * gradient_bound * base
+    return base * nu.values(ks), per, np.cumsum(per)
+
+
+def edge_keep(horizon):
+    """Kept k's on and next to every block edge, plus the horizon."""
+    edges = [k + d for k in range(B, horizon + 1, B) for d in (-1, 0, 1)]
+    return sorted({1, horizon, *(k for k in edges if 1 <= k <= horizon)})
+
+
+def assert_series_equal(got, ks, columns):
+    assert np.array_equal(got.ks, ks)
+    idx = np.asarray(ks) - 1
+    for name, column in zip(("varsigma", "per_term", "epsilon_partial"),
+                            columns):
+        assert np.array_equal(getattr(got, name), column[idx]), name
+
+
+class TestBudgetStream:
+    """The accountant walks k = 1..T in blocks and keeps only the k's a
+    caller reads; every value equals the whole-horizon arrays bit for
+    bit."""
+
+    @pytest.mark.parametrize("horizon", STREAM_HORIZONS)
+    @pytest.mark.parametrize("name", sorted(STREAM_SCHEDULES))
+    def test_conservative_kept_equals_whole(self, name, horizon):
+        schedules, weights = STREAM_SCHEDULES[name]
+        whole = conservative_budget_whole(schedules, weights, 1.3, horizon)
+        full = conservative_budget(schedules, weights, 1.3, horizon)
+        assert_series_equal(full, np.arange(1, horizon + 1), whole)
+        keep = edge_keep(horizon)
+        kept = conservative_budget(schedules, weights, 1.3, horizon, keep)
+        assert_series_equal(kept, keep, whole)
+        assert kept.epsilon_total == full.epsilon_total
+
+    @pytest.mark.parametrize("horizon", STREAM_HORIZONS)
+    @pytest.mark.parametrize("name", sorted(STREAM_SCHEDULES))
+    def test_envelope_kept_equals_whole(self, name, horizon):
+        schedules, _ = STREAM_SCHEDULES[name]
+        lam, nu = schedules.stepsize, schedules.noise_scale
+        whole = asymptotic_budget_whole(lam, nu, 1.3, horizon, 2.0)
+        full = asymptotic_budget(lam, nu, 1.3, horizon, message_factor=2.0)
+        assert_series_equal(full, np.arange(1, horizon + 1), whole)
+        keep = edge_keep(horizon)
+        kept = asymptotic_budget(lam, nu, 1.3, horizon, message_factor=2.0,
+                                 keep=keep)
+        assert_series_equal(kept, keep, whole)
+
+    def test_keep_must_increase_within_the_horizon(self):
+        schedules, weights = STREAM_SCHEDULES["static"]
+        for keep in ([0, 5], [5, 11], [5, 3], [4, 4]):
+            with pytest.raises(RangeError, match="kept k's"):
+                conservative_budget(schedules, weights, 1.0, 10, keep)
+        empty = conservative_budget(schedules, weights, 1.0, 10, [])
+        assert empty.ks.size == empty.epsilon_partial.size == 0
+
+    @pytest.mark.parametrize("keep", [None, [10], [154], [154, 2 * B]])
+    def test_underflowing_noise_stops_at_the_same_k(self, keep):
+        # pdop noise at r = 0.01 is subnormal by k = 155, where the term
+        # overflows, whichever k's the series keeps.
+        schedules = ScheduleSet(
+            stepsize=PowerSchedule.geometric(0.02, 0.995),
+            coupling=PowerSchedule.constant(1.0),
+            noise_scale=PowerSchedule.geometric(0.118619, 0.01),
+        )
+        with pytest.raises(RangeError) as info:
+            conservative_budget(schedules, W_STATIC, 1.0, 2 * B, keep)
+        assert str(info.value) == (
+            "conservative budget term not finite at k = 155: sensitivity "
+            "0.0232815 over noise scale 1.18619e-311"
+        )
+
+    @pytest.mark.parametrize("kind, first_bad",
+                             [("static", 155), ("tracking", 153)])
+    def test_later_coupling_error_wins_over_earlier_term(self, kind,
+                                                         first_bad):
+        # The noise underflows by k = 155, in the first block; the
+        # growing coupling stops contracting at k = 15,000, in the
+        # second.  As over whole-horizon arrays, the coupling error is
+        # raised, and only a horizon short of it reports the term.
+        noise = PowerSchedule.geometric(0.118619, 0.01)
+        growing = PowerSchedule.growing(1.0, 1e-4, 1.0)
+        if kind == "static":
+            schedules = ScheduleSet(stepsize=LAM, coupling=growing,
+                                    noise_scale=noise)
+            weights, message = W_STATIC, "coupling too strong"
+        else:
+            schedules = ScheduleSet(stepsize=LAM, tracker_mix=ALPHA,
+                                    coupling_state=growing,
+                                    coupling_tracker=G2, noise_scale=noise)
+            weights, message = W_TRACKING, "coupling or mix too strong"
+        assert 15_000 > B
+        with pytest.raises(RangeError, match=message):
+            conservative_budget(schedules, weights, 1.0, 15_001, [10])
+        with pytest.raises(RangeError,
+                           match=f"not finite at k = {first_bad}:"):
+            conservative_budget(schedules, weights, 1.0, 15_000, [10])
+
+    def test_budget_memory_stays_flat_in_the_horizon(self):
+        # Whole-horizon arrays traced 0.8 MB at T = 1e4 and 6.9 MB at
+        # 1e5; the walk holds one block and the k's that are read.
+        configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
+        for name in ("alg1", "alg2"):
+            config = load_config(str(configs / f"{name}.cfg"))
+            setup = build_setup(config)
+            peaks = []
+            for horizon in (10**4, 10**5):
+                tracemalloc.start()
+                try:
+                    budget_account(config.variant, setup,
+                                   config.gradient_bound, [horizon])
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            # Ten times the horizon, well under twice the peak.
+            assert peaks[1] < 2 * peaks[0], (name, peaks)
+            assert peaks[1] < 4 * 2**20, (name, peaks)
 
 
 class TestRatioScan:

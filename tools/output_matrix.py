@@ -41,6 +41,10 @@ MATRIX = (
      ["compare", "--variants", "alg2,push_pull", "--plot", "--runs", "10"]),
     ("budget_alg1", "alg1", ["budget", "--horizons", "1e3,1e4,1e5"]),
     ("budget_alg2", "alg2", ["budget", "--horizons", "7,1000,4097"]),
+    # The benchmark's horizons: the accountant's walk crosses many block
+    # edges on the way to 1e6.
+    *((f"budget_{c}_1e6", c, ["budget", "--horizons", "1e4,1e5,1e6"])
+      for c in ("alg1", "alg2")),
 )
 
 
