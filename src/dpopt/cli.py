@@ -217,8 +217,8 @@ def cmd_budget(args) -> int:
         args.gradient_bound if args.gradient_bound is not None
         else config.gradient_bound
     )
-    if gradient_bound <= 0:
-        raise ConfigError("gradient bound must be positive")
+    if not 0 < gradient_bound < math.inf:
+        raise ConfigError("gradient bound must be positive and finite")
     setup = build_setup(config)
     account = budget_account(config.variant, setup, gradient_bound, horizons)
     rows = account.rows

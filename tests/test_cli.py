@@ -269,6 +269,15 @@ class TestBudget:
         assert main(["budget", static_cfg, "--horizons", "ten",
                      "--output", out]) == 2
 
+    @pytest.mark.parametrize("bound", ["0", "-1", "nan", "inf"])
+    def test_bad_gradient_bound_returns_two(self, static_cfg, tmp_path,
+                                            capsys, bound):
+        assert main(["budget", static_cfg, "--horizons", "100",
+                     "--gradient-bound", bound,
+                     "--output", str(tmp_path / "out")]) == 2
+        assert "gradient bound must be positive and finite" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("token", ["inf", "nan", "1e400", "-inf"])
     def test_non_finite_horizons_return_two(self, static_cfg, tmp_path,
                                             capsys, token):

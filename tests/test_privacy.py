@@ -436,7 +436,10 @@ def difference_tracking_envelope_loop(variant, setup, agent, iterations,
 
 
 B = BLOCK
-BLOCK_HORIZONS = (1, B - 1, B, B + 1, 3 * B + 7, 10**5)
+# Horizons inside the first block (1 to 3,079: one partial block), on
+# its edges, past three blocks, and long.
+BLOCK_HORIZONS = (1, 1023, 1024, 1025, 3079, B - 1, B, B + 1, 3 * B + 7,
+                  10**5)
 # Measured traces draw their noise NOISE_CHUNK iterations at a time.
 MEASURED_HORIZONS = (1, NOISE_CHUNK - 1, NOISE_CHUNK, NOISE_CHUNK + 1)
 
