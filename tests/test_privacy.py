@@ -21,8 +21,8 @@ from dpopt import privacy
 from dpopt.config import build_setup, load_config
 from dpopt.difference import _ratio_scan, coupled_difference_trace
 from dpopt.errors import RangeError
-from dpopt.harness import budget_account
 from dpopt.graphs import ConsensusWeights, PushPullWeights
+from dpopt.harness import budget_account
 from dpopt.noise import NOISE_CHUNK
 from dpopt.objectives import adjacent_variant
 from dpopt.privacy import (
@@ -34,7 +34,7 @@ from dpopt.privacy import (
     sensitivity_static,
     sensitivity_tracking,
 )
-from dpopt.schedules import PowerSchedule, ScheduleSet
+from dpopt.schedules import PowerSchedule, ScheduleExpr, ScheduleSet
 from dpopt.solvers import RunSetup, effective_schedules
 
 LAM = PowerSchedule.decaying(0.02, 0.1, 1.0)
@@ -629,7 +629,7 @@ def conservative_budget_whole(schedules, weights, gradient_bound, horizon):
 
 def asymptotic_budget_whole(stepsize, nu, gradient_bound, horizon, factor):
     ks = np.arange(1, horizon + 1)
-    expr = privacy.ScheduleExpr.of(stepsize) / nu
+    expr = ScheduleExpr.of(stepsize) / nu
     envelope = expr.power_envelope()
     if envelope is None:
         base = expr.terms(ks)
