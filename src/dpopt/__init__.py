@@ -62,7 +62,6 @@ from .privacy import (
     sensitivity_static,
     sensitivity_tracking,
 )
-from .ratefit import RateFit, rate_fit
 from .schedules import (
     PowerSchedule,
     ScheduleExpr,

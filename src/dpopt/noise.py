@@ -13,6 +13,12 @@ precision, and the uniform is pushed through the Laplace inverse CDF
 Identical tuples give identical draws across runs, platforms, and
 variants, which is what lets baseline comparisons share "the same
 noise" exactly.
+
+laplace_draws works in place on each block: _counter_words mixes the
+words with one reused shift buffer, _open_uniform shifts them before
+one conversion to floats, and _inverse_cdf overwrites the uniforms with
+the draws, in the formulas' operation order.  laplace_inverse_cdf
+copies its input first.
 """
 
 from __future__ import annotations
@@ -40,44 +46,76 @@ _FIELD_SALTS = (
 )
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps modulo 2^64 by design.
+def _mix64(x: np.ndarray, buf: np.ndarray) -> None:
+    """Mix every word of the uint64 array x in place, modulo 2**64;
+    buf is scratch of x's shape."""
+    x += _M1
+    np.right_shift(x, 30, out=buf)
+    x ^= buf
+    x *= _M2
+    np.right_shift(x, 27, out=buf)
+    x ^= buf
+    x *= _M3
+    np.right_shift(x, 31, out=buf)
+    x ^= buf
+
+
+def _salted(field, salt) -> np.ndarray:
     with np.errstate(over="ignore"):
-        x = (x + _M1).astype(np.uint64)
-        x = (x ^ (x >> np.uint64(30))) * _M2
-        x = (x ^ (x >> np.uint64(27))) * _M3
-        return x ^ (x >> np.uint64(31))
+        return (np.asarray(field, dtype=np.uint64) + np.uint64(1)) * salt
 
 
-def _counter_words(seed_words, agents, stream, iteration, coords):
-    """Mix the five counter fields into one 64-bit word per entry.
-
-    seed_words holds seeds already reduced modulo 2**64; every field
-    broadcasts against the others.
-    """
-    fields = (
-        np.asarray(agents, dtype=np.uint64),
-        np.asarray(stream, dtype=np.uint64),
-        np.asarray(iteration, dtype=np.uint64),
-        np.asarray(coords, dtype=np.uint64),
-    )
-    out = np.asarray(seed_words, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for salt, f in zip(_FIELD_SALTS, fields):
-            out = _mix64(out ^ ((f + np.uint64(1)) * salt))
-    return out
+def _counter_words(seeds, n_agents: int, stream: str, iterations,
+                   dim: int) -> np.ndarray:
+    """The mixed word of every (iteration, seed, agent, coordinate),
+    (K, R, m, d): each field in turn, plus one and salted, is xored
+    into the seeds' words, which are then mixed.  The coordinates go in
+    column by column; a broadcast xor widening the last axis is several
+    times slower."""
+    agent_salt, stream_salt, iteration_salt, coord_salt = _FIELD_SALTS
+    seed_words = np.array([s & _SEED_MASK for s in seeds], dtype=np.uint64)
+    words = seed_words[:, None] ^ _salted(np.arange(n_agents), agent_salt)
+    _mix64(words, np.empty_like(words))
+    words ^= _salted(_STREAMS[stream], stream_salt)
+    _mix64(words, np.empty_like(words))
+    words = words ^ _salted(iterations, iteration_salt)[:, None, None]
+    _mix64(words, np.empty_like(words))
+    block = np.empty(words.shape + (dim,), dtype=np.uint64)
+    for c, salt in enumerate(_salted(np.arange(dim), coord_salt)):
+        np.bitwise_xor(words, salt, out=block[..., c])
+    del words
+    _mix64(block, np.empty_like(block))
+    return block
 
 
 def _open_uniform(words: np.ndarray) -> np.ndarray:
-    # Top 53 bits, offset by half a step: values lie strictly inside (0, 1).
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    # Top 53 bits, offset by half a step; shifts words in place.  Above
+    # 2**52 the half step rounds to even, so the top word maps to 1.0
+    # exactly (an infinite draw, at probability 2**-53 per draw).
+    words >>= np.uint64(11)
+    q = words.astype(np.float64)
+    q += 0.5
+    q *= 2.0**-53
+    return q
+
+
+def _inverse_cdf(q: np.ndarray, scale) -> np.ndarray:
+    """laplace_inverse_cdf, overwriting the float array q."""
+    q -= 0.5
+    factor = np.sign(q)
+    factor *= -scale
+    np.abs(q, out=q)
+    q *= -2.0
+    np.log1p(q, out=q)
+    q *= factor
+    return q
 
 
 def laplace_inverse_cdf(q, scale):
-    """Map uniform q in (0, 1) to a Laplace draw with the given scale."""
-    q = np.asarray(q, dtype=float)
-    centered = q - 0.5
-    return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+    """Map uniform q in (0, 1) to a Laplace draw with the given scale;
+    q and scale broadcast, and scalars give a scalar."""
+    q, scale = np.broadcast_arrays(np.asarray(q, dtype=float), scale)
+    return _inverse_cdf(q.copy(), scale)[()]
 
 
 def laplace_draws(scale, seeds, n_agents: int, stream: str, iterations,
@@ -91,26 +129,17 @@ def laplace_draws(scale, seeds, n_agents: int, stream: str, iterations,
     """
     if scale is None:
         return np.zeros((len(iterations), len(seeds), n_agents, dim))
-    seed_words = np.array([s & _SEED_MASK for s in seeds], dtype=np.uint64)
-    ks = np.asarray(iterations, dtype=np.uint64)
-    agents = np.arange(n_agents, dtype=np.uint64)
-    coords = np.arange(dim, dtype=np.uint64)
-    words = _counter_words(
-        seed_words[None, :, None, None],
-        agents[None, None, :, None],
-        _STREAMS[stream],
-        ks[:, None, None, None],
-        coords[None, None, None, :],
-    )
+    # No name holds the words, so at most two blocks live at a time.
+    q = _open_uniform(_counter_words(seeds, n_agents, stream, iterations,
+                                     dim))
     scales = scale.values(np.asarray(iterations, dtype=float))
-    return laplace_inverse_cdf(
-        _open_uniform(words), scales[:, None, None, None]
-    )
+    return _inverse_cdf(q, scales[:, None, None, None])
 
 
 def derive_seed(base_seed: int, index: int) -> int:
     """Stable per-run seed derived from a base seed and a run index."""
     with np.errstate(over="ignore"):
-        word = _mix64(np.uint64(base_seed & _SEED_MASK) ^
-                      ((np.uint64(index) + np.uint64(1)) * _M2))
+        word = np.array(np.uint64(base_seed & _SEED_MASK) ^
+                        ((np.uint64(index) + np.uint64(1)) * _M2))
+    _mix64(word, np.empty_like(word))
     return int(word & np.uint64(0x7FFFFFFFFFFFFFFF))

@@ -44,9 +44,12 @@ once per chunk of NOISE_CHUNK // max(R, N) iterations, so every chunk
 array holds at most NOISE_CHUNK x N floats whatever the batch or
 problem size, and the loop body is one per-row product and one add per
 iteration.  Divergence, gradient bounds and record captures are then
-read from the chunk's stored states.  The seed-independent budget
-series is computed once per batch, before the loop, by the privacy
-accountant (the series `dpopt budget` reports).
+read from the chunk's stored states; the per-state max |z| is taken
+only when a whole-array max and min put the chunk past the threshold,
+as a NaN or an infinity always does; the noise is drawn in place
+(noise.py).  The seed-independent budget series is computed once per
+batch, before the loop, by the privacy accountant (the series `dpopt
+budget` reports).
 
 Noise is keyed by (seed, agent, stream, iteration, coordinate), so each
 run gets exactly its own draws, and every product that involves run
@@ -73,6 +76,7 @@ stay bit-identical to earlier releases.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,8 +322,27 @@ def run(variant: str, setup: RunSetup, iterations: int, seed: int,
 
 
 def _gradient_norms(grads: np.ndarray) -> np.ndarray:
-    """Largest per-agent ||grad f_i||_1 of each run, along leading axes."""
-    return np.abs(grads).sum(axis=-1).max(axis=-1)
+    """Largest per-agent ||grad f_i||_1 of each run, along leading axes:
+    the bits of sum and max, without their reductions over short axes
+    (numpy adds fewer than 8 columns in order; max is exact)."""
+    mags = np.abs(grads)
+    if mags.shape[-1] >= 8:
+        norms = mags.sum(axis=-1)
+    else:
+        norms = mags[..., 0]
+        for c in range(1, mags.shape[-1]):
+            norms = norms + mags[..., c]
+    peak = norms[..., 0]
+    for i in range(1, norms.shape[-1]):
+        peak = np.maximum(peak, norms[..., i])
+    return peak
+
+
+def _divergence(Z: np.ndarray, threshold: float):
+    """(max |z|, diverged) of every state of a chunk, (K, R) each; no
+    |Z| temporary, and NaN propagates."""
+    extreme = np.maximum(Z.max(axis=-1), -Z.min(axis=-1))
+    return extreme, ~np.isfinite(extreme) | (extreme > threshold)
 
 
 def _transposed(A: np.ndarray) -> np.ndarray:
@@ -547,6 +570,8 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
     magnitude = [float("nan")] * n_runs
 
     threshold = setup.divergence_threshold
+    # No finite state within +-limit diverges, whatever the threshold.
+    limit = min(threshold, sys.float_info.max)
     start = 0
     while start < iterations and active.size:
         stop = min(start + _chunk_length(active.size, z.shape[1]),
@@ -565,14 +590,15 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
         # (rows never mix) and its states past divergence are ignored.
         with np.errstate(over="ignore", invalid="ignore"):
             _step_chunk(z, step.operators(coefs), Z)
-            # max |z| of each state, without an |Z| temporary; NaN
-            # propagates.
-            extreme = np.maximum(Z.max(axis=-1), -Z.min(axis=-1))
             norms = _gradient_norms(
                 step.gradients(Z[..., :n]).reshape(shape[:2] + (m, d))
             )
-            bad = ~np.isfinite(extreme) | (extreme > threshold)
-            gone = bad.any(axis=0)
+            # A NaN fails both tests.
+            if Z.max() <= limit and -Z.min() <= limit:
+                gone = np.zeros(active.size, dtype=bool)
+            else:
+                extreme, bad = _divergence(Z, threshold)
+                gone = bad.any(axis=0)
             if gone.any():
                 # The gradient bound includes the diverging iteration;
                 # NaN norms are skipped by fmax.

@@ -140,6 +140,12 @@ def line_plot(
     def py(t: float) -> float:
         return _MARGIN_T + (1.0 - (t - y_lo) / (y_hi - y_lo)) * plot_h
 
+    def points(xs: np.ndarray, ts: np.ndarray) -> str:
+        """SVG points of x values against log10 y values, mapped as
+        whole arrays (the per-element operations of px and py)."""
+        return " ".join(map("{:.2f},{:.2f}".format, px(xs).tolist(),
+                            py(ts).tolist()))
+
     parts: list[str] = []
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -216,13 +222,11 @@ def line_plot(
         if not keep.any():
             continue
         xs, lo_v, hi_v = xs[keep], lo_v[keep], hi_v[keep]
-        pts = []
-        for x, v in zip(xs, ty(hi_v)):
-            pts.append(f"{_fmt(px(x))},{_fmt(py(v))}")
-        for x, v in zip(xs[::-1], ty(lo_v)[::-1]):
-            pts.append(f"{_fmt(px(x))},{_fmt(py(v))}")
+        # Along the upper edge, then back along the lower one.
+        pts = points(np.concatenate([xs, xs[::-1]]),
+                     np.concatenate([ty(hi_v), ty(lo_v)[::-1]]))
         parts.append(
-            f'<polygon points="{" ".join(pts)}" fill="{color}" '
+            f'<polygon points="{pts}" fill="{color}" '
             f'fill-opacity="0.15" stroke="none"/>'
         )
 
@@ -234,10 +238,7 @@ def line_plot(
         keep = np.isfinite(xs) & np.isfinite(ys)
         if not keep.any():
             continue
-        pts = " ".join(
-            f"{_fmt(px(x))},{_fmt(py(v))}"
-            for x, v in zip(xs[keep], ty(ys[keep]))
-        )
+        pts = points(xs[keep], ty(ys[keep]))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.8"/>'

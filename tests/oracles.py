@@ -2,8 +2,8 @@
 
 Each oracle computes a quantity the slow, obvious way: per-agent loops
 for the stacked solver steps, partial-product closed forms for the
-sensitivity recursions, one draw at a time for the counter-based
-noise, and one iteration at a time, with its own draws and checks, for
+sensitivity recursions, the counter hash on Python ints, one word at a
+time, for the counter-based noise, and one iteration at a time, with its own draws and checks, for
 the measured difference traces.  None of them is used by the package
 itself.
 """
@@ -11,14 +11,7 @@ itself.
 import numpy as np
 
 from dpopt.errors import RangeError
-from dpopt.noise import (
-    _SEED_MASK,
-    _STREAMS,
-    _counter_words,
-    _open_uniform,
-    laplace_draws,
-    laplace_inverse_cdf,
-)
+from dpopt.noise import laplace_draws, laplace_inverse_cdf
 from dpopt.privacy import sensitivity_static, sensitivity_tracking
 from dpopt.solvers import (
     _off_diagonal,
@@ -117,19 +110,55 @@ def sensitivity_tracking_closed_form(stepsize, tracker_mix, coupling_state,
     return sx, sy_at(k)
 
 
+# The counter hash of dpopt.noise, restated on Python ints mod 2**64.
+_MASK = 2**64 - 1
+_MULTIPLIERS = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_SALTS = (0xD6E8FEB86659FD93, 0xA5A5A5A5A5A5A5A5,
+          0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9)
+_STREAM_TAGS = {"state": 0, "tracker": 1}
+
+
+def mix64(x):
+    """The 64-bit finalizer on one word."""
+    m1, m2, m3 = _MULTIPLIERS
+    x = (x + m1) & _MASK
+    x = ((x ^ (x >> 30)) * m2) & _MASK
+    x = ((x ^ (x >> 27)) * m3) & _MASK
+    return x ^ (x >> 31)
+
+
+def counter_word(seed, agent, stream, iteration, coord):
+    """The 64-bit word keyed by (seed, agent, stream, iteration, coord):
+    each field, plus one and salted, is xored in and mixed, in order."""
+    word = seed & _MASK
+    for salt, field in zip(_SALTS, (agent, _STREAM_TAGS[stream],
+                                    iteration, coord)):
+        word = mix64(word ^ (((field + 1) * salt) & _MASK))
+    return word
+
+
+def open_uniform(word):
+    """The top 53 bits of a word, offset by half a step, as a float."""
+    return ((word >> 11) + 0.5) * 2.0**-53
+
+
+def derive_seed_reference(base_seed, index):
+    """The per-run seed of a base seed and a run index."""
+    word = (base_seed & _MASK) ^ (((index + 1) * _MULTIPLIERS[1]) & _MASK)
+    return mix64(word) & (2**63 - 1)
+
+
 def sample(scale, seed, agent, stream, iteration, dim):
     """The noise vector `agent` attaches to its message at `iteration`
-    under a noise-scale schedule and seed, drawn alone; zeros for a None
-    scale."""
+    under a noise-scale schedule and seed, drawn alone, one word at a
+    time; zeros for a None scale."""
     if agent < 0 or iteration < 0 or dim < 1:
         raise RangeError("agent, iteration and dim must be nonnegative")
     if scale is None:
         return np.zeros(dim)
-    words = _counter_words(
-        seed & _SEED_MASK, np.full(dim, agent), _STREAMS[stream],
-        iteration, np.arange(dim),
-    )
-    return laplace_inverse_cdf(_open_uniform(words), scale.value(iteration))
+    qs = [open_uniform(counter_word(seed, agent, stream, iteration, c))
+          for c in range(dim)]
+    return laplace_inverse_cdf(np.array(qs), scale.value(iteration))
 
 
 def variance(scale, iteration):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError
-from .schedules import PowerSchedule
+from dpopt.errors import RangeError
+from dpopt.schedules import PowerSchedule
 
 MIN_DECADES = 2.0
 

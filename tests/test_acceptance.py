@@ -16,6 +16,7 @@ import pytest
 
 from conftest import static_schedules, tracking_schedules
 from oracles import sensitivity_static_closed_form, sensitivity_tracking_closed_form
+from ratefit import rate_fit
 
 from dpopt.config import build_setup, load_config
 from dpopt.difference import coupled_difference_trace
@@ -26,7 +27,6 @@ from dpopt.privacy import (
     sensitivity_static,
     sensitivity_tracking,
 )
-from dpopt.ratefit import rate_fit
 from dpopt.schedules import (
     PowerSchedule,
     recursion_envelope_series,

@@ -84,12 +84,14 @@ def assert_same(got, want):
     assert got.gradient_bound == want.gradient_bound
 
 
-def check_batch(variant, setup, iterations, base_seed, n_runs):
+def check_batch(variant, setup, iterations, base_seed, n_runs, force=False):
     """monte_carlo against one run() per derived seed; returns the batch."""
-    batch = monte_carlo(variant, setup, iterations, base_seed, n_runs)
+    batch = monte_carlo(variant, setup, iterations, base_seed, n_runs,
+                        force=force)
     assert len(batch) == n_runs
     for index, trace in enumerate(batch):
-        alone = run(variant, setup, iterations, derive_seed(base_seed, index))
+        alone = run(variant, setup, iterations, derive_seed(base_seed, index),
+                    force=force)
         assert_same(trace, alone)
     return batch
 
@@ -542,3 +544,145 @@ def test_coupling_that_grows_past_contraction_raises(variant, coupling):
                            **{coupling: PowerSchedule.growing(1.0, 0.1, 1.0)})
     with pytest.raises(RangeError, match="gamma too large"):
         run(variant, setup, 200, seed=1, force=True)
+
+
+# The divergence check first tests a whole chunk with one max and one
+# min against +-threshold, and takes the per-state max |z|
+# (solvers._divergence) only when that test trips.  Each case below
+# must still give the serial runs' traces bit for bit.
+
+def counting_divergence(monkeypatch):
+    calls = []
+    real = solvers._divergence
+
+    def counted(Z, threshold):
+        calls.append(Z.shape)
+        return real(Z, threshold)
+
+    monkeypatch.setattr(solvers, "_divergence", counted)
+    return calls
+
+
+def check_against_references(variant, setup, iterations, base_seed, n_runs,
+                             force=False):
+    """The batch against run() and affine_reference for every seed."""
+    batch = check_batch(variant, setup, iterations, base_seed, n_runs, force)
+    for index, trace in enumerate(batch):
+        assert_matches_reference(trace, variant, setup, iterations,
+                                 derive_seed(base_seed, index))
+    return batch
+
+
+def test_run_diverging_only_below_minus_threshold(monkeypatch):
+    # Stepsize and coupling 1e-300 leave every entry of z T_k + b_k
+    # equal to z (1 + 1e-300 rounds to 1), so each run's states stay at
+    # its initial state x0.  No x0 entry of base seed 1 reaches 2.0, but
+    # some fall below -2.0.
+    base_seed, n_runs, threshold = 1, 4, 2.0
+    tiny = PowerSchedule.constant(1e-300)
+    setup = dataclasses.replace(
+        with_schedules(shared_setup("static", False), stepsize=tiny,
+                       coupling=tiny),
+        init_radius=1.0, divergence_threshold=threshold)
+    x0 = [np.random.default_rng(derive_seed(base_seed, i)).standard_normal(10)
+          for i in range(n_runs)]
+    assert max(x.max() for x in x0) < threshold
+    calls = counting_divergence(monkeypatch)
+    batch = check_against_references("alg1", setup, 50, base_seed, n_runs,
+                                     force=True)
+    assert calls
+    low = [-x.min() for x in x0]
+    for trace, magnitude in zip(batch, low):
+        assert trace.diverged == (magnitude > threshold)
+        if trace.diverged:
+            assert trace.diverged_at == 1
+            assert trace.diverged_magnitude == magnitude
+    assert any(t.diverged for t in batch)
+
+
+@pytest.mark.parametrize("variant", ["alg1", "alg2"])
+def test_states_exactly_at_the_threshold_do_not_diverge(variant):
+    base = shared_setup(family(variant), True)
+    free = dataclasses.replace(base, divergence_threshold=np.inf)
+    base_seed, n_runs, iterations = 6, 5, 300
+    # The largest max |z| any state reaches, as the threshold.
+    peak = max(affine_reference(variant, free, iterations,
+                                derive_seed(base_seed, i))[1]
+               for i in range(n_runs))
+    setup = dataclasses.replace(base, divergence_threshold=peak)
+    batch = check_against_references(variant, setup, iterations, base_seed,
+                                     n_runs)
+    assert not any(t.diverged for t in batch)
+
+
+def test_infinite_state_in_one_run_diverges_at_infinite_threshold(
+        monkeypatch):
+    # dgd at stepsize 0.15 grows without bound; from radius 1e300 the
+    # runs of base seed 3 overflow at iterations 22, 23 and 24.  Over 22
+    # iterations only the first run does, to an infinity rather than a
+    # NaN, while the others stay finite.  With no threshold in play,
+    # inf <= threshold would pass: the whole-array test must still trip.
+    base = shared_setup("static", False)
+    setup = dataclasses.replace(
+        with_schedules(base, stepsize=PowerSchedule.constant(0.15)),
+        init_radius=1e300, divergence_threshold=np.inf)
+    calls = counting_divergence(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = check_against_references("dgd", setup, 22, 3, 3)
+    assert calls
+    assert [t.diverged_at for t in batch] == [22, None, None]
+    assert batch[0].diverged_magnitude == np.inf
+
+
+@pytest.mark.parametrize("variant", ["alg1", "alg2"])
+def test_nan_state_in_one_run_diverges(monkeypatch, variant):
+    # One NaN in one run's state draw at iteration k0 makes that run's
+    # next state NaN; the other runs stay calm.  The serial references
+    # draw through the same poisoned function.
+    k0, base_seed, n_runs = 150, 8, 3
+    target = derive_seed(base_seed, 1)
+    real = laplace_draws
+
+    def poisoned(scale, seeds, m, stream, ks, d):
+        draws = real(scale, seeds, m, stream, ks, d)
+        if stream == "state" and target in seeds:
+            draws[np.asarray(ks) == k0, list(seeds).index(target), 0, 0] = np.nan
+        return draws
+
+    monkeypatch.setattr(solvers, "laplace_draws", poisoned)
+    monkeypatch.setitem(globals(), "laplace_draws", poisoned)
+    calls = counting_divergence(monkeypatch)
+    batch = check_against_references(
+        variant, shared_setup(family(variant), True), 300, base_seed, n_runs)
+    assert calls
+    assert [t.diverged_at for t in batch] == [None, k0 + 1, None]
+    assert np.isnan(batch[1].diverged_magnitude)
+
+
+@pytest.mark.parametrize("variant", ["alg1", "alg2"])
+def test_calm_chunks_never_take_per_state_maxima(monkeypatch, variant):
+    def refuse(Z, threshold):
+        raise AssertionError("a calm chunk took its per-state maxima")
+
+    monkeypatch.setattr(solvers, "_divergence", refuse)
+    # 3 runs of 700 iterations cross several chunk edges.
+    batch = check_against_references(
+        variant, shared_setup(family(variant), True), 700, 21, 3)
+    assert not any(t.diverged for t in batch)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_gradient_norms_equal_numpy_reductions(d):
+    # Column adds and a np.maximum chain against sum over d and max
+    # over agents, bit for bit, with infinities and NaNs among them.
+    grads = np.random.default_rng(d).standard_normal((6, 4, 5, d)) * 1e3
+    grads[0, 1, 2, 0] = np.inf
+    grads[1, 2, 3, -1] = -np.inf
+    grads[2, 0, 4, 0] = np.nan
+    grads[3, 3, :, 0] = np.nan
+    want = np.abs(grads).sum(axis=-1).max(axis=-1)
+    got = solvers._gradient_norms(grads)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert solvers._gradient_norms(grads[0, 0]).tobytes() \
+        == want[0, 0].tobytes()

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import sample, variance
+from oracles import derive_seed_reference, sample, variance
 
 from dpopt.errors import RangeError
-from dpopt.noise import derive_seed, laplace_draws, laplace_inverse_cdf
+from dpopt.noise import (
+    NOISE_CHUNK,
+    derive_seed,
+    laplace_draws,
+    laplace_inverse_cdf,
+)
 from dpopt.schedules import PowerSchedule
 
 SCALE = PowerSchedule.growing(1.0, 0.1, 0.3)
@@ -58,6 +65,83 @@ class TestSample:
             sample(SCALE, SEED, 0, "state", -1, 2)
         with pytest.raises(RangeError):
             sample(SCALE, SEED, 0, "state", 0, 0)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.lists(st.integers(-(2**64), 2**65), min_size=1, max_size=3),
+    n_agents=st.integers(1, 4),
+    stream=st.sampled_from(["state", "tracker"]),
+    edge=st.integers(0, 3),
+    before=st.integers(0, 4),
+    after=st.integers(1, 4),
+    dim=st.integers(1, 3),
+)
+@example(seeds=[2**63, -1, 2**64 - 1], n_agents=2, stream="tracker",
+         edge=1, before=2, after=2, dim=3)
+def test_draws_equal_the_integer_oracle(seeds, n_agents, stream, edge,
+                                        before, after, dim):
+    # The iterations run from before a multiple of NOISE_CHUNK (the
+    # blocks the solvers draw) to after it.
+    start = max(0, edge * NOISE_CHUNK - before)
+    ks = np.arange(start, edge * NOISE_CHUNK + after)
+    block = laplace_draws(SCALE, seeds, n_agents, stream, ks, dim)
+    assert block.shape == (len(ks), len(seeds), n_agents, dim)
+    for t, k in enumerate(ks):
+        for r, seed in enumerate(seeds):
+            for agent in range(n_agents):
+                want = sample(SCALE, seed, agent, stream, int(k), dim)
+                # Bytes compare signs and NaN payloads too.
+                assert same_bits(block[t, r, agent], want)
+                assert np.array_equal(np.signbit(block[t, r, agent]),
+                                      np.signbit(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(base_seed=st.integers(-(2**64), 2**65), index=st.integers(0, 10**6))
+def test_derive_seed_equals_the_integer_oracle(base_seed, index):
+    assert derive_seed(base_seed, index) \
+        == derive_seed_reference(base_seed, index)
+
+
+class TestInverseCdf:
+    @staticmethod
+    def formula(q, scale):
+        q = np.asarray(q, dtype=float)
+        centered = q - 0.5
+        return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+
+    def test_equals_the_formula_bit_for_bit(self):
+        qs = np.concatenate([np.linspace(0.0, 1.0, 1001),
+                             [2.0**-54, 0.5 - 2.0**-54, 0.5 + 2.0**-53,
+                              1.0 - 2.0**-53]])
+        scales = np.linspace(0.0, 3.0, qs.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for scale in (1.3, 0.0, scales):
+                got = laplace_inverse_cdf(qs, scale)
+                assert same_bits(got, self.formula(qs, scale))
+
+    def test_scalars_give_scalars_and_inputs_are_kept(self):
+        for q in (0.25, 0.5, 0.75, np.float64(0.1)):
+            got = laplace_inverse_cdf(q, 2.0)
+            assert type(got) is np.float64
+            assert same_bits(got, self.formula(q, 2.0))
+        qs = np.array([0.1, 0.6])
+        laplace_inverse_cdf(qs, 1.0)
+        assert np.array_equal(qs, [0.1, 0.6])
+
+    def test_broadcasts_q_against_scale(self):
+        scales = np.array([[1.0], [2.5]])
+        got = laplace_inverse_cdf([0.2, 0.9, 0.4], scales)
+        assert got.shape == (2, 3)
+        assert same_bits(got, self.formula([0.2, 0.9, 0.4], scales))
+        assert same_bits(laplace_inverse_cdf(0.3, scales),
+                         self.formula(0.3, scales))
 
 
 class TestDistribution:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from ratefit import MIN_DECADES, RateFit, rate_fit
+
 from dpopt.errors import RangeError
-from dpopt.ratefit import MIN_DECADES, RateFit, rate_fit
 from dpopt.schedules import PowerSchedule
 
 LAM = PowerSchedule.decaying(0.02, 0.1, 1.0)
