@@ -67,8 +67,6 @@ from .schedules import (
     ScheduleExpr,
     ScheduleSet,
     SeriesResult,
-    recursion_envelope_ratio,
-    recursion_envelope_series,
     ratio_limit,
     series_class,
     validate_static_schedules,
@@ -82,8 +80,6 @@ from .solvers import (
     effective_schedules,
     run,
     run_batch,
-    step_static,
-    step_tracking,
     validate_for_variant,
 )
 from .svgplot import Series, line_plot, std_band

@@ -89,14 +89,14 @@ def _counter_words(seeds, n_agents: int, stream: str, iterations,
 
 
 def _open_uniform(words: np.ndarray) -> np.ndarray:
-    # Top 53 bits, offset by half a step; shifts words in place.  Above
-    # 2**52 the half step rounds to even, so the top word maps to 1.0
-    # exactly (an infinite draw, at probability 2**-53 per draw).
+    # Top 53 bits, offset by half a step; shifts words in place.  The
+    # top word's half step rounds to even, 1.0 (an infinite draw), so q
+    # is clamped to the largest float below 1; no other word moves.
     words >>= np.uint64(11)
     q = words.astype(np.float64)
     q += 0.5
     q *= 2.0**-53
-    return q
+    return np.minimum(q, 1.0 - 2.0**-53, out=q)
 
 
 def _inverse_cdf(q: np.ndarray, scale) -> np.ndarray:

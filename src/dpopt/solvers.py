@@ -66,12 +66,13 @@ capture before it) and leaves the batch at the end of the chunk; rows
 never mix, so the states it reaches past divergence touch no other
 run.
 
-The affine arithmetic rounds differently from the per-agent form
-(step_static, step_tracking with all_gradients): on the shipped
-configs recorded gaps move by up to about 1e-11 relative, pdop_alg1
-consensus by up to about 2e-10, gradient bounds by up to about 6e-14.
-difference.py still steps the per-agent form, so its measured traces
-stay bit-identical to earlier releases.
+The affine arithmetic rounds differently from the per-agent form (the
+updates above with all_gradients): on the shipped configs recorded gaps
+move by up to about 1e-11 relative, pdop_alg1 consensus by up to about
+2e-10, gradient bounds by up to about 6e-14.  The per-agent form lives
+only in difference.py and the test oracles: a measured trace steps it
+in two passes per block (the primal states, then the difference
+recursion along them), bit-identical to earlier releases.
 """
 
 from __future__ import annotations
@@ -276,24 +277,6 @@ def validate_for_variant(variant: str, setup: RunSetup) -> ConditionReport:
         report.entries.extend(sub.entries)
         report.warnings.extend(sub.warnings)
     return report
-
-
-def step_static(x, grads, W, W_off, gamma_k, lam_k, zeta):
-    """One static-consensus update in the per-agent form, on (m, d)
-    states; difference traces step it (run_batch uses _AffineStep)."""
-    return x + gamma_k * (W @ x + W_off @ zeta) - lam_k * grads
-
-
-def step_tracking(x, y, g_prev, problem, R, R_off, C, C_off,
-                  gamma1_k, gamma2_k, alpha_k, lam_k, zeta, xi):
-    """One gradient-tracking update in the per-agent form; returns
-    (x, y, grads).  Difference traces step it (run_batch uses
-    _AffineStep)."""
-    x_next = x + gamma1_k * (R @ x + R_off @ zeta) - lam_k * y
-    g_next = problem.all_gradients(x_next)
-    y_next = (1.0 - alpha_k) * (y - g_prev) \
-        + gamma2_k * (C @ y + C_off @ xi) + g_next
-    return x_next, y_next, g_next
 
 
 def _off_diagonal(A: np.ndarray) -> np.ndarray:

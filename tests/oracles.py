@@ -1,11 +1,12 @@
 """Reference implementations the tests check the package against.
 
-Each oracle computes a quantity the slow, obvious way: per-agent loops
-for the stacked solver steps, partial-product closed forms for the
-sensitivity recursions, the counter hash on Python ints, one word at a
-time, for the counter-based noise, and one iteration at a time, with its own draws and checks, for
-the measured difference traces.  None of them is used by the package
-itself.
+Each oracle computes a quantity the slow, obvious way: the per-agent
+solver steps (stacked over agents, as the measured difference traces
+take them) with per-agent loops to check them, partial-product closed
+forms for the sensitivity recursions, the counter hash on Python ints,
+one word at a time, for the counter-based noise, and one iteration at a
+time, with its own draws and checks, for the measured difference
+traces.  None of them is used by the package itself.
 """
 
 import numpy as np
@@ -13,12 +14,24 @@ import numpy as np
 from dpopt.errors import RangeError
 from dpopt.noise import laplace_draws, laplace_inverse_cdf
 from dpopt.privacy import sensitivity_static, sensitivity_tracking
-from dpopt.solvers import (
-    _off_diagonal,
-    effective_schedules,
-    step_static,
-    step_tracking,
-)
+from dpopt.solvers import _off_diagonal, effective_schedules
+
+
+def step_static(x, grads, W, W_off, gamma_k, lam_k, zeta):
+    """One static-consensus update in the stacked per-agent form, on
+    (m, d) states: the arithmetic the measured difference traces step."""
+    return x + gamma_k * (W @ x + W_off @ zeta) - lam_k * grads
+
+
+def step_tracking(x, y, g_prev, problem, R, R_off, C, C_off,
+                  gamma1_k, gamma2_k, alpha_k, lam_k, zeta, xi):
+    """One gradient-tracking update in the stacked per-agent form;
+    returns (x, y, grads)."""
+    x_next = x + gamma1_k * (R @ x + R_off @ zeta) - lam_k * y
+    g_next = problem.all_gradients(x_next)
+    y_next = (1.0 - alpha_k) * (y - g_prev) \
+        + gamma2_k * (C @ y + C_off @ xi) + g_next
+    return x_next, y_next, g_next
 
 
 def step_static_per_agent(x, grads, W, gamma_k, lam_k, zeta):
@@ -138,8 +151,9 @@ def counter_word(seed, agent, stream, iteration, coord):
 
 
 def open_uniform(word):
-    """The top 53 bits of a word, offset by half a step, as a float."""
-    return ((word >> 11) + 0.5) * 2.0**-53
+    """The top 53 bits of a word, offset by half a step, as a float
+    below 1: the top word, which rounds to 1.0, is clamped."""
+    return min(((word >> 11) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
 
 
 def derive_seed_reference(base_seed, index):

@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from conftest import static_schedules, tracking_schedules
-from oracles import sensitivity_static_closed_form, sensitivity_tracking_closed_form
+from envelopes import recursion_envelope_series
+from oracles import (
+    sensitivity_static_closed_form,
+    sensitivity_tracking_closed_form,
+    step_tracking,
+)
 from ratefit import rate_fit
 
 from dpopt.config import build_setup, load_config
@@ -29,11 +34,10 @@ from dpopt.privacy import (
 )
 from dpopt.schedules import (
     PowerSchedule,
-    recursion_envelope_series,
     validate_static_schedules,
     validate_tracking_schedules,
 )
-from dpopt.solvers import Variant, _AffineStep, _step_chunk, run, step_tracking
+from dpopt.solvers import Variant, _AffineStep, _step_chunk, run
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 

@@ -25,9 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_setup, tracking_schedules
+from oracles import step_static, step_tracking
 
 from dpopt import solvers
-from dpopt.difference import _draws
 from dpopt.errors import RangeError
 from dpopt.graphs import DirectedGraph, build_push_pull_weights
 from dpopt.harness import monte_carlo
@@ -42,8 +42,6 @@ from dpopt.solvers import (
     _record_points,
     effective_schedules,
     run,
-    step_static,
-    step_tracking,
 )
 
 COLUMNS = ("ks", "consensus", "gap", "dist_opt", "tracking", "epsilon_partial")
@@ -404,16 +402,6 @@ def test_seed_axis_draws_equal_single_source_draws():
     for r, seed in enumerate(seeds):
         alone = laplace_draws(scale, [seed], 4, "tracker", ks, 3)[:, 0]
         assert np.array_equal(block[:, r], alone)
-
-
-def test_iter_draws_equal_per_iteration_blocks():
-    # The chunked draws of a difference trace, one run.
-    scale = PowerSchedule.growing(1.0, 0.1, 0.3)
-    draws = list(_draws(scale, 8, 5, "state", CHUNK + 3, 2))
-    assert len(draws) == CHUNK + 3
-    for k in (0, 1, CHUNK - 1, CHUNK, CHUNK + 2):
-        assert np.array_equal(draws[k],
-                              laplace_draws(scale, [8], 5, "state", [k], 2)[0, 0])
 
 
 def test_batched_gradients_and_costs_equal_single_calls():

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import derive_seed_reference, sample, variance
+from oracles import derive_seed_reference, open_uniform, sample, variance
 
 from dpopt.errors import RangeError
 from dpopt.noise import (
     NOISE_CHUNK,
     derive_seed,
     laplace_draws,
+    _open_uniform,
     laplace_inverse_cdf,
 )
 from dpopt.schedules import PowerSchedule
@@ -142,6 +143,29 @@ class TestInverseCdf:
         assert same_bits(got, self.formula([0.2, 0.9, 0.4], scales))
         assert same_bits(laplace_inverse_cdf(0.3, scales),
                          self.formula(0.3, scales))
+
+
+class TestOpenUniform:
+    # Every word whose top 53 bits are all ones maps to q = 1.0 before
+    # the clamp: (2**53 - 1) + 0.5 rounds to even, 2**53.
+    TOP = (2**53 - 1) << 11
+    CLAMPED = (TOP, TOP + 1, 2**64 - 1)
+    NEIGHBOURS = (TOP - 1, (2**53 - 2) << 11, (2**52 + 1) << 11, 2**63, 0,
+                  1 << 11)
+
+    def test_top_words_give_finite_draws(self):
+        q = _open_uniform(np.array(self.CLAMPED, dtype=np.uint64))
+        assert np.all(q == 1.0 - 2.0**-53)
+        assert [open_uniform(w) for w in self.CLAMPED] == q.tolist()
+        draws = laplace_inverse_cdf(q, 1.0)
+        assert np.all(np.isfinite(draws)) and np.all(draws > 36.0)
+
+    def test_neighbours_are_unchanged(self):
+        q = _open_uniform(np.array(self.NEIGHBOURS, dtype=np.uint64))
+        unclamped = [((w >> 11) + 0.5) * 2.0**-53 for w in self.NEIGHBOURS]
+        assert q.tolist() == unclamped
+        assert [open_uniform(w) for w in self.NEIGHBOURS] == unclamped
+        assert max(unclamped) == 1.0 - 2.0**-52
 
 
 class TestDistribution:

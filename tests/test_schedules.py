@@ -3,13 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from envelopes import recursion_envelope_ratio, recursion_envelope_series
+
 from dpopt.errors import ConditionError, RangeError
 from dpopt.schedules import (
     PowerSchedule,
     ScheduleExpr,
     ScheduleSet,
-    recursion_envelope_ratio,
-    recursion_envelope_series,
     ratio_limit,
     series_class,
     validate_static_schedules,

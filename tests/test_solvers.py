@@ -10,7 +10,12 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import desk_graph, make_setup, static_schedules, tracking_schedules
-from oracles import step_static_per_agent, step_tracking_per_agent
+from oracles import (
+    step_static,
+    step_static_per_agent,
+    step_tracking,
+    step_tracking_per_agent,
+)
 
 import dpopt
 from dpopt.errors import ConditionError, DivergenceError, RangeError
@@ -30,8 +35,6 @@ from dpopt.solvers import (
     effective_schedules,
     run,
     run_batch,
-    step_static,
-    step_tracking,
     validate_for_variant,
 )
 

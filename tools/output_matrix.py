@@ -14,8 +14,17 @@ line, exit code, stdout and stderr, with the OUT path replaced by
     python tools/output_matrix.py /tmp/after
     diff -r /tmp/before /tmp/after
 
-Only the standard library is used.  The matrix runs serially, in about ten
-seconds on two CPUs.
+No CLI command reaches the coupled difference traces, so the matrix
+also writes them: `coupled_difference_trace` on the shipped alg1 and
+alg2 configs, for each of their comparison variants at every envelope
+of TRACE_ENVELOPES, with the benchmark's adjacent problem.  Each trace
+goes to OUT/difference_<config>/<variant>_<envelope>.txt: max_ratio,
+ok and violation_k, then every array as float.hex lines.  They run in
+a child process with the same PYTHONPATH and use only names exported
+from the top of the `dpopt` package, so an older src/ works too.
+
+Only the standard library is used here.  The matrix runs serially, in
+about twenty seconds on two CPUs.
 """
 
 from __future__ import annotations
@@ -27,6 +36,15 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = ("alg1", "alg1_rate", "alg2", "alg2_nonoise")
+
+# Difference traces: config -> variants, and the trace arguments; the
+# adjacent problem is the benchmark's (perfbench/workloads.py).
+TRACES = {"alg1": ("alg1", "dgd", "pdop_alg1"), "alg2": ("alg2", "push_pull")}
+TRACE_ENVELOPES = (None, 1.0, 0.3)
+TRACE_ITERATIONS = 10**4
+TRACE_ADJACENT = {"agent": 2, "delta": 0.5, "eta": 1.0}
+TRACE_ARRAYS = ("ks", "state_diff", "state_bound", "tracker_diff",
+                "tracker_bound")
 
 # (name, config, arguments after the config; --output is added when the
 # command writes files).
@@ -48,8 +66,23 @@ MATRIX = (
 )
 
 
+def _run(name: str, argv: list, env: dict, out: str) -> None:
+    """Run one child process and write its log, with the OUT path and
+    this checkout's root replaced."""
+    proc = subprocess.run([sys.executable, *argv], env=env, cwd=ROOT,
+                          capture_output=True, text=True)
+    text = (
+        f"$ python {' '.join(argv)}\nexit code: {proc.returncode}\n"
+        f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
+    )
+    with open(os.path.join(out, f"{name}.log"), "w", encoding="utf-8") as fh:
+        fh.write(text.replace(out, "<out>").replace(ROOT, "<root>"))
+    print(f"{name}: exit {proc.returncode}")
+
+
 def run_matrix(src: str, out: str) -> None:
-    """Run every command of MATRIX with src on the import path."""
+    """Run every command of MATRIX, then write every difference trace of
+    TRACES, with src on the import path."""
     env = dict(os.environ, PYTHONPATH=src)
     os.makedirs(out, exist_ok=True)
     for name, config, args in MATRIX:
@@ -58,27 +91,61 @@ def run_matrix(src: str, out: str) -> None:
                 *options]
         if command != "validate":
             argv += ["--output", os.path.join(out, name)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "dpopt", *argv], env=env, cwd=ROOT,
-            capture_output=True, text=True,
-        )
-        text = (
-            f"$ dpopt {' '.join(argv)}\nexit code: {proc.returncode}\n"
-            f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
-        )
-        with open(os.path.join(out, f"{name}.log"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text.replace(out, "<out>").replace(ROOT, "<root>"))
-        print(f"{name}: exit {proc.returncode}")
+        _run(name, ["-m", "dpopt", *argv], env, out)
+    for config in TRACES:
+        name = f"difference_{config}"
+        _run(name, [os.path.abspath(__file__), "--traces", config,
+                    os.path.join(out, name)], env, out)
+
+
+def _trace_text(trace) -> str:
+    lines = [f"max_ratio {float(trace.max_ratio).hex()}", f"ok {trace.ok}",
+             f"violation_k {trace.violation_k}"]
+    for name in TRACE_ARRAYS:
+        values = getattr(trace, name)
+        if values is not None:
+            lines.append(f"--- {name}")
+            lines.extend(float(v).hex() for v in values.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def write_traces(config_name: str, out: str) -> None:
+    """Write the difference traces of one shipped config to out; run
+    with the dpopt under test on the import path."""
+    from dpopt import (adjacent_variant, build_setup,
+                       coupled_difference_trace, load_config)
+
+    variants = TRACES[config_name]
+    config = load_config(os.path.join(ROOT, "configs", f"{config_name}.cfg"))
+    setup = build_setup(config, variants)
+    adjacent = adjacent_variant(setup.problem, **TRACE_ADJACENT)
+    os.makedirs(out, exist_ok=True)
+    for variant in variants:
+        for envelope in TRACE_ENVELOPES:
+            try:
+                text = _trace_text(coupled_difference_trace(
+                    variant, setup, adjacent, TRACE_ITERATIONS,
+                    config.noise_seed, envelope=envelope))
+            except Exception as exc:  # the error is the output
+                text = f"error {type(exc).__name__}: {exc}\n"
+            path = os.path.join(out, f"{variant}_{envelope}.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory put on PYTHONPATH (default: ./src)")
+    parser.add_argument("--traces", metavar="CONFIG", choices=TRACES,
+                        help="only write CONFIG's difference traces to OUT "
+                             "(what the matrix runs in a child process)")
     parser.add_argument("out", help="output directory")
     args = parser.parse_args(argv)
-    run_matrix(os.path.abspath(args.src), os.path.abspath(args.out))
+    if args.traces:
+        write_traces(args.traces, os.path.abspath(args.out))
+    else:
+        run_matrix(os.path.abspath(args.src), os.path.abspath(args.out))
     return 0
 
 
