@@ -15,7 +15,6 @@ from .errors import (
     ConfigError,
     ConnectivityError,
     DegenerateProblemError,
-    DivergenceError,
     DpoptError,
     RangeError,
     SpectralError,

@@ -10,6 +10,13 @@ Exit codes: 0 on success, 1 when an experiment fails validation or a
 run-level check or every run of a batch diverged, 2 on config or IO
 errors.  A failed validation prints "validation error:", any other
 run-level stop "error:".
+
+compare runs each variant's batch in a worker process, one worker per
+usable CPU and never more than there are variants; its outputs are
+byte-identical to those of a run in one process.  Pinned to one CPU
+(`taskset -c 0 dpopt compare ...`) it runs the variants one after
+another.  Peak memory is per worker: a variant's batch is held in its
+worker, and the parent gets back only the aggregate and budget row.
 """
 
 from __future__ import annotations
@@ -252,19 +259,14 @@ def cmd_budget(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    config = _config_with_overrides(args)
-    variants = _parse_variants(args.variants)
-    setup = build_setup(config, variants)
-    base = run_directory(args.output or config.output_dir)
-    aggregates: dict[str, Aggregate] = {}
+def _write_comparison(
+    base: str, results: dict[str, tuple[Aggregate, BudgetRow | None]],
+    plot: bool,
+) -> list[tuple]:
+    """Write summary.csv and, with `plot`, the comparison plots from
+    each variant's aggregate and budget row; return the summary rows."""
     summary_rows = []
-    for variant in variants:
-        agg, row = _run_variant(
-            args, config, setup, variant, run_directory(base, variant),
-            plot=False,
-        )
-        aggregates[variant] = agg
+    for variant, (agg, row) in results.items():
         eps = (row.conservative, row.envelope) if row else (math.nan,) * 2
         summary_rows.append((
             variant, agg.requested, agg.completed, len(agg.failures),
@@ -272,10 +274,48 @@ def cmd_compare(args) -> int:
             float(np.mean(agg.final_consensus)), *eps,
         ))
     write_csv(os.path.join(base, "summary.csv"), SUMMARY_COLUMNS, summary_rows)
-    if args.plot:
+    if plot:
+        aggregates = {variant: agg for variant, (agg, _) in results.items()}
         for column in ("gap", "consensus"):
             _plot(os.path.join(base, f"compare_{column}.svg"), column,
                   aggregates, " by variant")
+    return summary_rows
+
+
+def cmd_compare(args) -> int:
+    """Run each variant's batch in a worker process, at most one worker
+    per usable CPU, then write the summary and plots from the results,
+    read in --variants order: the first variant in that order to fail
+    decides the error, and variants not yet started are cancelled."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    config = _config_with_overrides(args)
+    variants = _parse_variants(args.variants)
+    setup = build_setup(config, variants)
+    base = run_directory(args.output or config.output_dir)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    # Forked workers start with numpy and dpopt imported; spawned ones
+    # would import and compile them again.
+    context = (multiprocessing.get_context("fork")
+               if "fork" in multiprocessing.get_all_start_methods() else None)
+    with ProcessPoolExecutor(min(len(variants), cpus),
+                             mp_context=context) as pool:
+        futures = [
+            pool.submit(_run_variant, args, config, setup, variant,
+                        run_directory(base, variant), False)
+            for variant in variants
+        ]
+        try:
+            results = {variant: future.result()
+                       for variant, future in zip(variants, futures)}
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    summary_rows = _write_comparison(base, results, args.plot)
     print(
         f"{'variant':>16}  {'done':>5}  {'final gap':>12}  {'se':>10}  "
         f"{'eps bound':>12}"
@@ -286,7 +326,7 @@ def cmd_compare(args) -> int:
             f"{row[5]:>10.3g}  {row[7]:>12.6g}"
         )
     print(f"outputs in {base}")
-    return max([_exit_code(agg) for agg in aggregates.values()])
+    return max([_exit_code(agg) for agg, _ in results.values()])
 
 
 def _batch_options(p: argparse.ArgumentParser) -> None:

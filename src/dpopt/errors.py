@@ -43,16 +43,3 @@ class ConditionError(DpoptError):
 
 class DegenerateProblemError(DpoptError):
     """Optimization problem has no unique minimizer."""
-
-
-class DivergenceError(DpoptError):
-    """An iterate exceeded the divergence threshold."""
-
-    def __init__(self, variant, iteration, magnitude=float("nan")):
-        super().__init__(
-            f"variant {variant!r} diverged at iteration {iteration} "
-            f"(magnitude {magnitude:.3e})"
-        )
-        self.variant = variant
-        self.iteration = iteration
-        self.magnitude = magnitude

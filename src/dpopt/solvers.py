@@ -83,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import ConditionReport
-from .errors import ConditionError, DivergenceError, RangeError
+from .errors import ConditionError, RangeError
 from .graphs import (
     ConsensusWeights,
     PushPullWeights,
@@ -185,12 +185,6 @@ class Trace:
     diverged_at: int | None = None
     diverged_magnitude: float = float("nan")
     gradient_bound: float = 0.0
-
-    def raise_if_diverged(self) -> None:
-        if self.diverged:
-            raise DivergenceError(
-                self.variant, self.diverged_at, self.diverged_magnitude
-            )
 
     @property
     def final_k(self) -> int:

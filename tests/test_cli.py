@@ -1,6 +1,8 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
@@ -9,9 +11,13 @@ import pytest
 from test_config import STATIC_TEXT, TRACKING_TEXT
 
 import dpopt
+from dpopt import cli
 from dpopt.cli import main
 from dpopt.config import build_setup, load_config
-from dpopt.harness import budget_account, write_breakdown, write_budget
+from dpopt.errors import ConditionError, RangeError
+from dpopt.harness import (
+    budget_account, run_directory, write_breakdown, write_budget,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -23,6 +29,17 @@ pdop.noise.form = geometric
 pdop.noise.a = 0.118619
 pdop.noise.r = 0.999
 """
+
+
+def tree(base) -> dict[str, bytes]:
+    """Every file under base, by relative path, with its bytes."""
+    found = {}
+    for root, _, names in os.walk(base):
+        for name in names:
+            full = os.path.join(root, name)
+            with open(full, "rb") as handle:
+                found[os.path.relpath(full, base)] = handle.read()
+    return found
 
 
 @pytest.fixture()
@@ -354,16 +371,7 @@ class TestCompare:
                          "--runs", "3", "--iters", "120", "--plot",
                          "--output", out]) == 0
 
-        def files(base):
-            found = {}
-            for root, _, names in os.walk(base):
-                for name in names:
-                    full = os.path.join(root, name)
-                    with open(full, "rb") as handle:
-                        found[os.path.relpath(full, base)] = handle.read()
-            return found
-
-        first, second = files(outs[0]), files(outs[1])
+        first, second = tree(outs[0]), tree(outs[1])
         assert "summary.csv" in first and len(first) > 10
         assert first == second
 
@@ -386,6 +394,111 @@ class TestCompare:
         assert not (out / "pdop_alg1" / "run_000.csv").exists()
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and "every run of pdop_alg1 diverged" in err[0]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cfg,variants", [
+        ("static_cfg", "alg1,dgd,pdop_alg1"),
+        ("tracking_cfg", "alg2,push_pull"),
+    ])
+    def test_workers_match_one_process(self, cfg, variants, cpus, tmp_path,
+                                       request, monkeypatch):
+        # The tree compare writes through its worker processes equals
+        # one built in this process, variant by variant.
+        path = request.getfixturevalue(cfg)
+        argv = ["compare", path, "--variants", variants, "--runs", "3",
+                "--iters", "120", "--plot", "--output"]
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        assert main(argv + [str(tmp_path / "workers")]) == 0
+
+        args = cli.build_parser().parse_args(argv + [str(tmp_path / "one")])
+        config = cli._config_with_overrides(args)
+        names = variants.split(",")
+        setup = build_setup(config, names)
+        base = run_directory(args.output)
+        results = {
+            name: cli._run_variant(args, config, setup, name,
+                                   run_directory(base, name), False)
+            for name in names
+        }
+        cli._write_comparison(base, results, plot=True)
+
+        workers, one = tree(tmp_path / "workers"), tree(tmp_path / "one")
+        assert "summary.csv" in one and len(one) > 10
+        assert workers == one
+
+    @pytest.mark.parametrize("cpus,variants,expected", [
+        (1, "alg1,dgd,pdop_alg1", 1),
+        (2, "alg1,dgd,pdop_alg1", 2),
+        (8, "alg1,dgd", 2),
+        (8, "dgd", 1),
+    ])
+    def test_workers_bounded_by_variants_and_cpus(
+        self, static_cfg, tmp_path, monkeypatch, cpus, variants, expected
+    ):
+        pools = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append((max_workers,
+                              kwargs["mp_context"].get_start_method()))
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recording)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        assert main(["compare", static_cfg, "--variants", variants,
+                     "--runs", "1", "--iters", "30",
+                     "--output", str(tmp_path / "out")]) == 0
+        assert pools == [(expected, "fork")]
+
+    @pytest.mark.parametrize("first,later,label", [
+        (ConditionError, RangeError, "validation error: "),
+        (RangeError, ConditionError, "error: "),
+    ])
+    def test_first_failing_variant_in_order_decides(
+        self, static_cfg, tmp_path, capsys, monkeypatch, first, later, label
+    ):
+        # Two workers: dgd fails at once, alg1 only after a wait.  alg1
+        # comes first in --variants, so its error sets stderr and the
+        # exit code.  Forked workers inherit the patched batch.
+        failures = {"alg1": first("alg1 failed"),
+                    "dgd": later("dgd failed")}
+
+        def batch(variant, *args, **kwargs):
+            if variant == "alg1":
+                time.sleep(0.5)
+            raise failures[variant]
+
+        monkeypatch.setattr(cli, "monte_carlo", batch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        code = main(["compare", static_cfg, "--variants", "alg1,dgd",
+                     "--runs", "1", "--iters", "30",
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"{label}alg1 failed\n"
+
+    def test_later_variant_error_when_earlier_ones_complete(
+        self, static_cfg, tmp_path, capsys, monkeypatch
+    ):
+        run_batch = cli.monte_carlo
+
+        def batch(variant, *args, **kwargs):
+            if variant == "pdop_alg1":
+                raise RangeError("pdop_alg1 failed")
+            return run_batch(variant, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "monte_carlo", batch)
+        out = tmp_path / "out"
+        code = main(["compare", static_cfg, "--variants",
+                     "alg1,dgd,pdop_alg1", "--runs", "1", "--iters", "30",
+                     "--output", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: pdop_alg1 failed\n"
+        assert captured.out == ""
+        assert not (out / "summary.csv").exists()
 
     def test_unknown_variant_returns_two(self, static_cfg, tmp_path):
         assert main(["compare", static_cfg, "--variants", "alg1,warp",

@@ -24,7 +24,7 @@ a child process with the same PYTHONPATH and use only names exported
 from the top of the `dpopt` package, so an older src/ works too.
 
 Only the standard library is used here.  The matrix runs serially, in
-about twenty seconds on two CPUs.
+about twelve seconds on two CPUs.
 """
 
 from __future__ import annotations
@@ -57,6 +57,12 @@ MATRIX = (
      ["compare", "--variants", "alg1,dgd,pdop_alg1", "--plot", "--runs", "10"]),
     ("compare_alg2", "alg2",
      ["compare", "--variants", "alg2,push_pull", "--plot", "--runs", "10"]),
+    # compare's worker pool at its smallest: one variant, one worker;
+    # three one-run batches.
+    ("compare_alg2_one", "alg2",
+     ["compare", "--variants", "push_pull", "--plot", "--runs", "10"]),
+    ("compare_alg1_runs1", "alg1",
+     ["compare", "--variants", "alg1,dgd,pdop_alg1", "--plot", "--runs", "1"]),
     ("budget_alg1", "alg1", ["budget", "--horizons", "1e3,1e4,1e5"]),
     ("budget_alg2", "alg2", ["budget", "--horizons", "7,1000,4097"]),
     # The benchmark's horizons: the accountant's walk crosses many block
