@@ -119,14 +119,14 @@ def _plot(path: str, column: str, aggregates: dict[str, Aggregate],
 
 
 def _run_variant(
-    args, config, setup, variant: str, out_dir: str, plot: bool
+    config, setup, variant: str, out_dir: str, iterations: int, runs: int,
+    force: bool, plot: bool,
 ) -> tuple[Aggregate, BudgetRow | None]:
     """Run one variant's batch and write its traces, aggregate, failures,
     budget and, with `plot`, its plots; return the aggregate and the
     budget row at the horizon, None for a noiseless variant."""
     traces = monte_carlo(
-        variant, setup, args.iters, config.noise_seed, args.runs,
-        force=args.force,
+        variant, setup, iterations, config.noise_seed, runs, force=force,
     )
     agg = aggregate(variant, traces, config.noise_seed)
     for index, trace in enumerate(traces):
@@ -137,7 +137,7 @@ def _run_variant(
     row = None
     if effective_schedules(variant, setup).noise_scale is not None:
         rows = budget_account(
-            variant, setup, config.gradient_bound, [args.iters]
+            variant, setup, config.gradient_bound, [iterations]
         ).rows
         write_budget(os.path.join(out_dir, "budget.csv"), rows)
         row = rows[0]
@@ -194,7 +194,8 @@ def cmd_run(args) -> int:
     setup = build_setup(config)
     out_dir = run_directory(args.output or config.output_dir)
     agg, _ = _run_variant(
-        args, config, setup, config.variant, out_dir, args.plot
+        config, setup, config.variant, out_dir, args.iters, args.runs,
+        args.force, args.plot,
     )
     print(
         f"{agg.variant}: {agg.completed}/{agg.requested} runs completed, "
@@ -282,6 +283,20 @@ def _write_comparison(
     return summary_rows
 
 
+def _exit_with_parent() -> None:
+    """Pool worker initializer: end the worker when the parent process
+    ends, so a compare killed mid-way leaves no worker behind, waiting
+    for work that never comes."""
+    import threading
+    from multiprocessing import connection, parent_process
+
+    sentinel = parent_process().sentinel
+    threading.Thread(
+        target=lambda: (connection.wait([sentinel]), os._exit(1)),
+        daemon=True,
+    ).start()
+
+
 def cmd_compare(args) -> int:
     """Run each variant's batch in a worker process, at most one worker
     per usable CPU, then write the summary and plots from the results,
@@ -302,11 +317,14 @@ def cmd_compare(args) -> int:
     # would import and compile them again.
     context = (multiprocessing.get_context("fork")
                if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(min(len(variants), cpus),
-                             mp_context=context) as pool:
+    # Only plain values cross to the workers: a pickling error inside
+    # the pool hangs its shutdown (Python 3.11).
+    with ProcessPoolExecutor(min(len(variants), cpus), mp_context=context,
+                             initializer=_exit_with_parent) as pool:
         futures = [
-            pool.submit(_run_variant, args, config, setup, variant,
-                        run_directory(base, variant), False)
+            pool.submit(_run_variant, config, setup, variant,
+                        run_directory(base, variant), args.iters, args.runs,
+                        args.force, False)
             for variant in variants
         ]
         try:

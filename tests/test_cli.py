@@ -417,8 +417,9 @@ class TestCompare:
         setup = build_setup(config, names)
         base = run_directory(args.output)
         results = {
-            name: cli._run_variant(args, config, setup, name,
-                                   run_directory(base, name), False)
+            name: cli._run_variant(config, setup, name,
+                                   run_directory(base, name), args.iters,
+                                   args.runs, args.force, False)
             for name in names
         }
         cli._write_comparison(base, results, plot=True)
@@ -510,16 +511,97 @@ class TestCompare:
                      "--output", str(tmp_path / "out")]) == 2
 
 
-def test_python_dash_m_runs_without_warning(static_cfg):
+def _src_env() -> dict:
+    """The environment with this dpopt's src/ first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dpopt.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["validate"], "overall: pass"),
+    (["compare", "--variants", "alg1,dgd", "--runs", "2", "--iters", "60"],
+     "outputs in"),
+])
+def test_python_dash_m_runs_without_warning(static_cfg, tmp_path, argv,
+                                            expected):
+    command, *options = argv
+    if command == "compare":
+        options += ["--output", str(tmp_path / "out")]
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "dpopt", "validate", static_cfg],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-W", "error", "-m", "dpopt", command, static_cfg,
+         *options],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "overall: pass" in proc.stdout
+    assert expected in proc.stdout
     assert proc.stderr == ""
+
+
+def test_compare_with_wrapped_command(static_cfg, tmp_path):
+    # A tracer or profiler may wrap cmd_compare in a closure, which
+    # pickle cannot send; only plain values go to the workers.
+    script = f"""
+from dpopt import cli
+
+inner = cli.cmd_compare
+def wrapped(args):
+    return inner(args)
+cli.cmd_compare = wrapped
+raise SystemExit(cli.main(["compare", {static_cfg!r}, "--variants",
+                           "alg1,dgd", "--runs", "1", "--iters", "30",
+                           "--output", {str(tmp_path / "out")!r}]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "summary.csv").exists()
+
+
+def _ended(pid: int) -> bool:
+    """True once pid has exited (gone, or a zombie nobody reaped)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] in "ZX"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_end_with_a_killed_parent(static_cfg, tmp_path):
+    # Each worker records its pid and blocks in its batch; killing the
+    # parent outright must not leave them behind.
+    script = f"""
+import os, time
+from dpopt import cli
+
+def batch(variant, *args, **kwargs):
+    with open(os.path.join({str(tmp_path)!r}, f"{{variant}}.pid"), "w") as fh:
+        fh.write(str(os.getpid()))
+    time.sleep(120)
+
+cli.monte_carlo = batch
+os.sched_getaffinity = lambda pid: {{0, 1}}
+cli.main(["compare", {static_cfg!r}, "--variants", "alg1,dgd", "--runs",
+          "1", "--iters", "30", "--output", {str(tmp_path / "out")!r}])
+"""
+    parent = subprocess.Popen([sys.executable, "-c", script],
+                              env=_src_env(), stderr=subprocess.DEVNULL)
+    paths = [tmp_path / f"{variant}.pid" for variant in ("alg1", "dgd")]
+    try:
+        deadline = time.monotonic() + 60
+        while not all(p.exists() and p.read_text() for p in paths):
+            assert time.monotonic() < deadline, "workers did not start"
+            assert parent.poll() is None, "compare exited early"
+            time.sleep(0.05)
+    finally:
+        parent.kill()
+        parent.wait(timeout=30)
+    workers = [int(p.read_text()) for p in paths]
+    deadline = time.monotonic() + 30
+    while not all(_ended(pid) for pid in workers):
+        assert time.monotonic() < deadline, "workers outlived the parent"
+        time.sleep(0.05)
