@@ -180,8 +180,6 @@ def cmd_validate(args) -> int:
                    "conservative epsilon at run.iterations < inf",
                    value, math.isfinite(value))
     print(report.format_table())
-    for warning in report.warnings:
-        print(f"warning: {warning}")
     if report.overall:
         print("overall: pass")
         return 0

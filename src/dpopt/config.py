@@ -75,9 +75,6 @@ class _RawConfig:
             self.pairs[key] = (value.strip(), lineno)
         self.consumed: set[str] = set()
 
-    def has(self, key: str) -> bool:
-        return key in self.pairs
-
     def line(self, key: str) -> int | None:
         pair = self.pairs.get(key)
         return pair[1] if pair else None
@@ -96,7 +93,7 @@ class _RawConfig:
                 raise ConfigError("unknown key", line=lineno, key=key)
 
 
-def _to_float(raw: _RawConfig, key: str, value: str) -> float:
+def _number(raw: _RawConfig, key: str, value: str) -> float:
     try:
         return float(value)
     except ValueError:
@@ -105,8 +102,16 @@ def _to_float(raw: _RawConfig, key: str, value: str) -> float:
         ) from None
 
 
+def _to_float(raw: _RawConfig, key: str, value: str) -> float:
+    number = _number(raw, key, value)
+    if not math.isfinite(number):
+        raise ConfigError(f"expected a finite number, got {value!r}",
+                          line=raw.line(key), key=key)
+    return number
+
+
 def _to_int(raw: _RawConfig, key: str, value: str) -> int:
-    number = _to_float(raw, key, value)
+    number = _number(raw, key, value)
     if not math.isfinite(number) or number != int(number):
         raise ConfigError(
             f"expected an integer, got {value!r}", line=raw.line(key), key=key
@@ -334,7 +339,7 @@ def build_setup(config: ExperimentConfig, variants=None) -> RunSetup:
         pull = DirectedGraph(config.agents, frozenset(config.pull_edges))
         push = DirectedGraph(config.agents, frozenset(config.push_edges))
         push_pull = build_push_pull_weights(pull, push, config.edge_weight)
-    return RunSetup.create(
+    return RunSetup(
         problem,
         config.schedules,
         consensus=consensus,

@@ -160,18 +160,19 @@ def coupled_difference_trace(
     """
     if iterations < 1:
         raise RangeError("iterations must be positive")
-    sch = effective_schedules(variant, setup)
     difference = _difference_tracking if Variant.of(variant).tracking \
         else _difference_static
-    return difference(setup, adjacent, sch, iterations, seed, envelope)
+    return difference(variant, setup, adjacent, iterations, seed, envelope)
 
 
-def _difference_static(setup, adjacent, sch, iterations, seed, envelope):
+def _difference_static(variant, setup, adjacent, iterations, seed, envelope):
+    sch = effective_schedules(variant, setup)
+    weights = Variant.of(variant).weights(setup)
     agent = adjacent.agent
-    W = setup.consensus.matrix
+    W = weights.matrix
     # The sensitivity bound s[k], scaled into the state bound in place.
     bound = sensitivity_static(sch.stepsize, sch.coupling,
-                               setup.consensus.min_diag_mag, iterations)
+                               weights.min_diag_mag, iterations)
     diff = np.zeros(iterations + 1)
     problem, d_dim = setup.problem, setup.problem.dim
     x = setup.init_radius \
@@ -212,9 +213,11 @@ def _difference_static(setup, adjacent, sch, iterations, seed, envelope):
     return _trace([diff], [bound])
 
 
-def _difference_tracking(setup, adjacent, sch, iterations, seed, envelope):
+def _difference_tracking(variant, setup, adjacent, iterations, seed,
+                         envelope):
+    sch = effective_schedules(variant, setup)
+    weights = Variant.of(variant).weights(setup)
     agent = adjacent.agent
-    weights = setup.push_pull
     R, C = weights.pull, weights.push
     # The sensitivity bounds, scaled into the bounds in place.
     xbound, ybound = sensitivity_tracking(

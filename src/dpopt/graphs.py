@@ -42,9 +42,6 @@ class DirectedGraph:
             if not (0 <= i < self.m and 0 <= j < self.m):
                 raise ValueError(f"edge ({i}, {j}) is out of range for m={self.m}")
 
-    def in_neighbors(self, i: int) -> list:
-        return sorted(j for r, j in self.edges if r == i)
-
     def reversed(self) -> "DirectedGraph":
         return DirectedGraph(self.m, frozenset((j, i) for i, j in self.edges))
 
@@ -144,10 +141,11 @@ def build_consensus_weights(
     )
 
 
-def validate_consensus_matrix(W: np.ndarray, tol: float = 1e-10) -> ConditionReport:
+def validate_consensus_matrix(W: np.ndarray) -> ConditionReport:
     """Check the structural conditions on a consensus weight matrix:
-    symmetry, zero row sums, zero column sums, and contraction of the
-    centered averaging map."""
+    symmetry, zero row sums and zero column sums, each to within 1e-10,
+    and contraction of the centered averaging map."""
+    tol = 1e-10
     W = np.asarray(W, dtype=float)
     m = W.shape[0]
     report = ConditionReport("consensus weight conditions")

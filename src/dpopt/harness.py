@@ -174,7 +174,7 @@ def aggregate(variant: str, traces: list[Trace], base_seed: int) -> Aggregate:
     basis = basis or traces
 
     def stats(name: str):
-        stack = np.vstack([t.column(name)[:width] for t in basis])
+        stack = np.vstack([getattr(t, name)[:width] for t in basis])
         if stack.shape[0] < 2:
             return stack.mean(axis=0), np.zeros(stack.shape[1])
         return stack.mean(axis=0), stack.var(axis=0, ddof=1)

@@ -54,10 +54,6 @@ class QuadraticEstimationProblem:
     def dim(self) -> int:
         return self.sensing.shape[2]
 
-    def local_cost(self, agent: int, theta: np.ndarray) -> float:
-        resid = self.observations[agent] - self.sensing[agent] @ theta
-        return float(resid @ resid + self.reg * (theta @ theta))
-
     def global_cost(self, theta: np.ndarray):
         """Network cost at theta of shape (d,), as a float, or at every
         row of a (..., d) stack, as an array equal to the row-wise

@@ -137,9 +137,6 @@ class PowerSchedule:
     def __truediv__(self, other):
         return ScheduleExpr.of(self) / other
 
-    def __rtruediv__(self, other):
-        return other / ScheduleExpr.of(self)
-
     def __pow__(self, exponent):
         return ScheduleExpr.of(self) ** exponent
 
@@ -178,10 +175,6 @@ class ScheduleExpr:
 
     def __truediv__(self, other):
         return self._combine(other, -1.0)
-
-    def __rtruediv__(self, other):
-        inverted = tuple((s, -e) for s, e in self.factors)
-        return ScheduleExpr.of(other) * ScheduleExpr(inverted)
 
     def __pow__(self, exponent) -> "ScheduleExpr":
         exponent = float(exponent)

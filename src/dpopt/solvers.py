@@ -58,7 +58,7 @@ row's result does not depend on which rows share the stack, where a
 2-D (R, n) @ (n, n) matmul may change with R.  Every batched trace
 therefore equals the serial run of its seed bit for bit; run is the
 R = 1 case.  A run diverges at the first iteration whose max |z| is
-NaN or above the threshold; for tracking that is over x and y
+NaN or above DIVERGENCE_THRESHOLD; for tracking that is over x and y
 together, so a NaN tracker stops the run while x is still finite.  A
 diverged run keeps its serial record (diverged_at = k + 1, its
 gradient bound includes that iteration, its records stop at the last
@@ -78,7 +78,7 @@ recursion along them), bit-identical to earlier releases.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,6 +105,7 @@ from .schedules import (
 class Variant:
     """What a variant name means.
 
+    name: the variant's name, as given to Variant.of.
     tracking: gradient tracking on push-pull weights, else static
         consensus on consensus weights.
     schedules: "attenuated" runs the configured bundle and is checked
@@ -113,6 +114,7 @@ class Variant:
         geometric stepsize and noise schedules.
     """
 
+    name: str
     tracking: bool
     schedules: str
 
@@ -124,43 +126,52 @@ class Variant:
             raise ValueError(f"unknown variant {name!r}") from None
 
     def weights(self, setup: "RunSetup"):
-        return setup.push_pull if self.tracking else setup.consensus
+        """The setup's weights of this variant's family; ConditionError
+        when the setup was built without them."""
+        weights = setup.push_pull if self.tracking else setup.consensus
+        if weights is None:
+            kind = "push-pull" if self.tracking else "consensus"
+            raise ConditionError(f"variant {self.name!r} needs {kind} weights")
+        return weights
 
 
-_VARIANT_TABLE = {
-    "alg1": Variant(tracking=False, schedules="attenuated"),
-    "dgd": Variant(tracking=False, schedules="unit"),
-    "pdop_alg1": Variant(tracking=False, schedules="pdop"),
-    "alg2": Variant(tracking=True, schedules="attenuated"),
-    "push_pull": Variant(tracking=True, schedules="unit"),
-    "pdop_push_pull": Variant(tracking=True, schedules="pdop"),
-}
+_VARIANT_TABLE = {v.name: v for v in (
+    Variant("alg1", tracking=False, schedules="attenuated"),
+    Variant("dgd", tracking=False, schedules="unit"),
+    Variant("pdop_alg1", tracking=False, schedules="pdop"),
+    Variant("alg2", tracking=True, schedules="attenuated"),
+    Variant("push_pull", tracking=True, schedules="unit"),
+    Variant("pdop_push_pull", tracking=True, schedules="pdop"),
+)}
 VARIANTS = tuple(_VARIANT_TABLE)
+
+
+DIVERGENCE_THRESHOLD = 1e12  # on max |z| (module docstring)
 
 
 @dataclass(frozen=True)
 class RunSetup:
-    """Everything a solver run needs besides the variant and the seed."""
+    """Everything a solver run needs besides the variant and the seed.
+
+    theta_star and f_star, the problem's minimizer and optimal value,
+    are derived from the problem (objectives.optimal_solution).
+    """
 
     problem: QuadraticEstimationProblem
-    theta_star: np.ndarray
-    f_star: float
     schedules: ScheduleSet
     consensus: ConsensusWeights | None = None
     push_pull: PushPullWeights | None = None
     init_radius: float = 1.0
     stride: int = 10
-    divergence_threshold: float = 1e12
     pdop_stepsize: PowerSchedule | None = None
     pdop_noise: PowerSchedule | None = None
+    theta_star: np.ndarray = field(init=False)
+    f_star: float = field(init=False)
 
-    @classmethod
-    def create(cls, problem, schedules, **kwargs) -> "RunSetup":
-        theta_star, f_star = optimal_solution(problem)
-        return cls(
-            problem=problem, theta_star=theta_star, f_star=f_star,
-            schedules=schedules, **kwargs,
-        )
+    def __post_init__(self):
+        theta_star, f_star = optimal_solution(self.problem)
+        object.__setattr__(self, "theta_star", theta_star)
+        object.__setattr__(self, "f_star", f_star)
 
 
 @dataclass
@@ -187,19 +198,12 @@ class Trace:
     gradient_bound: float = 0.0
 
     @property
-    def final_k(self) -> int:
-        return int(self.ks[-1])
-
-    @property
     def final_gap(self) -> float:
         return np.inf if self.diverged else float(self.gap[-1])
 
     @property
     def final_consensus(self) -> float:
         return np.inf if self.diverged else float(self.consensus[-1])
-
-    def column(self, name: str) -> np.ndarray:
-        return getattr(self, name)
 
 
 def effective_schedules(variant: str, setup: RunSetup) -> ScheduleSet:
@@ -235,9 +239,6 @@ def validate_for_variant(variant: str, setup: RunSetup) -> ConditionReport:
     at run time."""
     spec = Variant.of(variant)
     w = spec.weights(setup)
-    if w is None:
-        kind = "push-pull" if spec.tracking else "consensus"
-        raise ConditionError(f"variant {variant!r} needs {kind} weights")
     sch = effective_schedules(variant, setup)
     if spec.tracking:
         report = ConditionReport(f"{variant} structural conditions")
@@ -546,7 +547,7 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
     diverged_at = [None] * n_runs
     magnitude = [float("nan")] * n_runs
 
-    threshold = setup.divergence_threshold
+    threshold = DIVERGENCE_THRESHOLD
     # No finite state within +-limit diverges, whatever the threshold.
     limit = min(threshold, sys.float_info.max)
     start = 0

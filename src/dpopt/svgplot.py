@@ -47,10 +47,11 @@ def _tick_label(value: float) -> str:
     return f"{value:g}"
 
 
-def _linear_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _linear_ticks(lo: float, hi: float) -> list[float]:
+    """Round ticks over [lo, hi], about five of them."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / count
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag

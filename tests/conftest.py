@@ -52,12 +52,12 @@ def make_setup(kind: str = "static", noise: bool = True, pdop: bool = False,
         fields.setdefault("pdop_stepsize", PowerSchedule.geometric(0.02, 0.995))
         fields.setdefault("pdop_noise", PowerSchedule.geometric(0.118619, 0.999))
     if kind == "static":
-        return RunSetup.create(
+        return RunSetup(
             problem, static_schedules(noise),
             consensus=build_consensus_weights(graph, 0.2), **fields,
         )
     if kind == "tracking":
-        return RunSetup.create(
+        return RunSetup(
             problem, tracking_schedules(noise),
             push_pull=build_push_pull_weights(graph, graph, 0.2), **fields,
         )

@@ -1,12 +1,12 @@
 """Reference implementations the tests check the package against.
 
-Each oracle computes a quantity the slow, obvious way: the per-agent
-solver steps (stacked over agents, as the measured difference traces
-take them) with per-agent loops to check them, partial-product closed
-forms for the sensitivity recursions, the counter hash on Python ints,
-one word at a time, for the counter-based noise, and one iteration at a
-time, with its own draws and checks, for the measured difference
-traces.  None of them is used by the package itself.
+Each oracle computes a quantity the slow, obvious way: one agent's
+cost from its residual, the per-agent solver steps (stacked over
+agents, as the measured difference traces take them) with per-agent
+loops to check them, partial-product closed forms for the sensitivity
+recursions, the counter hash on Python ints, one word at a time, for
+the counter-based noise, and one iteration at a time, with its own
+draws and checks, for the measured difference traces.  None of them is used by the package itself.
 """
 
 import numpy as np
@@ -15,6 +15,12 @@ from dpopt.errors import RangeError
 from dpopt.noise import laplace_draws, laplace_inverse_cdf
 from dpopt.privacy import sensitivity_static, sensitivity_tracking
 from dpopt.solvers import _off_diagonal, effective_schedules
+
+
+def local_cost(problem, agent, theta):
+    """f_i(theta) = ||z_i - M_i theta||^2 + reg ||theta||^2 of one agent."""
+    resid = problem.observations[agent] - problem.sensing[agent] @ theta
+    return float(resid @ resid + problem.reg * (theta @ theta))
 
 
 def step_static(x, grads, W, W_off, gamma_k, lam_k, zeta):

@@ -17,6 +17,7 @@ import pytest
 from conftest import static_schedules, tracking_schedules
 from envelopes import recursion_envelope_series
 from oracles import (
+    local_cost,
     sensitivity_static_closed_form,
     sensitivity_tracking_closed_form,
     step_tracking,
@@ -357,8 +358,8 @@ def test_criterion_08_gradients_match_central_differences():
                 offset = np.zeros_like(theta)
                 offset[j] = step
                 fd[j] = (
-                    problem.local_cost(agent, theta + offset)
-                    - problem.local_cost(agent, theta - offset)
+                    local_cost(problem, agent, theta + offset)
+                    - local_cost(problem, agent, theta - offset)
                 ) / (2.0 * step)
             scale = max(float(np.linalg.norm(analytic)), 1e-12)
             assert float(np.linalg.norm(fd - analytic)) < 1e-6 * scale

@@ -176,7 +176,7 @@ def _serial_run(variant, setup, iterations, seed, start, step):
             bound = max(bound, float(np.max(np.abs(grads).sum(axis=1))))
         budget.step(k)
         peak = max(peak, float(extreme))
-        if not np.isfinite(extreme) or extreme > setup.divergence_threshold:
+        if not np.isfinite(extreme) or extreme > solvers.DIVERGENCE_THRESHOLD:
             diverged_at, magnitude = k + 1, float(extreme)
             break
         if k + 1 in record_ks:
@@ -341,27 +341,27 @@ def test_run_matches_serial_reference_across_chunks():
 
 
 @pytest.mark.parametrize("variant", ["alg1", "alg2"])
-def test_mixed_divergence_batch(variant):
+def test_mixed_divergence_batch(monkeypatch, variant):
     # Started near zero, the runs reach their peaks at different
     # iterations, so they also diverge at different iterations.
-    base = dataclasses.replace(shared_setup(family(variant), True),
-                               init_radius=0.1)
+    setup = dataclasses.replace(shared_setup(family(variant), True),
+                                init_radius=0.1)
     n_runs, iterations, base_seed = 9, 300, 13
     # Per-run peaks of the divergence check with no threshold in play,
     # then a threshold between them: only the runs above it diverge.
-    free = dataclasses.replace(base, divergence_threshold=np.inf)
+    monkeypatch.setattr(solvers, "DIVERGENCE_THRESHOLD", np.inf)
     peaks = sorted(
-        affine_reference(variant, free, iterations,
+        affine_reference(variant, setup, iterations,
                          derive_seed(base_seed, i))[1]
         for i in range(n_runs)
     )
     threshold = 0.5 * (peaks[4] + peaks[5])
-    setup = dataclasses.replace(base, divergence_threshold=threshold)
+    monkeypatch.setattr(solvers, "DIVERGENCE_THRESHOLD", threshold)
     batch = check_batch(variant, setup, iterations, base_seed, n_runs)
     diverged = [t for t in batch if t.diverged]
     assert len(diverged) == n_runs - 5
     assert len({t.diverged_at for t in diverged}) > 1
-    assert all(t.final_k == iterations for t in batch if not t.diverged)
+    assert all(t.ks[-1] == iterations for t in batch if not t.diverged)
     for index, trace in enumerate(batch):
         seed = derive_seed(base_seed, index)
         assert_matches_reference(trace, variant, setup, iterations, seed)
@@ -467,7 +467,7 @@ def test_nan_tracker_diverges_at_its_own_iteration(monkeypatch):
             + monte_carlo("alg2", setup, 100, 3, 3):
         assert trace.diverged_at == k0 + 1
         assert np.isnan(trace.diverged_magnitude)
-        assert trace.final_k == 28  # the last capture on the stride-7 grid
+        assert trace.ks[-1] == 28  # the last capture on the stride-7 grid
         assert np.isfinite(trace.gradient_bound)
 
 
@@ -482,8 +482,8 @@ def test_chunk_memory_stays_flat_in_the_problem_size():
         {((i + 1) % m, i) for i in range(m)}
         | {((i + 3) % m, i) for i in range(m)}
     ))
-    setup = RunSetup.create(problem, tracking_schedules(False),
-                            push_pull=build_push_pull_weights(graph, graph, 0.2))
+    setup = RunSetup(problem, tracking_schedules(False),
+                     push_pull=build_push_pull_weights(graph, graph, 0.2))
     tracemalloc.start()
     try:
         trace = run("alg2", setup, 400, seed=1, force=True)
@@ -571,7 +571,8 @@ def test_run_diverging_only_below_minus_threshold(monkeypatch):
     setup = dataclasses.replace(
         with_schedules(shared_setup("static", False), stepsize=tiny,
                        coupling=tiny),
-        init_radius=1.0, divergence_threshold=threshold)
+        init_radius=1.0)
+    monkeypatch.setattr(solvers, "DIVERGENCE_THRESHOLD", threshold)
     x0 = [np.random.default_rng(derive_seed(base_seed, i)).standard_normal(10)
           for i in range(n_runs)]
     assert max(x.max() for x in x0) < threshold
@@ -589,15 +590,16 @@ def test_run_diverging_only_below_minus_threshold(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", ["alg1", "alg2"])
-def test_states_exactly_at_the_threshold_do_not_diverge(variant):
-    base = shared_setup(family(variant), True)
-    free = dataclasses.replace(base, divergence_threshold=np.inf)
+def test_states_exactly_at_the_threshold_do_not_diverge(monkeypatch,
+                                                        variant):
+    setup = shared_setup(family(variant), True)
+    monkeypatch.setattr(solvers, "DIVERGENCE_THRESHOLD", np.inf)
     base_seed, n_runs, iterations = 6, 5, 300
     # The largest max |z| any state reaches, as the threshold.
-    peak = max(affine_reference(variant, free, iterations,
+    peak = max(affine_reference(variant, setup, iterations,
                                 derive_seed(base_seed, i))[1]
                for i in range(n_runs))
-    setup = dataclasses.replace(base, divergence_threshold=peak)
+    monkeypatch.setattr(solvers, "DIVERGENCE_THRESHOLD", peak)
     batch = check_against_references(variant, setup, iterations, base_seed,
                                      n_runs)
     assert not any(t.diverged for t in batch)
@@ -613,7 +615,8 @@ def test_infinite_state_in_one_run_diverges_at_infinite_threshold(
     base = shared_setup("static", False)
     setup = dataclasses.replace(
         with_schedules(base, stepsize=PowerSchedule.constant(0.15)),
-        init_radius=1e300, divergence_threshold=np.inf)
+        init_radius=1e300)
+    monkeypatch.setattr(solvers, "DIVERGENCE_THRESHOLD", np.inf)
     calls = counting_divergence(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
         batch = check_against_references("dgd", setup, 22, 3, 3)

@@ -92,6 +92,19 @@ class TestValidate:
         assert main(argv + ["--force"]) == 1
         assert "mix too strong" in capsys.readouterr().err
 
+    def test_schedule_warning_printed_once(self, tmp_path, capsys):
+        # A constant coupling draws the one warning of the validators.
+        text = (CONFIGS / "alg1.cfg").read_text(encoding="utf-8").replace(
+            "schedules.coupling.form = decaying",
+            "schedules.coupling.form = constant")
+        path = tmp_path / "constant.cfg"
+        path.write_text(text, encoding="utf-8")
+        main(["validate", str(path)])
+        out = capsys.readouterr().out
+        warning = "injected noise is never attenuated"
+        assert out.count(warning) == 1
+        assert f"warn  coupling schedule does not decay; {warning}" in out
+
     def test_missing_file_returns_two(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.cfg")]) == 2
         assert "config error" in capsys.readouterr().err
@@ -208,6 +221,30 @@ class TestRun:
         assert "conservative budget term not finite at k = 155" \
             in capsys.readouterr().err
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("line,value", [
+        ("budget.gradient_bound = 1.0", "inf"),
+        ("schedules.stepsize.b = 0.1", "nan"),
+        ("run.init_radius = 10.0", "inf"),
+    ])
+    def test_non_finite_config_float_returns_two(self, line, value, tmp_path,
+                                                 capsys):
+        key = line.split(" = ")[0]
+        text = (CONFIGS / "alg1.cfg").read_text(encoding="utf-8")
+        assert line in text
+        path = tmp_path / "bad.cfg"
+        path.write_text(text.replace(line, f"{key} = {value}"),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)],
+                     ["run", str(path), "--runs", "2", "--iters", "200",
+                      "--output", str(out)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert f"key {key!r}" in captured.err
+            assert "expected a finite number" in captured.err
+            assert captured.out == ""
+        assert not out.exists()
 
     def test_partly_diverged_batch_returns_zero(self, tmp_path, capsys):
         # A stepsize just past stability for the first few dozen

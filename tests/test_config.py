@@ -161,6 +161,19 @@ class TestParse:
                 "run.iterations = 200", f"run.iterations = {value}"))
         assert info.value.key == "run.iterations"
 
+    @pytest.mark.parametrize("line", [
+        "schedules.stepsize.b = 0.1", "run.init_radius = 10.0",
+        "budget.gradient_bound = 1.0",
+    ])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_float_rejected(self, line, value):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match="expected a finite number") \
+                as info:
+            parse_config_text(STATIC_TEXT.replace(line, f"{key} = {value}"))
+        assert info.value.key == key
+        assert info.value.line == STATIC_TEXT.splitlines().index(line) + 1
+
     def test_bad_edge_syntax_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text(STATIC_TEXT.replace("4>0", "4-0"))
@@ -204,7 +217,7 @@ class TestBuildSetup:
         assert setup.consensus is not None
         assert setup.push_pull is None
         trace = run("alg1", setup, iterations=50, seed=1)
-        assert trace.final_k == 50
+        assert trace.ks[-1] == 50
 
     def test_tracking_setup_runs(self):
         config = parse_config_text(TRACKING_TEXT)
@@ -212,7 +225,7 @@ class TestBuildSetup:
         assert setup.push_pull is not None
         assert setup.consensus is None
         trace = run("alg2", setup, iterations=50, seed=1)
-        assert trace.final_k == 50
+        assert trace.ks[-1] == 50
 
     def test_multi_variant_setup_builds_both_weight_kinds(self):
         config = parse_config_text(TRACKING_TEXT)

@@ -191,11 +191,10 @@ def random_setup(kind, d):
     problem, _ = random_instance(seed=10 + d, m=5, s=3, d=d)
     graph = desk_graph()
     if kind == "static":
-        return RunSetup.create(problem, static_schedules(),
-                               consensus=build_consensus_weights(graph, 0.2))
-    return RunSetup.create(problem, tracking_schedules(),
-                           push_pull=build_push_pull_weights(graph, graph,
-                                                             0.2))
+        return RunSetup(problem, static_schedules(),
+                        consensus=build_consensus_weights(graph, 0.2))
+    return RunSetup(problem, tracking_schedules(),
+                    push_pull=build_push_pull_weights(graph, graph, 0.2))
 
 
 @pytest.mark.parametrize("agent", [0, 4])

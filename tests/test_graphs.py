@@ -43,11 +43,6 @@ class TestDirectedGraph:
         with pytest.raises(ValueError):
             DirectedGraph(0)
 
-    def test_in_neighbors(self):
-        g = desk_graph()
-        assert g.in_neighbors(2) == [0, 1]
-        assert g.in_neighbors(0) == [4]
-
     def test_reversed_swaps_direction(self):
         g = DirectedGraph(3, {(1, 0)})
         assert g.reversed().edges == frozenset({(0, 1)})

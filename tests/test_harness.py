@@ -35,8 +35,7 @@ from dpopt.solvers import RunSetup, effective_schedules, run
 def diverging_setup():
     base = make_setup("static", noise=False)
     return RunSetup(
-        problem=base.problem, theta_star=base.theta_star, f_star=base.f_star,
-        schedules=ScheduleSet(stepsize=PowerSchedule.constant(10.0)),
+        base.problem, ScheduleSet(stepsize=PowerSchedule.constant(10.0)),
         consensus=base.consensus,
     )
 
@@ -261,10 +260,7 @@ class TestBudgetReport:
             coupling=base.schedules.coupling,
             noise_scale=PowerSchedule.constant(1.0),
         )
-        setup = RunSetup(
-            problem=base.problem, theta_star=base.theta_star,
-            f_star=base.f_star, schedules=sch, consensus=base.consensus,
-        )
+        setup = RunSetup(base.problem, sch, consensus=base.consensus)
         rows = budget_account("alg1", setup, 1.0, [100]).rows
         assert not rows[0].summable
         assert rows[0].tail == math.inf

@@ -579,12 +579,12 @@ class TestBlockedRecursions:
         # agent 0's |W_00| = 0.6 does not.
         base = make_setup("static")
         setup = RunSetup(
-            problem=base.problem, theta_star=base.theta_star,
-            f_star=base.f_star, consensus=base.consensus,
-            schedules=ScheduleSet(
+            base.problem,
+            ScheduleSet(
                 stepsize=LAM, coupling=PowerSchedule.constant(2.0),
                 noise_scale=NU,
             ),
+            consensus=base.consensus,
         )
         adjacent = adjacent_variant(setup.problem, agent=0, delta=0.5, eta=1.0)
         for envelope in (None, 1.0):

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from oracles import (
 )
 
 import dpopt
+from dpopt.config import build_setup, load_config
+from dpopt.difference import coupled_difference_trace
 from dpopt.errors import ConditionError, RangeError
 from dpopt.harness import budget_account
 from dpopt.graphs import (
@@ -25,7 +28,7 @@ from dpopt.graphs import (
     build_consensus_weights,
     build_push_pull_weights,
 )
-from dpopt.objectives import random_instance
+from dpopt.objectives import adjacent_variant, optimal_solution, random_instance
 from dpopt.privacy import conservative_budget
 from dpopt.schedules import PowerSchedule, ScheduleSet
 from dpopt.solvers import (
@@ -37,6 +40,9 @@ from dpopt.solvers import (
     run_batch,
     validate_for_variant,
 )
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def off_diagonal(A):
@@ -129,7 +135,7 @@ class TestRun:
         setup = make_setup("static", noise=False, stride=10)
         trace = run("alg1", setup, iterations=25, seed=1)
         assert list(trace.ks) == [0, 10, 20, 25]
-        assert trace.final_k == 25
+        assert trace.ks[-1] == 25
 
     def test_deterministic_with_noise(self):
         setup = make_setup("static")
@@ -192,7 +198,7 @@ class TestRun:
 
     def test_single_agent_is_plain_gradient_descent(self):
         problem, _ = random_instance(seed=11, m=1, s=8, d=3)
-        setup = RunSetup.create(
+        setup = RunSetup(
             problem, static_schedules(noise=False),
             consensus=build_consensus_weights(DirectedGraph(1), 0.2),
             stride=7,
@@ -213,10 +219,7 @@ class TestRun:
     def test_divergence_is_flagged_not_raised(self):
         setup = make_setup("static", noise=False)
         bad = ScheduleSet(stepsize=PowerSchedule.constant(10.0))
-        setup = RunSetup(
-            problem=setup.problem, theta_star=setup.theta_star,
-            f_star=setup.f_star, schedules=bad, consensus=setup.consensus,
-        )
+        setup = RunSetup(setup.problem, bad, consensus=setup.consensus)
         trace = run("dgd", setup, iterations=500, seed=2)
         assert trace.diverged
         assert trace.diverged_at is not None
@@ -231,14 +234,11 @@ class TestRun:
             coupling=PowerSchedule.decaying(1.0, 0.1, 1.1),
             noise_scale=setup.schedules.noise_scale,
         )
-        gated = RunSetup(
-            problem=setup.problem, theta_star=setup.theta_star,
-            f_star=setup.f_star, schedules=bad, consensus=setup.consensus,
-        )
+        gated = RunSetup(setup.problem, bad, consensus=setup.consensus)
         with pytest.raises(ConditionError):
             run("alg1", gated, iterations=10, seed=1)
         trace = run("alg1", gated, iterations=10, seed=1, force=True)
-        assert trace.final_k == 10
+        assert trace.ks[-1] == 10
 
     def test_baselines_ignore_schedule_conditions(self):
         setup = make_setup("static")
@@ -247,13 +247,10 @@ class TestRun:
             coupling=PowerSchedule.decaying(1.0, 0.1, 1.1),
             noise_scale=setup.schedules.noise_scale,
         )
-        gated = RunSetup(
-            problem=setup.problem, theta_star=setup.theta_star,
-            f_star=setup.f_star, schedules=bad, consensus=setup.consensus,
-        )
+        gated = RunSetup(setup.problem, bad, consensus=setup.consensus)
         assert validate_for_variant("dgd", gated).overall
         trace = run("dgd", gated, iterations=10, seed=1)
-        assert trace.final_k == 10
+        assert trace.ks[-1] == 10
 
     def test_gradient_bound_covers_initial_gradients(self):
         setup = make_setup("static", noise=False)
@@ -375,7 +372,7 @@ class TestValidateForVariant:
         # One agent mixes nothing: its zero diagonal stays zero under
         # any coupling, as the run-time contraction check agrees.
         problem, _ = random_instance(seed=7, m=1, s=3, d=2)
-        setup = RunSetup.create(
+        setup = RunSetup(
             problem,
             ScheduleSet(stepsize=PowerSchedule.decaying(0.02, 0.1, 1.0),
                         coupling=PowerSchedule.growing(1.0, 0.1, 0.5)),
@@ -385,7 +382,7 @@ class TestValidateForVariant:
         entry = validate_for_variant("alg1", setup).entry(
             "coupling_peak_diag_positive")
         assert entry.passed and entry.value == 0.0
-        assert run("alg1", setup, 50, seed=0).final_k == 50
+        assert run("alg1", setup, 50, seed=0).ks[-1] == 50
 
     def test_tracker_mix_entry_on_reference_setups(self):
         setup = make_setup("tracking", pdop=True)
@@ -412,7 +409,7 @@ class TestValidateForVariant:
             with pytest.raises(RangeError, match="mix too strong"):
                 run("alg2", setup, 50, seed=1, force=True)
         else:
-            assert run("alg2", setup, 50, seed=1, force=True).final_k == 50
+            assert run("alg2", setup, 50, seed=1, force=True).ks[-1] == 50
 
     def test_all_variants_pass_on_reference_setups(self):
         static = make_setup("static", pdop=True)
@@ -420,6 +417,58 @@ class TestValidateForVariant:
         for variant in VARIANTS:
             setup = tracking if Variant.of(variant).tracking else static
             assert validate_for_variant(variant, setup).overall
+
+
+class TestRunSetup:
+    def test_optimum_derived_from_the_problem(self):
+        problem, _ = random_instance(seed=7, m=5, s=3, d=2)
+        setup = RunSetup(problem, static_schedules())
+        theta_star, f_star = optimal_solution(problem)
+        assert setup.theta_star.tobytes() == theta_star.tobytes()
+        assert float(setup.f_star).hex() == float(f_star).hex()
+
+    def test_optimum_survives_pickle(self):
+        # compare's workers receive the setup pickled.
+        setup = make_setup("tracking", pdop=True)
+        copy = pickle.loads(pickle.dumps(setup))
+        assert copy.theta_star.tobytes() == setup.theta_star.tobytes()
+        assert float(copy.f_star).hex() == float(setup.f_star).hex()
+
+
+# A setup built for one family only lacks the other family's weights;
+# every entry point names the missing weights instead of failing on None.
+MISSING_WEIGHTS = [("push_pull", "dgd", "push-pull"),
+                   ("dgd", "push_pull", "consensus")]
+
+
+def one_family_setup(built_for):
+    config = load_config(str(CONFIGS / "alg2.cfg"))
+    return build_setup(config, [built_for])
+
+
+class TestMissingWeights:
+    @pytest.mark.parametrize("variant,built_for,kind", MISSING_WEIGHTS)
+    def test_forced_run(self, variant, built_for, kind):
+        setup = one_family_setup(built_for)
+        with pytest.raises(ConditionError,
+                           match=f"variant '{variant}' needs {kind} weights"):
+            run(variant, setup, 10, 1, force=True)
+
+    @pytest.mark.parametrize("variant,built_for,kind", MISSING_WEIGHTS)
+    def test_budget_account(self, variant, built_for, kind):
+        setup = one_family_setup(built_for)
+        with pytest.raises(ConditionError,
+                           match=f"variant '{variant}' needs {kind} weights"):
+            budget_account(variant, setup, 1.0, [10])
+
+    @pytest.mark.parametrize("variant,built_for,kind", MISSING_WEIGHTS)
+    def test_difference_trace(self, variant, built_for, kind):
+        setup = one_family_setup(built_for)
+        adjacent = adjacent_variant(setup.problem, agent=2, delta=0.5,
+                                    eta=1.0)
+        with pytest.raises(ConditionError,
+                           match=f"variant '{variant}' needs {kind} weights"):
+            coupled_difference_trace(variant, setup, adjacent, 10, 1)
 
 
 def test_variant_names_only_in_the_table():

@@ -4,11 +4,12 @@ Usage:
     python tools/output_matrix.py [--src PATH] OUT
 
 Runs `python -m dpopt` with PYTHONPATH=PATH (default: this checkout's
-src/) on the shipped configs of this checkout.  Each command writes its
-files under OUT/<name>/ and a log OUT/<name>.log holding its command
-line, exit code, stdout and stderr, with the OUT path replaced by
-`<out>`, so two trees made from different sources compare with
-`diff -r`:
+src/) on the shipped configs of this checkout, and on a few bad configs
+derived from them (DERIVED), which it writes to OUT/configs/.  Each
+command writes its files under OUT/<name>/ and a log OUT/<name>.log
+holding its command line, exit code, stdout and stderr, with the OUT
+path replaced by `<out>` and PATH by `<src>`, so two trees made from
+different sources compare with `diff -r`:
 
     python tools/output_matrix.py --src /path/to/parent/src /tmp/before
     python tools/output_matrix.py /tmp/after
@@ -46,6 +47,17 @@ TRACE_ADJACENT = {"agent": 2, "delta": 0.5, "eta": 1.0}
 TRACE_ARRAYS = ("ks", "state_diff", "state_bound", "tracker_diff",
                 "tracker_bound")
 
+# Derived configs: name -> (shipped config, its line, the replacement).
+DERIVED = {
+    "alg1_gradient_bound_inf": ("alg1", "budget.gradient_bound = 1.0",
+                                "budget.gradient_bound = inf"),
+    "alg1_init_radius_inf": ("alg1", "run.init_radius = 10.0",
+                             "run.init_radius = inf"),
+    # Validate's one warning: the coupling never attenuates the noise.
+    "alg1_constant_coupling": ("alg1", "schedules.coupling.form = decaying",
+                               "schedules.coupling.form = constant"),
+}
+
 # (name, config, arguments after the config; --output is added when the
 # command writes files).
 MATRIX = (
@@ -69,12 +81,17 @@ MATRIX = (
     # edges on the way to 1e6.
     *((f"budget_{c}_1e6", c, ["budget", "--horizons", "1e4,1e5,1e6"])
       for c in ("alg1", "alg2")),
+    *((f"run_{c}", c, ["run", "--runs", "2", "--iters", "200"])
+      for c in ("alg1_gradient_bound_inf", "alg1_init_radius_inf")),
+    ("validate_alg1_constant_coupling", "alg1_constant_coupling",
+     ["validate"]),
 )
 
 
 def _run(name: str, argv: list, env: dict, out: str) -> None:
-    """Run one child process and write its log, with the OUT path and
-    this checkout's root replaced."""
+    """Run one child process and write its log, with the OUT path, the
+    source path (as in a warning's file name) and this checkout's root
+    replaced."""
     proc = subprocess.run([sys.executable, *argv], env=env, cwd=ROOT,
                           capture_output=True, text=True)
     text = (
@@ -82,8 +99,23 @@ def _run(name: str, argv: list, env: dict, out: str) -> None:
         f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
     )
     with open(os.path.join(out, f"{name}.log"), "w", encoding="utf-8") as fh:
-        fh.write(text.replace(out, "<out>").replace(ROOT, "<root>"))
+        fh.write(text.replace(out, "<out>")
+                 .replace(env["PYTHONPATH"], "<src>").replace(ROOT, "<root>"))
     print(f"{name}: exit {proc.returncode}")
+
+
+def write_derived(out: str) -> None:
+    """Write every config of DERIVED to OUT/configs/."""
+    os.makedirs(os.path.join(out, "configs"), exist_ok=True)
+    for name, (shipped, line, replacement) in DERIVED.items():
+        path = os.path.join(ROOT, "configs", f"{shipped}.cfg")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        if line not in text:
+            raise SystemExit(f"{path} has no line {line!r}")
+        path = os.path.join(out, "configs", f"{name}.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(line, replacement))
 
 
 def run_matrix(src: str, out: str) -> None:
@@ -91,10 +123,11 @@ def run_matrix(src: str, out: str) -> None:
     TRACES, with src on the import path."""
     env = dict(os.environ, PYTHONPATH=src)
     os.makedirs(out, exist_ok=True)
+    write_derived(out)
     for name, config, args in MATRIX:
         command, *options = args
-        argv = [command, os.path.join(ROOT, "configs", f"{config}.cfg"),
-                *options]
+        folder = os.path.join(out if config in DERIVED else ROOT, "configs")
+        argv = [command, os.path.join(folder, f"{config}.cfg"), *options]
         if command != "validate":
             argv += ["--output", os.path.join(out, name)]
         _run(name, ["-m", "dpopt", *argv], env, out)
