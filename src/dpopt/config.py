@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 from .errors import ConfigError
 from .graphs import (
@@ -79,11 +81,11 @@ class _RawConfig:
         pair = self.pairs.get(key)
         return pair[1] if pair else None
 
-    def take(self, key: str, default=None, required: bool = False) -> str | None:
+    def take(self, key: str, required: bool = False) -> str | None:
         if key not in self.pairs:
             if required:
                 raise ConfigError("missing required key", key=key)
-            return default
+            return None
         self.consumed.add(key)
         return self.pairs[key][0]
 
@@ -111,18 +113,16 @@ def _to_float(raw: _RawConfig, key: str, value: str) -> float:
 
 
 def _to_int(raw: _RawConfig, key: str, value: str) -> int:
+    """An integer below 2**53 in magnitude, where floats hold it exactly."""
     number = _number(raw, key, value)
     if not math.isfinite(number) or number != int(number):
         raise ConfigError(
             f"expected an integer, got {value!r}", line=raw.line(key), key=key
         )
+    if abs(number) >= 2**53:
+        raise ConfigError(f"expected an integer below 2**53, got {value!r}",
+                          line=raw.line(key), key=key)
     return int(number)
-
-
-def _take(raw: _RawConfig, key: str, parse, default):
-    """The value of an optional key through parse(raw, key, text)."""
-    value = raw.take(key)
-    return default if value is None else parse(raw, key, value)
 
 
 def _parse_edges(raw: _RawConfig, key: str, value: str):
@@ -174,6 +174,55 @@ def _take_schedule(raw, prefix, required=False, allow_zero=False):
         ) from None
 
 
+def _positive(value, values) -> bool:
+    return value > 0
+
+
+def _non_negative(value, values) -> bool:
+    return value >= 0
+
+
+def _agent_pairs(edges, values) -> bool:
+    """Each edge joins two different agents of 0..agents-1."""
+    m = values["agents"]
+    return all(i != j and 0 <= i < m and 0 <= j < m for i, j in edges)
+
+
+def _finite_weights(weight, values) -> bool:
+    """A positive weight whose row sums, under agents times it, are finite."""
+    return weight > 0 and math.isfinite(weight * values["agents"])
+
+
+# Each plain key in read order: its ExperimentConfig field, parser,
+# default (a callable reads it from the values before it) and a range test
+# of the value and all values, or None.  The None row reads the schedules.
+_KEYS = (
+    ("problem.seed", "problem_seed", _to_int, 7, _non_negative),
+    ("problem.agents", "agents", _to_int, 5, _positive),
+    ("problem.measurements", "measurements", _to_int, 3, _positive),
+    ("problem.dimension", "dimension", _to_int, 2, _positive),
+    ("problem.regularization", "regularization", _to_float, 0.01,
+     _non_negative),
+    ("problem.noise_std", "measurement_noise_std", _to_float, 1.0,
+     _non_negative),
+    ("graph.edges", "edges", _parse_edges, (), _agent_pairs),
+    ("graph.edge_weight", "edge_weight", _to_float, 0.2, _finite_weights),
+    ("graph.pull_edges", "pull_edges", _parse_edges, itemgetter("edges"),
+     _agent_pairs),
+    ("graph.push_edges", "push_edges", _parse_edges, itemgetter("edges"),
+     _agent_pairs),
+    None,
+    ("noise.seed", "noise_seed", _to_int, 1, None),
+    ("run.iterations", "iterations", _to_int, 10_000, _positive),
+    ("run.monte_carlo", "monte_carlo", _to_int, 1, _positive),
+    ("run.stride", "stride", _to_int, 10, _positive),
+    ("run.init_radius", "init_radius", _to_float, 1.0, _non_negative),
+    ("run.output_dir", "output_dir", lambda raw, key, value: value, "out",
+     None),
+    ("budget.gradient_bound", "gradient_bound", _to_float, 1.0, _positive),
+)
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     raw = _RawConfig(text)
 
@@ -184,84 +233,34 @@ def parse_config_text(text: str) -> ExperimentConfig:
             line=raw.line("variant"), key="variant",
         )
 
-    problem_seed = _take(raw, "problem.seed", _to_int, 7)
-    agents = _take(raw, "problem.agents", _to_int, 5)
-    measurements = _take(raw, "problem.measurements", _to_int, 3)
-    dimension = _take(raw, "problem.dimension", _to_int, 2)
-    regularization = _take(raw, "problem.regularization", _to_float, 0.01)
-    noise_std = _take(raw, "problem.noise_std", _to_float, 1.0)
-
-    edges = _take(raw, "graph.edges", _parse_edges, ())
-    edge_weight = _take(raw, "graph.edge_weight", _to_float, 0.2)
-    pull_edges = _take(raw, "graph.pull_edges", _parse_edges, edges)
-    push_edges = _take(raw, "graph.push_edges", _parse_edges, edges)
-
-    stepsize = _take_schedule(raw, "schedules.stepsize", required=True)
-    coupling = _take_schedule(raw, "schedules.coupling")
-    coupling_state = _take_schedule(raw, "schedules.coupling_state")
-    coupling_tracker = _take_schedule(raw, "schedules.coupling_tracker")
-    tracker_mix = _take_schedule(raw, "schedules.tracker_mix")
-    noise_scale = _take_schedule(
-        raw, "noise.scale", required=True, allow_zero=True
-    )
-
-    schedules = ScheduleSet(
-        stepsize=stepsize,
-        coupling=coupling,
-        coupling_state=coupling_state,
-        coupling_tracker=coupling_tracker,
-        tracker_mix=tracker_mix,
-        noise_scale=noise_scale,
-    )
-
-    pdop_stepsize = _take_schedule(raw, "pdop.stepsize")
-    pdop_noise = _take_schedule(raw, "pdop.noise")
-
-    config = ExperimentConfig(
-        variant=variant,
-        problem_seed=problem_seed,
-        agents=agents,
-        measurements=measurements,
-        dimension=dimension,
-        regularization=regularization,
-        measurement_noise_std=noise_std,
-        edges=edges,
-        edge_weight=edge_weight,
-        pull_edges=pull_edges,
-        push_edges=push_edges,
-        schedules=schedules,
-        pdop_stepsize=pdop_stepsize,
-        pdop_noise=pdop_noise,
-        noise_seed=_take(raw, "noise.seed", _to_int, 1),
-        iterations=_take(raw, "run.iterations", _to_int, 10_000),
-        monte_carlo=_take(raw, "run.monte_carlo", _to_int, 1),
-        stride=_take(raw, "run.stride", _to_int, 10),
-        init_radius=_take(raw, "run.init_radius", _to_float, 1.0),
-        output_dir=raw.take("run.output_dir", default="out"),
-        gradient_bound=_take(raw, "budget.gradient_bound", _to_float, 1.0),
-    )
+    values = {"variant": variant}
+    for row in _KEYS:
+        if row is None:
+            take = partial(_take_schedule, raw)
+            values["schedules"] = ScheduleSet(
+                stepsize=take("schedules.stepsize", required=True),
+                coupling=take("schedules.coupling"),
+                coupling_state=take("schedules.coupling_state"),
+                coupling_tracker=take("schedules.coupling_tracker"),
+                tracker_mix=take("schedules.tracker_mix"),
+                noise_scale=take("noise.scale", required=True,
+                                 allow_zero=True),
+            )
+            values["pdop_stepsize"] = take("pdop.stepsize")
+            values["pdop_noise"] = take("pdop.noise")
+            continue
+        key, field, parse, default, _ = row
+        value = raw.take(key)
+        if value is not None:
+            values[field] = parse(raw, key, value)
+        else:
+            values[field] = default(values) if callable(default) else default
     raw.reject_unconsumed()
-    _check_ranges(config)
-    return config
-
-
-def _check_ranges(config: ExperimentConfig) -> None:
-    checks = (
-        ("problem.agents", config.agents >= 1),
-        ("problem.measurements", config.measurements >= 1),
-        ("problem.dimension", config.dimension >= 1),
-        ("problem.regularization", config.regularization >= 0),
-        ("problem.noise_std", config.measurement_noise_std >= 0),
-        ("graph.edge_weight", config.edge_weight > 0),
-        ("run.iterations", config.iterations >= 1),
-        ("run.monte_carlo", config.monte_carlo >= 1),
-        ("run.stride", config.stride >= 1),
-        ("run.init_radius", config.init_radius >= 0),
-        ("budget.gradient_bound", config.gradient_bound > 0),
-    )
-    for key, ok in checks:
-        if not ok:
-            raise ConfigError("value out of range", key=key)
+    for key, field, _, _, in_range in filter(None, _KEYS):
+        if in_range and not in_range(values[field], values):
+            raise ConfigError("value out of range", line=raw.line(key),
+                              key=key)
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str) -> ExperimentConfig:

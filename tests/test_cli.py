@@ -115,6 +115,70 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
 
 
+class TestConfigValues:
+    """Config values that once ended in a traceback exit 2, naming their
+    key and line."""
+
+    EDGES = "graph.edges = 0>1, 1>2, 2>3, 3>4, 4>0, 0>2, 1>4"
+
+    @staticmethod
+    def validate(text, key, tmp_path, capsys, code=2):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            line = next(n for n, entry in enumerate(text.splitlines(), 1)
+                        if entry.startswith(f"{key} ="))
+            assert err.startswith("config error:")
+            assert f"(line {line}, key {key!r})" in err
+        return err
+
+    @staticmethod
+    def mutate(config, line, replacement):
+        text = (CONFIGS / f"{config}.cfg").read_text(encoding="utf-8")
+        assert line in text
+        return text.replace(line, replacement)
+
+    def test_negative_problem_seed_returns_two(self, tmp_path, capsys):
+        text = self.mutate("alg1", "problem.seed = 7", "problem.seed = -1")
+        self.validate(text, "problem.seed", tmp_path, capsys)
+
+    def test_edge_beyond_agents_returns_two(self, tmp_path, capsys):
+        # 4>0 names agent 4 of three.
+        text = self.mutate("alg1", "problem.agents = 5", "problem.agents = 3")
+        self.validate(text, "graph.edges", tmp_path, capsys)
+
+    @pytest.mark.parametrize("key", ["graph.edges", "graph.pull_edges",
+                                     "graph.push_edges"])
+    def test_self_loop_edge_returns_two(self, key, tmp_path, capsys):
+        looped = f"{key} = 0>1, 1>2, 2>3, 3>4, 4>0, 1>1"
+        text = self.mutate("alg2", self.EDGES, looped if key == "graph.edges"
+                           else f"{self.EDGES}\n{looped}")
+        self.validate(text, key, tmp_path, capsys)
+
+    def test_edge_weight_overflow_returns_two(self, tmp_path, capsys):
+        line = "graph.edge_weight = 0.2"
+        # 5 agents times 1e308 overflows; times 3e307 it does not, and
+        # the weights then fail their contraction check (exit 1).
+        text = self.mutate("alg1", line, "graph.edge_weight = 1e308")
+        self.validate(text, "graph.edge_weight", tmp_path, capsys)
+        text = self.mutate("alg1", line, "graph.edge_weight = 3e307")
+        err = self.validate(text, "graph.edge_weight", tmp_path, capsys,
+                            code=1)
+        assert err.startswith("error: no contraction at edge_weight=3e+307")
+
+    @pytest.mark.parametrize("line", [
+        "problem.agents = 5", "problem.measurements = 3",
+        "problem.dimension = 2", "run.iterations = 10000",
+    ])
+    def test_integer_past_2_53_returns_two(self, line, tmp_path, capsys):
+        key = line.split(" = ")[0]
+        text = self.mutate("alg1", line, f"{key} = 1e308")
+        err = self.validate(text, key, tmp_path, capsys)
+        assert "expected an integer below 2**53, got '1e308'" in err
+
+
 class TestRun:
     def test_writes_contracted_files(self, static_cfg, tmp_path, capsys):
         out = str(tmp_path / "out")

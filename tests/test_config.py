@@ -188,6 +188,25 @@ class TestParse:
             parse_config_text(STATIC_TEXT.replace("graph.edge_weight = 0.2",
                                                   "graph.edge_weight = -1"))
 
+    def test_range_error_names_line(self):
+        line = "run.stride = 10"
+        with pytest.raises(ConfigError, match="value out of range") as info:
+            parse_config_text(STATIC_TEXT.replace(line, "run.stride = 0"))
+        assert info.value.key == "run.stride"
+        assert info.value.line == STATIC_TEXT.splitlines().index(line) + 1
+
+    def test_integer_past_2_53_rejected(self):
+        line = "noise.seed = 1"
+        with pytest.raises(ConfigError, match="below 2\\*\\*53") as info:
+            parse_config_text(STATIC_TEXT.replace(
+                line, "noise.seed = 9007199254740993"))
+        assert info.value.key == "noise.seed"
+        assert info.value.line == STATIC_TEXT.splitlines().index(line) + 1
+        # Below 2**53 every integer reads exactly.
+        config = parse_config_text(STATIC_TEXT.replace(
+            line, "noise.seed = 9007199254740991"))
+        assert config.noise_seed == 2**53 - 1
+
     def test_bad_schedule_parameters_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text(STATIC_TEXT.replace("schedules.stepsize.a = 0.02",

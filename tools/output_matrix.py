@@ -56,6 +56,19 @@ DERIVED = {
     # Validate's one warning: the coupling never attenuates the noise.
     "alg1_constant_coupling": ("alg1", "schedules.coupling.form = decaying",
                                "schedules.coupling.form = constant"),
+    # Values the problem, graph and weight constructors would reject, and
+    # integers past 2**53: each exits 2 naming its key and line.
+    "alg1_problem_seed_negative": ("alg1", "problem.seed = 7",
+                                   "problem.seed = -1"),
+    "alg1_agents_3": ("alg1", "problem.agents = 5", "problem.agents = 3"),
+    "alg1_self_loop": ("alg1", "0>2, 1>4", "0>2, 1>4, 1>1"),
+    "alg1_edge_weight_1e308": ("alg1", "graph.edge_weight = 0.2",
+                               "graph.edge_weight = 1e308"),
+    "alg1_iterations_1e308": ("alg1", "run.iterations = 10000",
+                              "run.iterations = 1e308"),
+    "alg1_noise_seed_2_53": ("alg1", "noise.seed = 1",
+                             "noise.seed = 9007199254740993"),
+    "alg1_stride_0": ("alg1", "run.stride = 10", "run.stride = 0"),
 }
 
 # (name, config, arguments after the config; --output is added when the
@@ -83,8 +96,11 @@ MATRIX = (
       for c in ("alg1", "alg2")),
     *((f"run_{c}", c, ["run", "--runs", "2", "--iters", "200"])
       for c in ("alg1_gradient_bound_inf", "alg1_init_radius_inf")),
-    ("validate_alg1_constant_coupling", "alg1_constant_coupling",
-     ["validate"]),
+    *((f"validate_{c}", c, ["validate"])
+      for c in ("alg1_constant_coupling", "alg1_problem_seed_negative",
+                "alg1_agents_3", "alg1_self_loop", "alg1_edge_weight_1e308",
+                "alg1_iterations_1e308", "alg1_noise_seed_2_53",
+                "alg1_stride_0")),
 )
 
 
