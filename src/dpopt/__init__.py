@@ -26,7 +26,6 @@ from .graphs import (
     PushPullWeights,
     build_consensus_weights,
     build_push_pull_weights,
-    contraction_at,
     spanning_roots,
     validate_consensus_matrix,
     validate_push_pull_graphs,

@@ -103,12 +103,6 @@ def _zero_sum(m: int, edges, weight: float, axis: int) -> np.ndarray:
     return A
 
 
-def _centered_norm(A: np.ndarray, gamma: float, average: np.ndarray) -> float:
-    """Spectral radius of the centered mixing map I + gamma A - average."""
-    M = np.eye(A.shape[0]) + gamma * A - average
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
-
-
 def build_consensus_weights(
     graph: DirectedGraph, edge_weight: float
 ) -> ConsensusWeights:
@@ -128,7 +122,8 @@ def build_consensus_weights(
         )
     m = graph.m
     W = _zero_sum(m, graph.undirected().edges, edge_weight, axis=1)
-    contraction = _centered_norm(W, 1.0, np.ones((m, m)) / m)
+    M = np.eye(m) + W - np.ones((m, m)) / m
+    contraction = float(np.max(np.abs(np.linalg.eigvals(M))))
     if m > 1 and contraction >= 1.0:
         raise SpectralError(
             f"no contraction at edge_weight={edge_weight} "
@@ -263,36 +258,3 @@ def build_push_pull_weights(
         min_diag_pull=float(np.min(np.abs(np.diag(R)))),
         min_diag_push=float(np.min(np.abs(np.diag(C)))),
     )
-
-
-def contraction_at(weights, gamma: float, side: str = "pull") -> float:
-    """Spectral radius of the centered mixing map I + gamma A - average
-    at coupling strength gamma.
-
-    For consensus weights A = W and average = (1/m) 1 1^T (the radius is
-    the 2-norm, W being symmetric); for push-pull weights A = R and
-    average = (1/m) 1 u^T on the pull side, A = C and (1/m) v 1^T on the
-    push side.  gamma must keep every diagonal entry of the mixed matrix
-    positive.
-    """
-    if gamma < 0:
-        raise RangeError("gamma must be nonnegative")
-    if isinstance(weights, ConsensusWeights):
-        A = weights.matrix
-        average = np.ones(A.shape) / len(A)
-    elif isinstance(weights, PushPullWeights):
-        ones = np.ones(len(weights.pull))
-        if side == "pull":
-            A, average = weights.pull, np.outer(ones, weights.left_eigvec)
-        elif side == "push":
-            A, average = weights.push, np.outer(weights.right_eigvec, ones)
-        else:
-            raise ValueError(f"unknown side {side!r}")
-        average = average / len(ones)
-    else:
-        raise TypeError(f"unsupported weights type {type(weights)!r}")
-    if gamma > 0 and 1.0 + gamma * float(np.min(np.diag(A))) <= 0:
-        raise RangeError(
-            "gamma too large: a diagonal entry of the mixed matrix is nonpositive"
-        )
-    return _centered_norm(A, gamma, average)

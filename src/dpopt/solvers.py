@@ -23,6 +23,13 @@ swap in geometric stepsize and noise schedules.  The variant table
 below declares each name's family and schedules once; every other
 module reads it through Variant.of.
 
+Both families mix through I + gamma^k A (A = W, R or C), sound only
+while every diagonal of that matrix stays positive, that is, while the
+diagonal load gamma^k * max(0, -min_i A_ii) is below 1 (_diagonal_load):
+validate_for_variant reports it at each coupling's peak; run_batch
+raises RangeError before it steps when it reaches 1 at the run's
+largest coupling.
+
 Every message is obscured by one fresh Laplace draw per sender per
 iteration; all receivers observe the same copy and the sender's own
 update uses its clean state.
@@ -84,12 +91,7 @@ import numpy as np
 
 from .conditions import ConditionReport
 from .errors import ConditionError, RangeError
-from .graphs import (
-    ConsensusWeights,
-    PushPullWeights,
-    contraction_at,
-    validate_consensus_matrix,
-)
+from .graphs import ConsensusWeights, PushPullWeights, validate_consensus_matrix
 from .noise import NOISE_CHUNK, laplace_draws
 from .objectives import QuadraticEstimationProblem, optimal_solution
 from .privacy import conservative_budget
@@ -229,14 +231,21 @@ def effective_schedules(variant: str, setup: RunSetup) -> ScheduleSet:
     return ScheduleSet(stepsize=stepsize, coupling=one, noise_scale=noise)
 
 
+def _diagonal_load(gamma: float, A: np.ndarray) -> float:
+    """gamma * max(0, -min_i A_ii): I + gamma A keeps every diagonal
+    positive while this is below 1.  Zero, at any gamma, if no A_ii < 0."""
+    worst = max(0.0, -float(np.min(np.diag(A))))
+    return gamma * worst if worst else 0.0
+
+
 def validate_for_variant(variant: str, setup: RunSetup) -> ConditionReport:
     """Structural checks and the peak of each coupling for every
     variant; schedule condition checks only for the two attenuated
     variants (baselines run schedules that intentionally violate them).
 
-    A coupling passes when its peak over all k keeps every diagonal of
-    the mixed matrix positive, the inequality contraction_at enforces
-    at run time."""
+    A coupling passes when its diagonal load (_diagonal_load) at its
+    peak over all k is below 1; run_batch refuses a run whose largest
+    coupling loads 1 or more."""
     spec = Variant.of(variant)
     w = spec.weights(setup)
     sch = effective_schedules(variant, setup)
@@ -252,9 +261,7 @@ def validate_for_variant(variant: str, setup: RunSetup) -> ConditionReport:
         report = validate_consensus_matrix(w.matrix)
         couplings = {"coupling": (sch.coupling, w.matrix)}
     for name, (coupling, A) in couplings.items():
-        diag = float(np.max(np.abs(np.diag(A))))
-        # One agent's zero diagonal stays zero at any coupling.
-        value = coupling.peak * diag if diag else 0.0
+        value = _diagonal_load(coupling.peak, A)
         report.add(f"{name}_peak_diag_positive",
                    f"peak {name} * max|A_ii| < 1", value, value < 1.0)
     if spec.tracking:
@@ -481,7 +488,8 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
     dist = np.full((n_runs, n_rec), np.nan)
     track = np.full((n_runs, n_rec), np.nan)
 
-    ks_all = np.arange(iterations)
+    # Float indices: values() would copy integer ones on every call.
+    ks_all = np.arange(iterations, dtype=float)
     lam_vals = sch.stepsize.values(ks_all)
     tracking = spec.tracking
     weights = spec.weights(setup)
@@ -493,14 +501,16 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
             al_vals = np.zeros(iterations)
         else:
             al_vals = sch.tracker_mix.values(ks_all)
-        # Coupling must keep the mixed diagonals positive at every k.
-        contraction_at(weights, g1_vals.max(), side="pull")
-        contraction_at(weights, g2_vals.max(), side="push")
+        couplings = ((g1_vals, weights.pull), (g2_vals, weights.push))
         schedule_vals = (lam_vals, g1_vals, g2_vals, al_vals)
     else:
         gmm_vals = sch.coupling.values(ks_all)
-        contraction_at(weights, gmm_vals.max())
+        couplings = ((gmm_vals, weights.matrix),)
         schedule_vals = (lam_vals, gmm_vals)
+    # Coupling must keep the mixed diagonals positive at every k.
+    if any(_diagonal_load(vals.max(), A) >= 1.0 for vals, A in couplings):
+        raise RangeError("gamma too large: a diagonal entry of the mixed "
+                         "matrix is nonpositive")
 
     # The raw (unit gradient bound) budget does not depend on the seed:
     # one conservative series per batch, read at the record points.

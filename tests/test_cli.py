@@ -178,6 +178,13 @@ class TestConfigValues:
         err = self.validate(text, key, tmp_path, capsys)
         assert "expected an integer below 2**53, got '1e308'" in err
 
+    def test_fraction_below_2_53_returns_two(self, tmp_path, capsys):
+        # Read through a float, the seed would run as 2**52.
+        text = self.mutate("alg1", "noise.seed = 1",
+                           "noise.seed = 4503599627370496.5")
+        err = self.validate(text, "noise.seed", tmp_path, capsys)
+        assert "expected an integer, got '4503599627370496.5'" in err
+
 
 class TestRun:
     def test_writes_contracted_files(self, static_cfg, tmp_path, capsys):

@@ -1,5 +1,9 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpopt.config import build_setup, load_config, parse_config_text
 from dpopt.errors import ConfigError
@@ -207,6 +211,16 @@ class TestParse:
             line, "noise.seed = 9007199254740991"))
         assert config.noise_seed == 2**53 - 1
 
+    def test_fraction_below_2_53_rejected(self):
+        # As a float, 4503599627370496.5 rounds to the integer 2**52.
+        line = "noise.seed = 1"
+        with pytest.raises(ConfigError, match="expected an integer, got "
+                           "'4503599627370496.5'") as info:
+            parse_config_text(STATIC_TEXT.replace(
+                line, "noise.seed = 4503599627370496.5"))
+        assert info.value.key == "noise.seed"
+        assert info.value.line == STATIC_TEXT.splitlines().index(line) + 1
+
     def test_bad_schedule_parameters_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text(STATIC_TEXT.replace("schedules.stepsize.a = 0.02",
@@ -215,6 +229,27 @@ class TestParse:
     def test_missing_required_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("variant = alg1\n")
+
+
+# Float literals: a sign, underscores, a fraction and an exponent.
+LITERALS = st.from_regex(r"[+-]?[0-9]{1,3}(_[0-9]{1,3}){0,5}(\.[0-9]{0,20})?"
+                         r"([eE][+-]?[0-9]{1,3})?", fullmatch=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(literal=LITERALS)
+@example(literal="3.00000000000000000001")
+@example(literal="1e-400")
+def test_integer_keys_read_exactly(literal):
+    """An integer key takes a literal whose exact value is a whole
+    number below 2**53, and reads that number; decimal is the oracle."""
+    exact = Decimal(literal)
+    text = STATIC_TEXT.replace("noise.seed = 1", f"noise.seed = {literal}")
+    if exact == exact.to_integral_value() and abs(exact) < 2**53:
+        assert parse_config_text(text).noise_seed == int(exact)
+    else:
+        with pytest.raises(ConfigError, match="expected an integer"):
+            parse_config_text(text)
 
 
 class TestLoad:

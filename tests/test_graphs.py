@@ -10,12 +10,10 @@ from dpopt.errors import (
     StructureError,
 )
 from dpopt.graphs import (
-    ConsensusWeights,
     DirectedGraph,
     PushPullWeights,
     build_consensus_weights,
     build_push_pull_weights,
-    contraction_at,
     spanning_roots,
     validate_consensus_matrix,
     validate_push_pull_graphs,
@@ -144,39 +142,6 @@ class TestPushPull:
         assert np.allclose(w.push.sum(axis=0), 0.0, atol=1e-12)
 
 
-class TestContraction:
-    def test_matches_build_at_unit_gamma(self):
-        w = build_consensus_weights(desk_graph(), 0.2)
-        assert contraction_at(w, 1.0) == pytest.approx(w.contraction, abs=1e-12)
-
-    def test_no_mixing_at_zero_gamma(self):
-        w = build_consensus_weights(desk_graph(), 0.2)
-        assert contraction_at(w, 0.0) == pytest.approx(1.0)
-
-    def test_decreasing_on_valid_range(self):
-        # More coupling contracts faster as long as diagonals stay
-        # positive; this holds up to gamma = 1 for these weights.
-        w = build_consensus_weights(desk_graph(), 0.2)
-        gammas = np.linspace(0.0, 1.0, 21)
-        norms = [contraction_at(w, g) for g in gammas]
-        assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
-        assert norms[-1] < 1.0
-
-    def test_push_pull_sides(self):
-        g = desk_graph()
-        w = build_push_pull_weights(g, g, 0.2)
-        for side in ("pull", "push"):
-            assert contraction_at(w, 0.0, side=side) == pytest.approx(1.0)
-            assert contraction_at(w, 1.0, side=side) < 1.0
-
-    def test_excessive_gamma_rejected(self):
-        w = build_consensus_weights(desk_graph(), 0.2)
-        with pytest.raises(RangeError):
-            contraction_at(w, 10.0)
-        with pytest.raises(RangeError):
-            contraction_at(w, -0.5)
-
-
 @st.composite
 def digraphs(draw, m: int) -> DirectedGraph:
     pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
@@ -193,16 +158,6 @@ def push_pull_weights(draw) -> PushPullWeights:
     return build_push_pull_weights(pull, push, draw(st.floats(0.05, 0.5)))
 
 
-@st.composite
-def consensus_weights(draw) -> ConsensusWeights:
-    """Weights on a random tree plus random extra edges: connected, and
-    edge weights of at most 1/m keep the averaging map contracting."""
-    m = draw(st.integers(2, 7))
-    tree = {(i, draw(st.integers(0, i - 1))) for i in range(1, m)}
-    graph = DirectedGraph(m, tree | draw(digraphs(m)).edges)
-    return build_consensus_weights(graph, draw(st.floats(0.05, 1.0 / m)))
-
-
 @settings(max_examples=200, deadline=None)
 @given(w=push_pull_weights())
 def test_push_pull_null_vectors(w):
@@ -214,11 +169,4 @@ def test_push_pull_null_vectors(w):
     assert np.max(np.abs(u @ w.pull)) <= 1e-12
     assert np.max(np.abs(w.push @ v)) <= 1e-12
     assert u @ v > 0
-    for side in ("pull", "push"):
-        assert contraction_at(w, 0.0, side=side) == pytest.approx(1.0)
 
-
-@settings(max_examples=200, deadline=None)
-@given(w=consensus_weights())
-def test_consensus_contraction_matches_build(w):
-    assert contraction_at(w, 1.0) == pytest.approx(w.contraction, abs=1e-12)

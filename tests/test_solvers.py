@@ -35,6 +35,7 @@ from dpopt.solvers import (
     RunSetup,
     VARIANTS,
     Variant,
+    _diagonal_load,
     effective_schedules,
     run,
     run_batch,
@@ -267,6 +268,22 @@ class TestRun:
         with pytest.raises(RangeError):
             run("alg1", setup, iterations=0, seed=1)
 
+    @pytest.mark.parametrize("force", [False, True],
+                             ids=["validated", "forced"])
+    def test_batch_solves_no_eigenproblem(self, monkeypatch, force):
+        # The coupling check reads the diagonals; no batch needs a
+        # spectral radius.
+        setups = (("alg1", make_setup("static")),
+                  ("alg2", make_setup("tracking")))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a batch solved an eigenproblem")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for variant, setup in setups:
+            traces = run_batch(variant, setup, 50, [1, 2], force=force)
+            assert [t.ks[-1] for t in traces] == [50, 50]
+
 
 class TestEffectiveSchedules:
     def test_dgd_runs_at_full_coupling(self):
@@ -417,6 +434,38 @@ class TestValidateForVariant:
         for variant in VARIANTS:
             setup = tracking if Variant.of(variant).tracking else static
             assert validate_for_variant(variant, setup).overall
+
+
+@st.composite
+def diagonal_cases(draw):
+    """(gamma, A): a square matrix with diagonals of either sign, and
+    gamma at 1/|a_ii| of one of them, one ulp either side, or anywhere
+    in [0, inf]."""
+    m = draw(st.integers(1, 6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    A = np.reshape(draw(st.lists(finite, min_size=m * m, max_size=m * m)),
+                   (m, m))
+    i = draw(st.integers(0, m - 1))
+    a = abs(float(A[i, i]))
+    edge = 1.0 / a if a else math.inf
+    gamma = draw(st.one_of(
+        st.sampled_from([edge, math.nextafter(edge, 0.0),
+                         math.nextafter(edge, math.inf)]),
+        st.floats(0.0, math.inf),
+    ))
+    return gamma, A
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=diagonal_cases())
+@example(case=(2.5, make_setup("static").consensus.matrix))
+@example(case=(math.inf, np.zeros((1, 1))))
+def test_diagonal_load_matches_the_mixed_diagonal(case):
+    """The load reaches 1 exactly when I + gamma A has a nonpositive
+    diagonal entry, in floating point as well."""
+    gamma, A = case
+    oracle = 1.0 + gamma * float(np.min(np.diag(A))) <= 0
+    assert (_diagonal_load(gamma, A) >= 1.0) == oracle
 
 
 class TestRunSetup:

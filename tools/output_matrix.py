@@ -69,6 +69,17 @@ DERIVED = {
     "alg1_noise_seed_2_53": ("alg1", "noise.seed = 1",
                              "noise.seed = 9007199254740993"),
     "alg1_stride_0": ("alg1", "run.stride = 10", "run.stride = 0"),
+    # A fraction that a float would round to the integer 2**52.
+    "alg1_noise_seed_fraction": ("alg1", "noise.seed = 1",
+                                 "noise.seed = 4503599627370496.5"),
+    # Couplings that grow until a mixed diagonal turns nonpositive:
+    # validate fails on their peak, and a forced run stops before it
+    # steps.
+    "alg1_coupling_growing": ("alg1", "schedules.coupling.form = decaying",
+                              "schedules.coupling.form = growing"),
+    "alg2_coupling_state_growing": (
+        "alg2", "schedules.coupling_state.form = decaying",
+        "schedules.coupling_state.form = growing"),
 }
 
 # (name, config, arguments after the config; --output is added when the
@@ -100,7 +111,10 @@ MATRIX = (
       for c in ("alg1_constant_coupling", "alg1_problem_seed_negative",
                 "alg1_agents_3", "alg1_self_loop", "alg1_edge_weight_1e308",
                 "alg1_iterations_1e308", "alg1_noise_seed_2_53",
-                "alg1_stride_0")),
+                "alg1_stride_0", "alg1_noise_seed_fraction",
+                "alg1_coupling_growing", "alg2_coupling_state_growing")),
+    *((f"run_{c}", c, ["run", "--force", "--runs", "2", "--iters", "200"])
+      for c in ("alg1_coupling_growing", "alg2_coupling_state_growing")),
 )
 
 
