@@ -11,6 +11,11 @@ run-level check or every run of a batch diverged, 2 on config or IO
 errors.  A failed validation prints "validation error:", any other
 run-level stop "error:".
 
+--iters, --runs, --output and --gradient-bound are read as the config
+keys they override, with each key's parser, range and messages; each
+--horizons token as an integer key of at least 1, and each --variants
+name as the variant key.
+
 compare runs each variant's batch in a worker process, one worker per
 usable CPU and never more than there are variants; its outputs are
 byte-identical to those of a run in one process.  Pinned to one CPU
@@ -28,7 +33,7 @@ import sys
 
 import numpy as np
 
-from .config import build_setup, load_config
+from .config import _check_variant, _to_int, build_setup, load_config
 from .errors import ConditionError, ConfigError, DpoptError, RangeError
 from .harness import (
     Aggregate,
@@ -45,9 +50,7 @@ from .harness import (
     write_trace,
 )
 from .privacy import conservative_budget
-from .solvers import (
-    VARIANTS, Variant, effective_schedules, validate_for_variant,
-)
+from .solvers import Variant, effective_schedules, validate_for_variant
 from .svgplot import Series, line_plot, std_band
 
 SUMMARY_COLUMNS = (
@@ -58,44 +61,33 @@ SUMMARY_COLUMNS = (
 
 
 def _parse_horizons(text: str) -> list[int]:
-    horizons = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            value = float(token)
-        except ValueError:
-            raise ConfigError(f"bad horizon {token!r}") from None
-        if not math.isfinite(value) or value < 1 or value != int(value):
-            raise ConfigError(f"horizons must be positive integers, got {token!r}")
-        horizons.append(int(value))
+    """Each comma-separated token read as an integer key, at least 1."""
+    horizons = set()
+    for token in filter(None, map(str.strip, text.split(","))):
+        horizon = _to_int("--horizons", token)
+        if horizon < 1:
+            raise ConfigError(f"expected a horizon of at least 1, got "
+                              f"{token!r}", key="--horizons")
+        horizons.add(horizon)
     if not horizons:
         raise ConfigError("at least one horizon is required")
-    return sorted(set(horizons))
+    return sorted(horizons)
 
 
 def _parse_variants(text: str) -> list[str]:
-    names = [t.strip() for t in text.split(",") if t.strip()]
+    names = [_check_variant(t.strip()) for t in text.split(",") if t.strip()]
     if not names:
         raise ConfigError("at least one variant is required")
-    for name in names:
-        if name not in VARIANTS:
-            raise ConfigError(
-                f"unknown variant {name!r}; choose from {', '.join(VARIANTS)}"
-            )
     return list(dict.fromkeys(names))
 
 
-def _config_with_overrides(args):
-    """Load the config and resolve --iters and --runs against it."""
-    config = load_config(args.config)
-    args.iters = config.iterations if args.iters is None else args.iters
-    args.runs = config.monte_carlo if args.runs is None else args.runs
-    for flag, value in (("--iters", args.iters), ("--runs", args.runs)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be positive")
-    return config
+def _load_config(args):
+    """The config, with each given option whose dest is a config key
+    read as that key."""
+    return load_config(args.config, [
+        (key, text) for key, text in vars(args).items()
+        if "." in key and text is not None
+    ])
 
 
 # Each plotted Aggregate column: the subject of its title and its y label.
@@ -119,14 +111,14 @@ def _plot(path: str, column: str, aggregates: dict[str, Aggregate],
 
 
 def _run_variant(
-    config, setup, variant: str, out_dir: str, iterations: int, runs: int,
-    force: bool, plot: bool,
+    config, setup, variant: str, out_dir: str, force: bool, plot: bool,
 ) -> tuple[Aggregate, BudgetRow | None]:
     """Run one variant's batch and write its traces, aggregate, failures,
     budget and, with `plot`, its plots; return the aggregate and the
     budget row at the horizon, None for a noiseless variant."""
     traces = monte_carlo(
-        variant, setup, iterations, config.noise_seed, runs, force=force,
+        variant, setup, config.iterations, config.noise_seed,
+        config.monte_carlo, force=force,
     )
     agg = aggregate(variant, traces, config.noise_seed)
     for index, trace in enumerate(traces):
@@ -137,7 +129,7 @@ def _run_variant(
     row = None
     if effective_schedules(variant, setup).noise_scale is not None:
         rows = budget_account(
-            variant, setup, config.gradient_bound, [iterations]
+            variant, setup, config.gradient_bound, [config.iterations]
         ).rows
         write_budget(os.path.join(out_dir, "budget.csv"), rows)
         row = rows[0]
@@ -162,7 +154,7 @@ def _exit_code(agg: Aggregate) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = load_config(args.config)
+    config = _load_config(args)
     setup = build_setup(config)
     report = validate_for_variant(config.variant, setup)
     schedules = effective_schedules(config.variant, setup)
@@ -188,12 +180,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _config_with_overrides(args)
+    config = _load_config(args)
     setup = build_setup(config)
-    out_dir = run_directory(args.output or config.output_dir)
+    out_dir = run_directory(config.output_dir)
     agg, _ = _run_variant(
-        config, setup, config.variant, out_dir, args.iters, args.runs,
-        args.force, args.plot,
+        config, setup, config.variant, out_dir, args.force, args.plot,
     )
     print(
         f"{agg.variant}: {agg.completed}/{agg.requested} runs completed, "
@@ -217,18 +208,13 @@ def cmd_budget(args) -> int:
     Each series is computed once, at the largest horizon: the rows, the
     breakdown and the growth line all read from the same recursion.
     """
-    config = load_config(args.config)
+    config = _load_config(args)
     horizons = _parse_horizons(args.horizons)
-    gradient_bound = (
-        args.gradient_bound if args.gradient_bound is not None
-        else config.gradient_bound
-    )
-    if not 0 < gradient_bound < math.inf:
-        raise ConfigError("gradient bound must be positive and finite")
     setup = build_setup(config)
-    account = budget_account(config.variant, setup, gradient_bound, horizons)
+    account = budget_account(config.variant, setup, config.gradient_bound,
+                             horizons)
     rows = account.rows
-    out_dir = run_directory(args.output or config.output_dir)
+    out_dir = run_directory(config.output_dir)
     write_budget(os.path.join(out_dir, "budget.csv"), rows)
     write_breakdown(
         os.path.join(out_dir, "breakdown.csv"), account.conservative
@@ -303,10 +289,10 @@ def cmd_compare(args) -> int:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    config = _config_with_overrides(args)
+    config = _load_config(args)
     variants = _parse_variants(args.variants)
     setup = build_setup(config, variants)
-    base = run_directory(args.output or config.output_dir)
+    base = run_directory(config.output_dir)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -321,8 +307,7 @@ def cmd_compare(args) -> int:
                              initializer=_exit_with_parent) as pool:
         futures = [
             pool.submit(_run_variant, config, setup, variant,
-                        run_directory(base, variant), args.iters, args.runs,
-                        args.force, False)
+                        run_directory(base, variant), args.force, False)
             for variant in variants
         ]
         try:
@@ -350,11 +335,9 @@ def _batch_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plot", action="store_true", help="write SVG plots")
     p.add_argument("--force", action="store_true",
                    help="run even when schedule validation fails")
-    p.add_argument("--runs", type=int, default=None,
-                   help="override run.monte_carlo")
-    p.add_argument("--iters", type=int, default=None,
-                   help="override run.iterations")
-    p.add_argument("--output", default=None, help="override run.output_dir")
+    p.add_argument("--runs", dest="run.monte_carlo", help="override the key")
+    p.add_argument("--iters", dest="run.iterations", help="override the key")
+    p.add_argument("--output", dest="run.output_dir", help="override the key")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="path to experiment config")
     p.add_argument("--horizons", required=True,
                    help="comma-separated horizons, e.g. 1e3,1e4,1e5")
-    p.add_argument("--gradient-bound", type=float, default=None,
-                   help="override budget.gradient_bound")
-    p.add_argument("--output", default=None, help="override run.output_dir")
+    p.add_argument("--gradient-bound", dest="budget.gradient_bound",
+                   help="override the key")
+    p.add_argument("--output", dest="run.output_dir", help="override the key")
     p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("compare", help="run several variants on one shared problem")

@@ -7,7 +7,9 @@ config files and stored internally as (receiver, sender) pairs to match
 the row-indexes-receivers convention of the coupling matrices.
 
 Unknown keys are rejected so typos fail loudly, and every rejection
-carries the offending line number and key.
+carries the offending key and, for a value read from the file, its line
+number.  Overrides (`key`, `text`) replace a key's value before it is
+read, with the key's own parser, range and messages.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ class ExperimentConfig:
 class _RawConfig:
     """Key-value pairs with line numbers and consumption tracking."""
 
-    def __init__(self, text: str):
-        self.pairs: dict[str, tuple[str, int]] = {}
+    def __init__(self, text: str, overrides=()):
+        self.pairs: dict[str, tuple[str, int | None]] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -75,6 +77,8 @@ class _RawConfig:
             if key in self.pairs:
                 raise ConfigError("duplicate key", line=lineno, key=key)
             self.pairs[key] = (value.strip(), lineno)
+        for key, value in overrides:
+            self.pairs[key] = (value, None)
         self.consumed: set[str] = set()
 
     def line(self, key: str) -> int | None:
@@ -95,20 +99,20 @@ class _RawConfig:
                 raise ConfigError("unknown key", line=lineno, key=key)
 
 
-def _number(raw: _RawConfig, key: str, value: str) -> float:
+def _number(key: str, value: str, line=None) -> float:
     try:
         return float(value)
     except ValueError:
         raise ConfigError(
-            f"expected a number, got {value!r}", line=raw.line(key), key=key
+            f"expected a number, got {value!r}", line=line, key=key
         ) from None
 
 
-def _to_float(raw: _RawConfig, key: str, value: str) -> float:
-    number = _number(raw, key, value)
+def _to_float(key: str, value: str, line=None) -> float:
+    number = _number(key, value, line)
     if not math.isfinite(number):
         raise ConfigError(f"expected a finite number, got {value!r}",
-                          line=raw.line(key), key=key)
+                          line=line, key=key)
     return number
 
 
@@ -123,20 +127,30 @@ def _is_whole(literal: str) -> bool:
     return float((whole + fraction)[int(point):] or 0) == 0
 
 
-def _to_int(raw: _RawConfig, key: str, value: str) -> int:
-    """An integer below 2**53 in magnitude, where floats hold it exactly."""
-    number = _number(raw, key, value)
-    if not math.isfinite(number) or not _is_whole(value):
-        raise ConfigError(
-            f"expected an integer, got {value!r}", line=raw.line(key), key=key
-        )
-    if abs(number) >= 2**53:
+def _to_int(key: str, value: str, line=None) -> int:
+    """An integer below 2**53 in magnitude, where floats hold it exactly;
+    1e400 reads as inf, but unlike inf and nan it has digits."""
+    number = _number(key, value, line)
+    if not any(c.isdigit() for c in value) or not _is_whole(value):
+        raise ConfigError(f"expected an integer, got {value!r}", line=line,
+                          key=key)
+    if not abs(number) < 2**53:
         raise ConfigError(f"expected an integer below 2**53, got {value!r}",
-                          line=raw.line(key), key=key)
+                          line=line, key=key)
     return int(number)
 
 
-def _parse_edges(raw: _RawConfig, key: str, value: str):
+def _check_variant(name: str, line=None) -> str:
+    """name, when it names a variant."""
+    if name not in VARIANTS:
+        raise ConfigError(
+            f"unknown variant {name!r}; choose one of {', '.join(VARIANTS)}",
+            line=line, key="variant",
+        )
+    return name
+
+
+def _parse_edges(key: str, value: str, line=None):
     """`sender>receiver` pairs, comma separated, into (receiver, sender)."""
     edges = []
     if not value:
@@ -146,7 +160,7 @@ def _parse_edges(raw: _RawConfig, key: str, value: str):
         if ">" not in chunk:
             raise ConfigError(
                 f"edge {chunk!r} must be written sender>receiver",
-                line=raw.line(key), key=key,
+                line=line, key=key,
             )
         sender_s, _, receiver_s = chunk.partition(">")
         try:
@@ -155,7 +169,7 @@ def _parse_edges(raw: _RawConfig, key: str, value: str):
         except ValueError:
             raise ConfigError(
                 f"edge {chunk!r} must use integer agent indexes",
-                line=raw.line(key), key=key,
+                line=line, key=key,
             ) from None
         edges.append((receiver, sender))
     return tuple(edges)
@@ -174,9 +188,10 @@ def _take_schedule(raw, prefix, required=False, allow_zero=False):
         return None
     kwargs = {}
     for field in ("a", "b", "p", "r"):
-        value = raw.take(f"{prefix}.{field}")
+        key = f"{prefix}.{field}"
+        value = raw.take(key)
         if value is not None:
-            kwargs[field] = _to_float(raw, f"{prefix}.{field}", value)
+            kwargs[field] = _to_float(key, value, raw.line(key))
     try:
         return PowerSchedule(form=form, **kwargs)
     except ValueError as exc:
@@ -228,23 +243,16 @@ _KEYS = (
     ("run.monte_carlo", "monte_carlo", _to_int, 1, _positive),
     ("run.stride", "stride", _to_int, 10, _positive),
     ("run.init_radius", "init_radius", _to_float, 1.0, _non_negative),
-    ("run.output_dir", "output_dir", lambda raw, key, value: value, "out",
+    ("run.output_dir", "output_dir", lambda key, value, line: value, "out",
      None),
     ("budget.gradient_bound", "gradient_bound", _to_float, 1.0, _positive),
 )
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    raw = _RawConfig(text)
-
-    variant = raw.take("variant", required=True)
-    if variant not in VARIANTS:
-        raise ConfigError(
-            f"unknown variant {variant!r}; choose one of {', '.join(VARIANTS)}",
-            line=raw.line("variant"), key="variant",
-        )
-
-    values = {"variant": variant}
+def parse_config_text(text: str, overrides=()) -> ExperimentConfig:
+    raw = _RawConfig(text, overrides)
+    values = {"variant": _check_variant(raw.take("variant", required=True),
+                                        raw.line("variant"))}
     for row in _KEYS:
         if row is None:
             take = partial(_take_schedule, raw)
@@ -263,7 +271,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, field, parse, default, _ = row
         value = raw.take(key)
         if value is not None:
-            values[field] = parse(raw, key, value)
+            values[field] = parse(key, value, raw.line(key))
         else:
             values[field] = default(values) if callable(default) else default
     raw.reject_unconsumed()
@@ -274,13 +282,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, overrides=()) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", key=path) from None
-    return parse_config_text(text)
+    return parse_config_text(text, overrides)
 
 
 def _needs(config: ExperimentConfig, variants) -> None:
@@ -326,10 +334,8 @@ def _needs(config: ExperimentConfig, variants) -> None:
 def build_setup(config: ExperimentConfig, variants=None) -> RunSetup:
     """Materialize the problem and coupling weights for the requested
     variants (default: the config's own variant)."""
-    variants = tuple(variants) if variants is not None else (config.variant,)
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}", key="variant")
+    variants = (tuple(map(_check_variant, variants))
+                if variants is not None else (config.variant,))
     _needs(config, variants)
     problem, _ = random_instance(
         seed=config.problem_seed,

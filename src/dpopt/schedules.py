@@ -84,7 +84,9 @@ class PowerSchedule:
         if np.any(ks < 0):
             raise RangeError("iteration indices must be nonnegative")
         if self.form == DECAYING:
-            return self.a / (1.0 + self.b * ks**self.p)
+            # numpy elides the other forms' temporaries, not a / array.
+            denominator = 1.0 + self.b * ks**self.p
+            return np.divide(self.a, denominator, out=denominator)
         if self.form == GROWING:
             return self.a + self.b * ks**self.p
         if self.form == GEOMETRIC:

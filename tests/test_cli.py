@@ -8,14 +8,15 @@ import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
-from test_config import STATIC_TEXT, TRACKING_TEXT
+from test_config import LITERALS, STATIC_TEXT, TRACKING_TEXT
 
 import dpopt
 from dpopt import cli
 from dpopt.cli import main
-from dpopt.config import build_setup, load_config
-from dpopt.errors import ConditionError, RangeError
+from dpopt.config import build_setup, load_config, parse_config_text
+from dpopt.errors import ConditionError, ConfigError, RangeError
 from dpopt.harness import (
     budget_account, run_directory, write_breakdown, write_budget,
 )
@@ -41,6 +42,10 @@ def tree(base) -> dict[str, bytes]:
             with open(full, "rb") as handle:
                 found[os.path.relpath(full, base)] = handle.read()
     return found
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("reached with a size that should be rejected")
 
 
 @pytest.fixture()
@@ -353,6 +358,16 @@ class TestRun:
         assert main(["run", static_cfg, "--runs", "0", "--output", out]) == 2
         assert main(["run", static_cfg, "--iters", "0", "--output", out]) == 2
 
+    def test_iters_past_2_53_returns_two(self, static_cfg, tmp_path, capsys,
+                                         monkeypatch):
+        # Read as run.iterations, before any batch of that length.
+        monkeypatch.setattr(cli, "monte_carlo", _never)
+        assert main(["run", static_cfg, "--runs", "1", "--iters",
+                     "9007199254740993", "--output", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: expected an integer below 2**53, got "
+            "'9007199254740993' (key 'run.iterations')\n")
+
 
 class TestBudget:
     def test_report_and_files(self, static_cfg, tmp_path, capsys):
@@ -398,19 +413,38 @@ class TestBudget:
     @pytest.mark.parametrize("bound", ["0", "-1", "nan", "inf"])
     def test_bad_gradient_bound_returns_two(self, static_cfg, tmp_path,
                                             capsys, bound):
+        # Read as budget.gradient_bound: its messages, without a line.
         assert main(["budget", static_cfg, "--horizons", "100",
                      "--gradient-bound", bound,
                      "--output", str(tmp_path / "out")]) == 2
-        assert "gradient bound must be positive and finite" \
-            in capsys.readouterr().err
+        reason = (f"expected a finite number, got {bound!r}"
+                  if bound in ("nan", "inf") else "value out of range")
+        assert capsys.readouterr().err == (
+            f"config error: {reason} (key 'budget.gradient_bound')\n")
 
     @pytest.mark.parametrize("token", ["inf", "nan", "1e400", "-inf"])
     def test_non_finite_horizons_return_two(self, static_cfg, tmp_path,
                                             capsys, token):
+        # Read as an integer key: 1e400 is whole, but past 2**53.
         assert main(["budget", static_cfg, "--horizons", f"100,{token}",
                      "--output", str(tmp_path / "out")]) == 2
-        assert ("config error: horizons must be positive integers, "
-                f"got {token!r}") in capsys.readouterr().err
+        below = " below 2**53" if token == "1e400" else ""
+        assert capsys.readouterr().err == (
+            f"config error: expected an integer{below}, got {token!r} "
+            "(key '--horizons')\n")
+
+    @pytest.mark.parametrize("token", ["9007199254740993",
+                                       "4503599627370496.5"])
+    def test_inexact_horizons_return_two(self, static_cfg, tmp_path, capsys,
+                                         monkeypatch, token):
+        # As floats they round to 2**53 and 2**52; no budget walk may
+        # start on either.
+        monkeypatch.setattr(cli, "budget_account", _never)
+        assert main(["budget", static_cfg, "--horizons", f"100,{token}",
+                     "--output", str(tmp_path / "out")]) == 2
+        assert f"got {token!r} (key '--horizons')" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="expected an integer"):
+            cli._parse_horizons(token)
 
     @pytest.mark.parametrize("cfg", ["static_cfg", "tracking_cfg"])
     def test_one_pass_matches_separate_reports(self, cfg, tmp_path, capsys,
@@ -520,15 +554,15 @@ class TestCompare:
                             lambda pid: set(range(cpus)))
         assert main(argv + [str(tmp_path / "workers")]) == 0
 
-        args = cli.build_parser().parse_args(argv + [str(tmp_path / "one")])
-        config = cli._config_with_overrides(args)
+        config = load_config(path, [
+            ("run.monte_carlo", "3"), ("run.iterations", "120"),
+            ("run.output_dir", str(tmp_path / "one"))])
         names = variants.split(",")
         setup = build_setup(config, names)
-        base = run_directory(args.output)
+        base = run_directory(config.output_dir)
         results = {
             name: cli._run_variant(config, setup, name,
-                                   run_directory(base, name), args.iters,
-                                   args.runs, args.force, False)
+                                   run_directory(base, name), False, False)
             for name in names
         }
         cli._write_comparison(base, results, plot=True)
@@ -618,6 +652,44 @@ class TestCompare:
         assert main(["compare", tracking_cfg, "--variants", "pdop_push_pull",
                      "--runs", "1", "--iters", "30",
                      "--output", str(tmp_path / "out")]) == 2
+
+
+def _read(read):
+    """read()'s value, or its ConfigError's message without the line
+    and key it names."""
+    try:
+        return read()
+    except ConfigError as exc:
+        return ("error", str(exc).rsplit(" (", 1)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(literal=LITERALS)
+@example(literal="9007199254740993")
+@example(literal="1e400")
+def test_options_read_as_their_keys(literal):
+    """--iters and --runs take exactly the literals that their keys take
+    in a file, with the same values and messages, and a --horizons token
+    the literals that run.iterations takes.  Only configs are built, so
+    no size is ever allocated or walked."""
+    path = str(CONFIGS / "alg1.cfg")
+    text = Path(path).read_text(encoding="utf-8")
+    in_file = {}
+    for option, key, field in (("--iters", "run.iterations", "iterations"),
+                               ("--runs", "run.monte_carlo", "monte_carlo")):
+        line = next(x for x in text.splitlines() if x.startswith(key))
+        in_file[option] = _read(lambda: getattr(parse_config_text(
+            text.replace(line, f"{key} = {literal}")), field))
+        # `=` keeps argparse from reading -1e5 as an option.
+        args = cli.build_parser().parse_args(
+            ["run", path, f"{option}={literal}"])
+        assert _read(lambda: getattr(cli._load_config(args), field)) \
+            == in_file[option]
+    horizons = _read(lambda: cli._parse_horizons(literal))
+    if isinstance(in_file["--iters"], int):
+        assert horizons == [in_file["--iters"]]
+    else:
+        assert horizons[0] == "error"
 
 
 def _src_env() -> dict:

@@ -165,6 +165,22 @@ class TestParse:
                 "run.iterations = 200", f"run.iterations = {value}"))
         assert info.value.key == "run.iterations"
 
+    @pytest.mark.parametrize("value,reason", [
+        ("1e400", "expected an integer below 2**53"),
+        ("-1e400", "expected an integer below 2**53"),
+        ("inf", "expected an integer"), ("-inf", "expected an integer"),
+        ("nan", "expected an integer"),
+    ])
+    def test_integer_past_float_range_wording(self, value, reason):
+        # 1e400 is whole, but reads as inf; inf and nan have no digits.
+        line = "run.iterations = 200"
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(STATIC_TEXT.replace(
+                line, f"run.iterations = {value}"))
+        lineno = STATIC_TEXT.splitlines().index(line) + 1
+        assert str(info.value) == (f"{reason}, got {value!r} "
+                                   f"(line {lineno}, key 'run.iterations')")
+
     @pytest.mark.parametrize("line", [
         "schedules.stepsize.b = 0.1", "run.init_radius = 10.0",
         "budget.gradient_bound = 1.0",

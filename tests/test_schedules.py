@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -77,6 +79,29 @@ class TestEval:
         ):
             expected = np.array([s.value(int(k)) for k in ks])
             assert np.array_equal(s.values(ks), expected)
+
+    @pytest.mark.parametrize("schedule,formula", [
+        (PowerSchedule.decaying(1.0, 0.1, 0.9),
+         lambda s, ks: s.a / (1.0 + s.b * ks**s.p)),
+        (PowerSchedule.growing(1.0, 0.1, 0.3),
+         lambda s, ks: s.a + s.b * ks**s.p),
+        (PowerSchedule.geometric(0.5, 0.99), lambda s, ks: s.a * s.r**ks),
+        (PowerSchedule.constant(3.0),
+         lambda s, ks: np.full_like(ks, s.a)),
+    ])
+    def test_values_hold_one_array(self, schedule, formula):
+        # The same bits as each form's formula, at a peak of one array
+        # of the length of ks: numpy elides the operators' temporaries
+        # except that of a / array, which decaying divides in place.
+        ks = np.arange(10**5, dtype=float)
+        tracemalloc.start()
+        try:
+            values = schedule.values(ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.tobytes() == formula(schedule, ks).tobytes()
+        assert peak < 1.5 * ks.nbytes
 
     def test_terms_matches_term(self):
         pdop = (PowerSchedule.geometric(0.02, 0.995)

@@ -115,6 +115,16 @@ MATRIX = (
                 "alg1_coupling_growing", "alg2_coupling_state_growing")),
     *((f"run_{c}", c, ["run", "--force", "--runs", "2", "--iters", "200"])
       for c in ("alg1_coupling_growing", "alg2_coupling_state_growing")),
+    # Options read as config keys, and --horizons and --variants read
+    # as integer and variant keys: each exits before any batch or walk.
+    ("run_alg1_iters_2_53", "alg1", ["run", "--iters", "9007199254740993"]),
+    ("run_alg1_runs_0", "alg1", ["run", "--runs", "0"]),
+    ("budget_alg1_gradient_bound_nan", "alg1",
+     ["budget", "--horizons", "100", "--gradient-bound", "nan"]),
+    ("budget_alg1_horizons_1e400", "alg1",
+     ["budget", "--horizons", "100,1e400"]),
+    ("compare_alg1_unknown_variant", "alg1",
+     ["compare", "--variants", "alg1,nope"]),
 )
 
 
