@@ -14,7 +14,10 @@ run-level stop "error:".
 --iters, --runs, --output and --gradient-bound are read as the config
 keys they override, with each key's parser, range and messages; each
 --horizons token as an integer key of at least 1, and each --variants
-name as the variant key.
+name as the variant key.  Each takes the next word as its value, -1e5
+too.  With --plot, run writes the gap, consensus and tracking figures and
+compare the first two; a figure with nothing finite and positive to draw
+is skipped.
 
 compare runs each variant's batch in a worker process, one worker per
 usable CPU and never more than there are variants; its outputs are
@@ -100,14 +103,18 @@ _PLOTS = {
 
 def _plot(path: str, column: str, aggregates: dict[str, Aggregate],
           title_suffix: str) -> None:
-    """Plot a column's mean with a one-std band for each aggregate."""
+    """Plot a column's mean with a one-std band for each aggregate; skip
+    a plot with nothing finite and positive to draw (a one-agent consensus
+    error, a column the variant does not record, every run diverged)."""
     subject, y_label = _PLOTS[column]
     series = []
     for name, agg in aggregates.items():
         mean = getattr(agg, f"mean_{column}")
         band = std_band(mean, getattr(agg, f"var_{column}"))
         series.append(Series(name, agg.ks, mean, band=band))
-    line_plot(path, series, title=subject + title_suffix, y_label=y_label)
+    if any((np.isfinite(v) & (v > 0)).any()
+           for s in series for v in (s.ys, *s.band)):
+        line_plot(path, series, title=subject + title_suffix, y_label=y_label)
 
 
 def _run_variant(
@@ -134,11 +141,7 @@ def _run_variant(
         write_budget(os.path.join(out_dir, "budget.csv"), rows)
         row = rows[0]
     if plot:
-        columns = ["gap", "consensus"]
-        # Only tracking variants record the tracking column.
-        if np.isfinite(agg.mean_tracking).any():
-            columns.append("tracking")
-        for column in columns:
+        for column in _PLOTS:
             _plot(os.path.join(out_dir, f"{column}.svg"), column,
                   {variant: agg}, ", mean with one-std band")
     return agg, row
@@ -330,6 +333,21 @@ def cmd_compare(args) -> int:
     return max([_exit_code(agg) for agg, _ in results.values()])
 
 
+# The options that take a value; main() joins each to the word after it.
+_VALUE_OPTIONS = ("--runs", "--iters", "--output", "--horizons",
+                  "--gradient-bound", "--variants")
+
+
+def _join_values(argv: list[str]) -> list[str]:
+    """argv with each value option joined to its next word, `--iters -1e5`
+    as `--iters=-1e5`: argparse reads a lone -1e5 as an option."""
+    joined, words = [], iter(argv)
+    for word in words:
+        value = next(words, None) if word in _VALUE_OPTIONS else None
+        joined.append(word if value is None else f"{word}={value}")
+    return joined
+
+
 def _batch_options(p: argparse.ArgumentParser) -> None:
     """The options run and compare share."""
     p.add_argument("--plot", action="store_true", help="write SVG plots")
@@ -380,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -74,10 +74,16 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     return [float(d) for d in range(lo_d, hi_d + 1, step)]
 
 
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+def _element(tag: str, text: str | None = None, **attrs) -> str:
+    """One SVG element with its attributes in the given order, each `_`
+    in a name written as `-`: self-closing, or around the escaped text."""
+    head = tag + "".join(
+        f' {name.replace("_", "-")}="{value}"' for name, value in attrs.items()
     )
+    if text is None:
+        return f"<{head}/>"
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"<{head}>{text}</{tag}>"
 
 
 def line_plot(
@@ -87,37 +93,30 @@ def line_plot(
     y_label: str = "value",
 ) -> None:
     """Write an SVG line chart of the given series against iteration to
-    path, with a log10 y axis."""
+    path, with a log10 y axis.  Raises ValueError when no curve has a
+    finite value, or no curve or band edge a finite positive one."""
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    # Collect plottable points.  Nonpositive values are clamped to half
-    # the smallest positive value so curves that touch zero stay visible
-    # as a floor instead of vanishing.
-    floor = math.inf
+    # The finite values of every curve and band edge set the y range;
+    # the x range is that of the curves' finite points.
     xs_all, ys_all = [], []
     for s in series:
-        ys = np.asarray(s.ys, dtype=float)
-        finite = np.isfinite(ys)
-        pos = ys[finite & (ys > 0)]
-        if pos.size:
-            floor = min(floor, float(pos.min()))
-        if finite.any():
-            ys_all.append(ys[finite])
-            xs_all.append(np.asarray(s.xs, dtype=float)[finite])
-        if s.band is not None:
-            for edge in s.band:
-                e = np.asarray(edge, dtype=float)
-                keep = np.isfinite(e)
-                pos = e[keep & (e > 0)]
-                if pos.size:
-                    floor = min(floor, float(pos.min()))
-                if keep.any():
-                    ys_all.append(e[keep])
+        edges = () if s.band is None else s.band
+        for i, values in enumerate((s.ys, *edges)):
+            v = np.asarray(values, dtype=float)
+            keep = np.isfinite(v)
+            ys_all.append(v[keep])
+            if i == 0 and keep.any():
+                xs_all.append(np.asarray(s.xs, dtype=float)[keep])
     if not xs_all:
         raise ValueError("nothing to plot: every series is empty")
+    ys_all = np.concatenate(ys_all)
+    floor = float(ys_all[ys_all > 0].min(initial=math.inf))
     if not math.isfinite(floor):
         raise ValueError("log axis needs at least one positive value")
+    # Nonpositive values are clamped to half the smallest positive value,
+    # so curves that touch zero stay visible as a floor.
     floor = floor / 2.0
 
     def ty(values: np.ndarray) -> np.ndarray:
@@ -125,8 +124,10 @@ def line_plot(
 
     x_lo = min(float(x.min()) for x in xs_all)
     x_hi = max(float(x.max()) for x in xs_all)
-    t_all = np.concatenate([ty(y) for y in ys_all])
-    y_lo, y_hi = float(t_all.min()), float(t_all.max())
+    # Rebound, so that one copy of the values stays alive while the series
+    # are drawn: the plot step sets the peak memory of `compare --plot`.
+    ys_all = ty(ys_all)
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:
@@ -147,122 +148,82 @@ def line_plot(
         return " ".join(map("{:.2f},{:.2f}".format, px(xs).tolist(),
                             py(ts).tolist()))
 
-    parts: list[str] = []
-    parts.append(
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
-    )
-    parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
-    parts.append(
-        '<g font-family="sans-serif" font-size="13" fill="#333333">'
-    )
-    parts.append(
-        f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-size="16">{_escape(title)}</text>'
-    )
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        _element("rect", width=_WIDTH, height=_HEIGHT, fill="white"),
+        '<g font-family="sans-serif" font-size="13" fill="#333333">',
+        _element("text", title, x=_WIDTH // 2, y=24, text_anchor="middle",
+                 font_size=16),
+    ]
 
     # Gridlines and tick labels.
     for t in _log_ticks(y_lo, y_hi):
         if t < y_lo or t > y_hi:
             continue
-        yy = py(t)
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{_fmt(yy)}" '
-            f'x2="{_WIDTH - _MARGIN_R}" y2="{_fmt(yy)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{_fmt(yy + 4)}" '
-            f'text-anchor="end">1e{int(round(t))}</text>'
-        )
+        yy = _fmt(py(t))
+        parts.append(_element(
+            "line", x1=_MARGIN_L, y1=yy, x2=_WIDTH - _MARGIN_R, y2=yy,
+            stroke="#dddddd", stroke_width=1))
+        parts.append(_element("text", f"1e{int(round(t))}", x=_MARGIN_L - 8,
+                              y=_fmt(py(t) + 4), text_anchor="end"))
     for t in _linear_ticks(x_lo, x_hi):
         if t < x_lo or t > x_hi:
             continue
-        xx = px(t)
-        parts.append(
-            f'<line x1="{_fmt(xx)}" y1="{_MARGIN_T}" '
-            f'x2="{_fmt(xx)}" y2="{_HEIGHT - _MARGIN_B}" '
-            f'stroke="#eeeeee" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(xx)}" y="{_HEIGHT - _MARGIN_B + 20}" '
-            f'text-anchor="middle">{_tick_label(t)}</text>'
-        )
+        xx = _fmt(px(t))
+        parts.append(_element(
+            "line", x1=xx, y1=_MARGIN_T, x2=xx, y2=_HEIGHT - _MARGIN_B,
+            stroke="#eeeeee", stroke_width=1))
+        parts.append(_element("text", _tick_label(t), x=xx,
+                              y=_HEIGHT - _MARGIN_B + 20, text_anchor="middle"))
 
     # Axes.
-    parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" '
-        f'y2="{_HEIGHT - _MARGIN_B}" stroke="#333333" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{_HEIGHT - _MARGIN_B}" '
-        f'x2="{_WIDTH - _MARGIN_R}" y2="{_HEIGHT - _MARGIN_B}" '
-        f'stroke="#333333" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<text x="{_WIDTH / 2:.0f}" y="{_HEIGHT - 14}" '
-        'text-anchor="middle">iteration</text>'
-    )
-    mid_y = _MARGIN_T + plot_h / 2
-    parts.append(
-        f'<text x="20" y="{_fmt(mid_y)}" text-anchor="middle" '
-        f'transform="rotate(-90 20 {_fmt(mid_y)})">{_escape(y_label)}</text>'
-    )
+    parts.append(_element(
+        "line", x1=_MARGIN_L, y1=_MARGIN_T, x2=_MARGIN_L,
+        y2=_HEIGHT - _MARGIN_B, stroke="#333333", stroke_width=1.5))
+    parts.append(_element(
+        "line", x1=_MARGIN_L, y1=_HEIGHT - _MARGIN_B, x2=_WIDTH - _MARGIN_R,
+        y2=_HEIGHT - _MARGIN_B, stroke="#333333", stroke_width=1.5))
+    parts.append(_element("text", "iteration", x=_WIDTH // 2, y=_HEIGHT - 14,
+                          text_anchor="middle"))
+    mid_y = _fmt(_MARGIN_T + plot_h / 2)
+    parts.append(_element("text", y_label, x=20, y=mid_y,
+                          text_anchor="middle",
+                          transform=f"rotate(-90 20 {mid_y})"))
 
-    # Bands beneath their curves.
-    for i, s in enumerate(series):
-        if s.band is None:
-            continue
-        color = PALETTE[i % len(PALETTE)]
-        lower, upper = s.band
-        xs = np.asarray(s.xs, dtype=float)
-        lo_v = np.asarray(lower, dtype=float)
-        hi_v = np.asarray(upper, dtype=float)
-        keep = np.isfinite(lo_v) & np.isfinite(hi_v) & np.isfinite(xs)
-        if not keep.any():
-            continue
-        xs, lo_v, hi_v = xs[keep], lo_v[keep], hi_v[keep]
-        # Along the upper edge, then back along the lower one.
-        pts = points(np.concatenate([xs, xs[::-1]]),
-                     np.concatenate([ty(hi_v), ty(lo_v)[::-1]]))
-        parts.append(
-            f'<polygon points="{pts}" fill="{color}" '
-            f'fill-opacity="0.15" stroke="none"/>'
-        )
-
-    # Curves.
+    # One pass per series; bands go beneath every curve, and the legend
+    # sits top right inside the plot area.
+    bands, curves, legend = [], [], []
+    lx = _WIDTH - _MARGIN_R - 170
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         xs = np.asarray(s.xs, dtype=float)
+        if s.band is not None:
+            lower, upper = (np.asarray(e, dtype=float) for e in s.band)
+            keep = np.isfinite(lower) & np.isfinite(upper) & np.isfinite(xs)
+            if keep.any():
+                x = xs[keep]
+                # Along the upper edge, then back along the lower one.
+                pts = points(np.concatenate([x, x[::-1]]),
+                             np.concatenate([ty(upper[keep]),
+                                             ty(lower[keep])[::-1]]))
+                bands.append(_element("polygon", points=pts, fill=color,
+                                      fill_opacity=0.15, stroke="none"))
         ys = np.asarray(s.ys, dtype=float)
         keep = np.isfinite(xs) & np.isfinite(ys)
-        if not keep.any():
-            continue
-        pts = points(xs[keep], ty(ys[keep]))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.8"/>'
-        )
+        if keep.any():
+            curves.append(_element(
+                "polyline", points=points(xs[keep], ty(ys[keep])),
+                fill="none", stroke=color, stroke_width=1.8))
+        y0 = _MARGIN_T + 10 + 18 * i
+        legend.append(_element("line", x1=lx, y1=y0, x2=lx + 26, y2=y0,
+                               stroke=color, stroke_width=2.5))
+        legend.append(_element("text", s.label, x=lx + 32, y=y0 + 4))
 
-    # Legend, top right inside the plot area.
-    lx = _WIDTH - _MARGIN_R - 170
-    lyy = _MARGIN_T + 10
-    for i, s in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        y0 = lyy + 18 * i
-        parts.append(
-            f'<line x1="{lx}" y1="{y0}" x2="{lx + 26}" y2="{y0}" '
-            f'stroke="{color}" stroke-width="2.5"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 32}" y="{y0 + 4}">{_escape(s.label)}</text>'
-        )
-
-    parts.append("</g>")
-    parts.append("</svg>")
+    parts += [*bands, *curves, *legend, "</g>", "</svg>"]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(parts) + "\n")
+        handle.writelines(f"{part}\n" for part in parts)
 
 
 def std_band(mean: np.ndarray, var: np.ndarray):

@@ -44,6 +44,17 @@ def tree(base) -> dict[str, bytes]:
     return found
 
 
+def alg1_with(tmp_path, *replacements) -> str:
+    """The shipped alg1 config with each (line, replacement) applied."""
+    text = (CONFIGS / "alg1.cfg").read_text(encoding="utf-8")
+    for line, replacement in replacements:
+        assert line in text
+        text = text.replace(line, replacement)
+    path = tmp_path / "derived.cfg"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 def _never(*args, **kwargs):
     raise AssertionError("reached with a size that should be rejected")
 
@@ -260,6 +271,34 @@ class TestRun:
                      "--output", out, "--plot"])
         assert code == 0
         assert os.path.exists(os.path.join(out, "tracking.svg"))
+
+    def test_one_agent_plot_skips_consensus(self, tmp_path, capsys):
+        # One agent has no consensus error: a zero curve that a log axis
+        # cannot draw is skipped, and the run completes.
+        path = alg1_with(tmp_path, ("problem.agents = 5", "problem.agents = 1"),
+                         ("graph.edges = 0>1, 1>2, 2>3, 3>4, 4>0, 0>2, 1>4",
+                          "graph.edges ="))
+        assert main(["validate", path]) == 0
+        out = tmp_path / "out"
+        assert main(["run", path, "--plot", "--runs", "2", "--iters", "200",
+                     "--output", str(out)]) == 0
+        assert (out / "gap.svg").exists()
+        assert not (out / "consensus.svg").exists()
+        assert "2/2 runs completed" in capsys.readouterr().out
+
+    def test_fully_diverged_plot_skipped(self, tmp_path, capsys):
+        # Every run starts past the divergence threshold, so no mean is
+        # finite: no figure, and the batch's own error.
+        path = alg1_with(tmp_path, ("run.init_radius = 10.0",
+                                    "run.init_radius = 1e300"))
+        out = tmp_path / "out"
+        assert main(["run", path, "--plot", "--runs", "2", "--iters", "200",
+                     "--output", str(out)]) == 1
+        assert not list(out.glob("*.svg"))
+        captured = capsys.readouterr()
+        assert "0/2 runs completed" in captured.out
+        assert captured.err == ("error: every run of alg1 diverged; see "
+                                "failures.csv\n")
 
     def test_diverged_runs_recorded_not_written(self, tmp_path, capsys):
         text = STATIC_TEXT.replace("variant = alg1", "variant = dgd").replace(
@@ -538,6 +577,18 @@ class TestCompare:
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and "every run of pdop_alg1 diverged" in err[0]
 
+    def test_fully_diverged_plot_skipped(self, tmp_path, capsys):
+        path = alg1_with(tmp_path, ("run.init_radius = 10.0",
+                                    "run.init_radius = 1e300"))
+        out = tmp_path / "out"
+        assert main(["compare", path, "--variants", "alg1,dgd", "--plot",
+                     "--runs", "2", "--iters", "200",
+                     "--output", str(out)]) == 1
+        assert (out / "summary.csv").exists()
+        assert not list(out.glob("*.svg"))
+        assert capsys.readouterr().err.startswith(
+            "error: every run of alg1 diverged; see failures.csv\n")
+
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("cfg,variants", [
         ("static_cfg", "alg1,dgd,pdop_alg1"),
@@ -690,6 +741,48 @@ def test_options_read_as_their_keys(literal):
         assert horizons == [in_file["--iters"]]
     else:
         assert horizons[0] == "error"
+
+
+@pytest.mark.parametrize("command,option", [
+    ("run", "--runs"), ("run", "--iters"), ("run", "--output"),
+    ("budget", "--horizons"), ("budget", "--gradient-bound"),
+    ("budget", "--output"), ("compare", "--variants"), ("compare", "--runs"),
+    ("compare", "--iters"), ("compare", "--output"),
+])
+def test_value_options_take_the_next_word(command, option, capsys):
+    """Each value option reads the word after it as `--opt=word` does, a
+    word such as -1e5 too; with no word after it, argparse's error."""
+    path = str(CONFIGS / "alg1.cfg")
+    required = {"budget": ["--horizons=10"],
+                "compare": ["--variants=alg1"]}.get(command, [])
+    parser = cli.build_parser()
+    for word in ("-1e5", "-inf", "-1_000", "-x", "--plot", "7"):
+        assert parser.parse_args(
+            cli._join_values([command, path, *required, option, word])
+        ) == parser.parse_args([command, path, *required, f"{option}={word}"])
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, *required, option])
+    assert exc.value.code == 2
+    assert f"argument {option}: expected one argument" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--iters", "-1e5"],
+     "value out of range (key 'run.iterations')"),
+    (["budget", "--horizons", "-1e3"],
+     "expected a horizon of at least 1, got '-1e3' (key '--horizons')"),
+    (["budget", "--horizons", "10", "--gradient-bound", "-inf"],
+     "expected a finite number, got '-inf' (key 'budget.gradient_bound')"),
+])
+def test_dash_values_read_as_keys(argv, message, tmp_path, capsys,
+                                  monkeypatch):
+    monkeypatch.setattr(cli, "monte_carlo", _never)
+    command, *options = argv
+    assert main([command, str(CONFIGS / "alg1.cfg"), *options,
+                 "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _src_env() -> dict:

@@ -1,9 +1,14 @@
+import hashlib
 import xml.etree.ElementTree as ElementTree
 
 import numpy as np
 import pytest
 
 from dpopt.svgplot import Series, line_plot, std_band
+
+
+PINNED_SHA256 = (
+    "a81d509005b28cab7e72151abc815e4edd84406fe8e3418afb4c9f7fadb5efa5")
 
 
 def render(tmp_path, series):
@@ -61,6 +66,38 @@ class TestLinePlot:
         bad = Series("bad", xs, np.full(9, np.nan))
         text = render(tmp_path, [good, bad])
         assert text.count("<polyline") == 1
+
+    def test_bytes_pinned(self, tmp_path):
+        # Six banded series: NaN, inf and zero samples in curves and band
+        # edges, a lower edge below zero, a one-point series and labels
+        # that need escaping.  The digest pins every byte the writer
+        # produces for them.
+        xs = np.arange(0.0, 200.0, 10.0)
+        decay = 1.0 / (1.0 + xs)
+        holes = decay.copy()
+        holes[[3, 7]] = np.nan
+        spikes = decay * 3.0
+        spikes[5] = np.inf
+        zeros = decay * 0.2
+        zeros[[0, 11]] = 0.0
+        nan_edge = decay * 0.4
+        nan_edge[2] = np.nan
+        inf_edge = spikes * 2.0
+        inf_edge[9] = np.inf
+        series = [
+            Series("gap <&> mean", xs, decay, band=(decay / 2, decay * 2)),
+            Series("holes", xs, holes, band=(nan_edge, holes * 1.5)),
+            Series("spikes", xs, spikes, band=(spikes / 3, inf_edge)),
+            Series("zeros", xs, zeros, band=std_band(zeros, zeros ** 2 * 4)),
+            Series("one point", np.array([50.0]), np.array([1e-3]),
+                   band=(np.array([5e-4]), np.array([2e-3]))),
+            Series("wide", xs, decay * 10.0,
+                   band=std_band(decay * 10.0, decay)),
+        ]
+        path = tmp_path / "pinned.svg"
+        line_plot(str(path), series, title="pinned <&> plot",
+                  y_label="y & <label>")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256
 
 
 class TestStdBand:

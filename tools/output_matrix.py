@@ -47,7 +47,8 @@ TRACE_ADJACENT = {"agent": 2, "delta": 0.5, "eta": 1.0}
 TRACE_ARRAYS = ("ks", "state_diff", "state_bound", "tracker_diff",
                 "tracker_bound")
 
-# Derived configs: name -> (shipped config, its line, the replacement).
+# Derived configs: name -> (shipped config, then each line of it and
+# that line's replacement).
 DERIVED = {
     "alg1_gradient_bound_inf": ("alg1", "budget.gradient_bound = 1.0",
                                 "budget.gradient_bound = inf"),
@@ -80,6 +81,13 @@ DERIVED = {
     "alg2_coupling_state_growing": (
         "alg2", "schedules.coupling_state.form = decaying",
         "schedules.coupling_state.form = growing"),
+    # Plots with nothing finite and positive to draw: one agent has no
+    # consensus error, and every run starting at 1e300 diverges.
+    "alg1_one_agent": ("alg1", "problem.agents = 5", "problem.agents = 1",
+                       "graph.edges = 0>1, 1>2, 2>3, 3>4, 4>0, 0>2, 1>4",
+                       "graph.edges ="),
+    "alg1_init_radius_1e300": ("alg1", "run.init_radius = 10.0",
+                               "run.init_radius = 1e300"),
 }
 
 # (name, config, arguments after the config; --output is added when the
@@ -115,10 +123,17 @@ MATRIX = (
                 "alg1_coupling_growing", "alg2_coupling_state_growing")),
     *((f"run_{c}", c, ["run", "--force", "--runs", "2", "--iters", "200"])
       for c in ("alg1_coupling_growing", "alg2_coupling_state_growing")),
+    *((f"run_{c}", c, ["run", "--plot", "--runs", "2", "--iters", "200"])
+      for c in ("alg1_one_agent", "alg1_init_radius_1e300")),
+    ("compare_alg1_init_radius_1e300", "alg1_init_radius_1e300",
+     ["compare", "--variants", "alg1,dgd", "--plot", "--runs", "2",
+      "--iters", "200"]),
     # Options read as config keys, and --horizons and --variants read
     # as integer and variant keys: each exits before any batch or walk.
     ("run_alg1_iters_2_53", "alg1", ["run", "--iters", "9007199254740993"]),
     ("run_alg1_runs_0", "alg1", ["run", "--runs", "0"]),
+    ("run_alg1_iters_negative", "alg1",
+     ["run", "--runs", "2", "--iters", "-1e5"]),
     ("budget_alg1_gradient_bound_nan", "alg1",
      ["budget", "--horizons", "100", "--gradient-bound", "nan"]),
     ("budget_alg1_horizons_1e400", "alg1",
@@ -147,15 +162,17 @@ def _run(name: str, argv: list, env: dict, out: str) -> None:
 def write_derived(out: str) -> None:
     """Write every config of DERIVED to OUT/configs/."""
     os.makedirs(os.path.join(out, "configs"), exist_ok=True)
-    for name, (shipped, line, replacement) in DERIVED.items():
+    for name, (shipped, *pairs) in DERIVED.items():
         path = os.path.join(ROOT, "configs", f"{shipped}.cfg")
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        if line not in text:
-            raise SystemExit(f"{path} has no line {line!r}")
+        for line, replacement in zip(pairs[::2], pairs[1::2]):
+            if line not in text:
+                raise SystemExit(f"{path} has no line {line!r}")
+            text = text.replace(line, replacement)
         path = os.path.join(out, "configs", f"{name}.cfg")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text.replace(line, replacement))
+            fh.write(text)
 
 
 def run_matrix(src: str, out: str) -> None:
