@@ -193,14 +193,15 @@ def cmd_run(args) -> int:
         f"{agg.variant}: {agg.completed}/{agg.requested} runs completed, "
         f"{len(agg.failures)} diverged"
     )
-    print(
-        f"  final gap mean {agg.mean_final_gap:.6g} "
-        f"(se {agg.se_final_gap:.3g}), final consensus mean "
-        f"{float(np.mean(agg.final_consensus)):.6g}"
-    )
-    eps = agg.epsilon_partial[-1]
-    if np.isfinite(eps):
-        print(f"  privacy budget bound at final record: {eps:.6g}")
+    if agg.completed:
+        print(
+            f"  final gap mean {agg.mean_final_gap:.6g} "
+            f"(se {agg.se_final_gap:.3g}), final consensus mean "
+            f"{float(np.mean(agg.final_consensus)):.6g}"
+        )
+        eps = agg.epsilon_partial[-1]
+        if np.isfinite(eps):
+            print(f"  privacy budget bound at final record: {eps:.6g}")
     print(f"outputs in {out_dir}")
     return _exit_code(agg)
 

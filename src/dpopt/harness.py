@@ -177,7 +177,9 @@ def aggregate(variant: str, traces: list[Trace], base_seed: int) -> Aggregate:
         stack = np.vstack([getattr(t, name)[:width] for t in basis])
         if stack.shape[0] < 2:
             return stack.mean(axis=0), np.zeros(stack.shape[1])
-        return stack.mean(axis=0), stack.var(axis=0, ddof=1)
+        # Diverged runs' k = 0 records may be inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return stack.mean(axis=0), stack.var(axis=0, ddof=1)
 
     mean_gap, var_gap = stats("gap")
     mean_cons, var_cons = stats("consensus")
@@ -278,20 +280,15 @@ def budget_account(
         sch, spec.weights(setup), gradient_bound, top, keep
     )
     # Tracking variants send two noisy messages per iteration.
-    factor = 2.0 if spec.tracking else 1.0
-    envelope = asymptotic_budget(
-        sch.stepsize, nu, gradient_bound, top, message_factor=factor,
-        keep=keep,
-    )
+    bound = (2.0 if spec.tracking else 1.0) * gradient_bound
+    envelope = asymptotic_budget(sch.stepsize, nu, bound, top, keep)
     summable = not infinite_tail(sch.stepsize, nu)
     rows = [
         BudgetRow(
             horizon=h,
             conservative=conservative.epsilon_at(h),
             envelope=envelope.epsilon_at(h),
-            tail=budget_tail_bound(
-                sch.stepsize, nu, h, gradient_bound, message_factor=factor
-            ),
+            tail=budget_tail_bound(sch.stepsize, nu, h, bound),
             summable=summable,
         )
         for h in horizons

@@ -83,24 +83,34 @@ def _recurse(shrink: np.ndarray, drive: np.ndarray, s: float = 0.0):
     return np.fromiter(steps, float, len(shrink))
 
 
-def _static_factors(stepsize, coupling, min_coupling):
-    """ks -> (shrink, drive) of the static recursion at indices ks."""
+def _static_walk(stepsize, coupling, min_coupling, horizon: int):
+    """Yield (ks, s) per block: s[k] for k = ks + 1."""
+    if horizon < 1:
+        raise RangeError("horizon must be at least 1")
     if min_coupling < 0:
         raise RangeError("min_coupling must be nonnegative")
-
-    def factors(ks):
-        lam = stepsize.values(ks)
+    s = 0.0
+    for ks in _blocks(horizon):
         shrink = 1.0 - min_coupling * coupling.values(ks)
         if np.any(shrink <= 0.0):
             raise RangeError("coupling too strong: min_coupling * gamma >= 1")
-        return shrink, lam
-    return factors
+        block = _recurse(shrink, stepsize.values(ks), s)
+        s = float(block[-1])
+        yield ks, block
 
 
-def _tracking_factors(stepsize, tracker_mix, coupling_state,
-                      coupling_tracker, min_diag_pull, min_diag_push):
-    """ks -> (shrink_x, lam, shrink_y, turnover) of the tracking pair."""
-    def factors(ks):
+def _tracking_walk(stepsize, tracker_mix, coupling_state, coupling_tracker,
+                   min_diag_pull, min_diag_push, horizon: int):
+    """Yield (ks, s_x, s_y) per block, at k = ks + 1.
+
+    The tracker recursion runs first, driven by the turnover 2 - alpha[k];
+    the state recursion is then driven by lam[k] * s_y[k], the tracker
+    bound before each step.
+    """
+    if horizon < 1:
+        raise RangeError("horizon must be at least 1")
+    sx = sy = 0.0
+    for ks in _blocks(horizon):
         lam = stepsize.values(ks)
         alpha = np.zeros(len(ks)) if tracker_mix is None \
             else tracker_mix.values(ks)
@@ -111,37 +121,15 @@ def _tracking_factors(stepsize, tracker_mix, coupling_state,
                 "coupling or mix too strong for the sensitivity bound"
             )
         # The turnover 2 - alpha overwrites alpha, so no array is added.
-        return shrink_x, lam, shrink_y, np.subtract(2.0, alpha, out=alpha)
-    return factors
-
-
-def _static_walk(factors, horizon: int):
-    """Yield (ks, [s]) per block: s[k] for k = ks + 1."""
-    s = 0.0
-    for ks in _blocks(horizon):
-        block = _recurse(*factors(ks), s)
-        s = float(block[-1])
-        yield ks, [block]
-
-
-def _tracking_walk(factors, horizon: int):
-    """Yield (ks, [s_x, s_y]) per block, at k = ks + 1.
-
-    The tracker recursion runs first; the state recursion is then driven
-    by lam[k] * s_y[k], the tracker bound before each step.
-    """
-    sx = sy = 0.0
-    for ks in _blocks(horizon):
-        shrink_x, lam, shrink_y, turnover = factors(ks)
-        y = _recurse(shrink_y, turnover, sy)
+        y = _recurse(shrink_y, np.subtract(2.0, alpha, out=alpha), sy)
         x = _recurse(shrink_x, lam * np.append(sy, y[:-1]), sx)
         sx, sy = float(x[-1]), float(y[-1])
-        yield ks, [x, y]
+        yield ks, x, y
 
 
 def _whole(walk):
     """Each part of a walk over the whole horizon, with s[0] = 0."""
-    blocks = [parts for _, parts in walk]
+    blocks = [parts for _, *parts in walk]
     return [np.concatenate([[0.0], *column]) for column in zip(*blocks)]
 
 
@@ -156,10 +144,7 @@ def sensitivity_static(
     Raises RangeError when the coupling is too strong for the recursion
     to contract (min_coupling * gamma^k >= 1 for some k < horizon).
     """
-    if horizon < 1:
-        raise RangeError("horizon must be at least 1")
-    factors = _static_factors(stepsize, coupling, min_coupling)
-    return _whole(_static_walk(factors, horizon))[0]
+    return _whole(_static_walk(stepsize, coupling, min_coupling, horizon))[0]
 
 
 def sensitivity_tracking(
@@ -177,12 +162,10 @@ def sensitivity_tracking(
     data dependence is folded into the first recursion step, whose
     turnover term 2 - alpha^0 dominates it.
     """
-    if horizon < 1:
-        raise RangeError("horizon must be at least 1")
-    factors = _tracking_factors(stepsize, tracker_mix, coupling_state,
-                                coupling_tracker, min_diag_pull,
-                                min_diag_push)
-    return tuple(_whole(_tracking_walk(factors, horizon)))
+    return tuple(_whole(_tracking_walk(
+        stepsize, tracker_mix, coupling_state, coupling_tracker,
+        min_diag_pull, min_diag_push, horizon,
+    )))
 
 
 @dataclass(frozen=True)
@@ -213,11 +196,13 @@ class BudgetSeries:
 
 
 def _series(keep, horizon: int, blocks) -> BudgetSeries:
-    """The series at the kept k's from blocks of (ks, varsigma, per_term,
-    epsilon_partial) over consecutive k's of 1..horizon.
+    """The series at the kept k's from blocks of (ks, varsigma, per_term)
+    over consecutive k's of 1..horizon.
 
-    keep=None keeps every k; otherwise its k's must increase strictly
-    within 1..horizon.
+    Each block's running sums start from the previous block's last one
+    (total + per[0], then one add per term), the same sequential adds
+    as one np.cumsum over the whole horizon.  keep=None keeps every k;
+    otherwise its k's must increase strictly within 1..horizon.
     """
     if keep is None:
         keep = np.arange(1, horizon + 1)
@@ -228,19 +213,16 @@ def _series(keep, horizon: int, blocks) -> BudgetSeries:
             f"kept k's must increase strictly within 1..{horizon}"
         )
     columns = [np.empty(len(keep)) for _ in range(3)]
-    for ks, *values in blocks:
+    total = 0.0
+    for ks, varsigma, per in blocks:
+        partial = per.copy()
+        partial[0] += total
+        np.cumsum(partial, out=partial)
+        total = float(partial[-1])
         lo, hi = np.searchsorted(keep, (ks[0], ks[-1] + 1))
-        for column, block in zip(columns, values):
+        for column, block in zip(columns, (varsigma, per, partial)):
             np.take(block, keep[lo:hi] - ks[0], out=column[lo:hi])
     return BudgetSeries(keep, *columns)
-
-
-def _running(total: float, per: np.ndarray) -> np.ndarray:
-    """total + per[0], then each running total plus the next term: the
-    same sequential adds as one np.cumsum over the whole horizon."""
-    out = per.copy()
-    out[0] += total
-    return np.cumsum(out, out=out)
 
 
 def conservative_budget(
@@ -265,24 +247,21 @@ def conservative_budget(
     sch = schedules
     if sch.noise_scale is None:
         raise RangeError("budget accounting needs a noise scale schedule")
-    if horizon < 1:
-        raise RangeError("horizon must be at least 1")
     if isinstance(weights, ConsensusWeights):
-        factors = _static_factors(sch.stepsize, sch.coupling,
-                                  weights.min_diag_mag)
-        walk, scale = _static_walk, gradient_bound
+        walk = _static_walk(sch.stepsize, sch.coupling, weights.min_diag_mag,
+                            horizon)
+        scale = gradient_bound
     else:
-        factors = _tracking_factors(
+        walk = _tracking_walk(
             sch.stepsize, sch.tracker_mix, sch.coupling_state,
             sch.coupling_tracker, weights.min_diag_pull,
-            weights.min_diag_push,
+            weights.min_diag_push, horizon,
         )
-        walk, scale = _tracking_walk, 2.0 * gradient_bound
+        scale = 2.0 * gradient_bound
 
     def blocks():
-        total = 0.0
-        for ks, parts in walk(factors, horizon):
-            s = parts[0] if len(parts) == 1 else parts[0] + parts[1]
+        for ks, first, *rest in walk:
+            s = sum(rest, first)  # s, or s_x + s_y
             nu = sch.noise_scale.values(ks + 1)
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
@@ -290,17 +269,15 @@ def conservative_budget(
             bad = np.flatnonzero(~np.isfinite(per))
             if bad.size:
                 # A coupling that cannot contract later on wins.
-                for later in _blocks(horizon, int(ks[-1]) + 1):
-                    factors(later)
+                for _ in walk:
+                    pass
                 i = bad[0]
                 raise RangeError(
                     f"conservative budget term not finite at k = "
                     f"{ks[i] + 1}: sensitivity {s[i]:.6g} over noise "
                     f"scale {nu[i]:.6g}"
                 )
-            partial = _running(total, per)
-            total = float(partial[-1])
-            yield ks + 1, s, per, partial
+            yield ks + 1, s, per
 
     return _series(keep, horizon, blocks())
 
@@ -310,7 +287,6 @@ def asymptotic_budget(
     nu: PowerSchedule,
     gradient_bound: float,
     horizon: int,
-    message_factor: float = 1.0,
     keep=None,
 ) -> BudgetSeries:
     """Infinite-horizon budget column driven by the lam/nu envelope.
@@ -324,9 +300,10 @@ def asymptotic_budget(
     are covered by the integral-test tail bound.  Geometric pairs use
     their exact terms, which already sum in closed form.
 
-    message_factor carries the per-iteration message count of the
-    mechanism (1 for the single-state solver, 2 for state plus tracker).
-    keep selects the k's the series holds, as in conservative_budget.
+    gradient_bound is the gradient-difference constant already scaled
+    by the mechanism's messages per iteration (1 for the single-state
+    solver, 2 for state plus tracker).  keep selects the k's the series
+    holds, as in conservative_budget.
     """
     if nu is None:
         raise RangeError("budget accounting needs a noise scale schedule")
@@ -334,17 +311,13 @@ def asymptotic_budget(
     envelope = expr.power_envelope()
 
     def blocks():
-        total = 0.0
         for ks in _blocks(horizon + 1, 1):
             if envelope is None:
                 base = expr.terms(ks)
             else:
                 e, constant = envelope
                 base = constant * ks.astype(float) ** (-e)
-            per = message_factor * gradient_bound * base
-            partial = _running(total, per)
-            total = float(partial[-1])
-            yield ks, base * nu.values(ks), per, partial
+            yield ks, base * nu.values(ks), gradient_bound * base
 
     return _series(keep, horizon, blocks())
 
@@ -359,7 +332,6 @@ def budget_tail_bound(
     nu: PowerSchedule,
     horizon: int,
     gradient_bound: float = 1.0,
-    message_factor: float = 1.0,
 ) -> float:
     """Upper bound on the budget paid after iteration `horizon`.
 
@@ -374,13 +346,12 @@ def budget_tail_bound(
     envelopes with decay exponent e > 1 get the integral-test bound
     t_T * T / (e - 1), with t_T the envelope term at the horizon so the
     bound dominates both the envelope series and the raw lam/nu series
-    beyond it.
+    beyond it.  gradient_bound scales every term, as in asymptotic_budget.
     """
     expr = ScheduleExpr.of(stepsize) / nu
     res = series_class(expr)
     if not res.convergent:
         return math.inf
-    scale = message_factor * gradient_bound
     if res.geometric_log_ratio < 0:
         # Any polynomially growing factor k^{-e} with e < 0 is absorbed
         # into the ratio via (k/T)^{-e} <= exp(-e (k - T) / T) for k >= T.
@@ -400,11 +371,12 @@ def budget_tail_bound(
             except OverflowError:
                 head = math.inf
         rho = math.exp(log_r + growth / start)
-        tail = scale * expr.term(start) * rho / (1.0 - rho) + scale * head
+        tail = (gradient_bound * expr.term(start) * rho / (1.0 - rho)
+                + gradient_bound * head)
         if math.isnan(tail):
             raise RangeError(f"budget tail undefined at T = {horizon}: a "
                              "schedule underflows to zero")
         return tail
     e, constant = expr.power_envelope()
-    t_last = scale * constant * float(horizon) ** (-e)
+    t_last = gradient_bound * constant * float(horizon) ** (-e)
     return t_last * horizon / (e - 1.0)

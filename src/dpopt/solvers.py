@@ -552,7 +552,9 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
         dist[runs, rec] = np.sqrt((err[:, None, :] @ err[:, :, None])[:, 0, 0])
 
     active = np.arange(n_runs)
-    record(np.zeros(n_runs, dtype=int), active, z)
+    # A start past the divergence threshold overflows the metrics.
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(np.zeros(n_runs, dtype=int), active, z)
     kept = np.full(n_runs, n_rec)
     diverged_at = [None] * n_runs
     magnitude = [float("nan")] * n_runs

@@ -94,30 +94,30 @@ def line_plot(
 ) -> None:
     """Write an SVG line chart of the given series against iteration to
     path, with a log10 y axis.  Raises ValueError when no curve has a
-    finite value, or no curve or band edge a finite positive one."""
+    point with finite x and y, or no value is finite and positive."""
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     # The finite values of every curve and band edge set the y range;
-    # the x range is that of the curves' finite points.
+    # the x range is that of the curves' points with finite x and y.
     xs_all, ys_all = [], []
     for s in series:
-        edges = () if s.band is None else s.band
-        for i, values in enumerate((s.ys, *edges)):
-            v = np.asarray(values, dtype=float)
-            keep = np.isfinite(v)
-            ys_all.append(v[keep])
-            if i == 0 and keep.any():
-                xs_all.append(np.asarray(s.xs, dtype=float)[keep])
+        xs, ys = np.asarray(s.xs, dtype=float), np.asarray(s.ys, dtype=float)
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        if keep.any():
+            xs_all.append(xs[keep])
+        for v in (ys, *(() if s.band is None else s.band)):
+            v = np.asarray(v, dtype=float)
+            ys_all.append(v[np.isfinite(v)])
     if not xs_all:
         raise ValueError("nothing to plot: every series is empty")
     ys_all = np.concatenate(ys_all)
     floor = float(ys_all[ys_all > 0].min(initial=math.inf))
     if not math.isfinite(floor):
         raise ValueError("log axis needs at least one positive value")
-    # Nonpositive values are clamped to half the smallest positive value,
-    # so curves that touch zero stay visible as a floor.
-    floor = floor / 2.0
+    # Nonpositive values are clamped to half the smallest positive value
+    # (or to it, where half is 0), so curves that touch zero stay visible.
+    floor = floor / 2.0 or floor
 
     def ty(values: np.ndarray) -> np.ndarray:
         return np.log10(np.maximum(values, floor))

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import os
 import signal
 import subprocess
@@ -31,6 +32,24 @@ pdop.noise.form = geometric
 pdop.noise.a = 0.118619
 pdop.noise.r = 0.999
 """
+
+
+# `budget --horizons 1e3,1e4,1e5` on each shipped config: digests of
+# its two files.
+BUDGET_SHA256 = {
+    "alg1": {
+        "budget.csv": "9b2455f8a8a602c8822b626521c48e4e"
+                      "aeff5c8819a106018af6618151cb6b5a",
+        "breakdown.csv": "96a928318ba1e4d272f9a1736090e112"
+                         "f4adfd86dd5da46c947fbe152cab3cb5",
+    },
+    "alg2": {
+        "budget.csv": "2c68fc172c757dc8194caebb2dd0fc25"
+                      "e79c9043266e3a2b9109c9b108b8a2cd",
+        "breakdown.csv": "4cdf49501a4ecc8ad1e70e5b8025fd92"
+                         "ce08bc94b5abb0bdd043caff529454b1",
+    },
+}
 
 
 def tree(base) -> dict[str, bytes]:
@@ -409,6 +428,17 @@ class TestRun:
 
 
 class TestBudget:
+    @pytest.mark.parametrize("name", sorted(BUDGET_SHA256))
+    def test_shipped_budget_bytes_pinned(self, name, tmp_path):
+        # The static and tracking walks, the two-message envelope of
+        # alg2 and the tail bound, each byte of both files.
+        out = tmp_path / "out"
+        assert main(["budget", str(CONFIGS / f"{name}.cfg"), "--horizons",
+                     "1e3,1e4,1e5", "--output", str(out)]) == 0
+        for file, digest in BUDGET_SHA256[name].items():
+            got = hashlib.sha256((out / file).read_bytes()).hexdigest()
+            assert got == digest, file
+
     def test_report_and_files(self, static_cfg, tmp_path, capsys):
         out = str(tmp_path / "out")
         code = main(["budget", static_cfg, "--horizons", "1e2,1e3",
@@ -816,6 +846,28 @@ def test_python_dash_m_compare_runs_without_warning(static_cfg, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "outputs in" in proc.stdout
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--plot"], ["compare", "--variants", "alg1,dgd", "--plot"],
+])
+def test_fully_diverged_batch_writes_only_errors(argv, tmp_path, capfd):
+    # Every run starts past the divergence threshold.  Neither this
+    # process nor a forked worker writes a numpy warning, and no summary
+    # of a final record is printed, as no run reached one.
+    path = alg1_with(tmp_path, ("run.init_radius = 10.0",
+                                "run.init_radius = 1e300"))
+    command, *options = argv
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpopt", command, path, *options, "--runs",
+         "2", "--iters", "200", "--output", str(tmp_path / "out")],
+        env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 1
+    out, err = capfd.readouterr()
+    assert err and all(line.startswith("error: ")
+                       for line in err.splitlines()), err
+    assert "final gap mean" not in out and "budget bound at" not in out
 
 
 def test_compare_with_wrapped_command(static_cfg, tmp_path):

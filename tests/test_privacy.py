@@ -195,7 +195,7 @@ class TestAsymptoticBudget:
 
     def test_message_factor_and_bound_scale_linearly(self):
         base = asymptotic_budget(LAM, NU, 1.0, 1000)
-        scaled = asymptotic_budget(LAM, NU, 3.0, 1000, message_factor=2.0)
+        scaled = asymptotic_budget(LAM, NU, 2.0 * 3.0, 1000)
         assert np.allclose(scaled.epsilon_partial, 6.0 * base.epsilon_partial)
 
     def test_geometric_pair_uses_exact_terms(self):
@@ -676,11 +676,10 @@ class TestBudgetStream:
         schedules, _ = STREAM_SCHEDULES[name]
         lam, nu = schedules.stepsize, schedules.noise_scale
         whole = asymptotic_budget_whole(lam, nu, 1.3, horizon, 2.0)
-        full = asymptotic_budget(lam, nu, 1.3, horizon, message_factor=2.0)
+        full = asymptotic_budget(lam, nu, 2.0 * 1.3, horizon)
         assert_series_equal(full, np.arange(1, horizon + 1), whole)
         keep = edge_keep(horizon)
-        kept = asymptotic_budget(lam, nu, 1.3, horizon, message_factor=2.0,
-                                 keep=keep)
+        kept = asymptotic_budget(lam, nu, 2.0 * 1.3, horizon, keep=keep)
         assert_series_equal(kept, keep, whole)
 
     def test_keep_must_increase_within_the_horizon(self):

@@ -9,6 +9,12 @@ from dpopt.svgplot import Series, line_plot, std_band
 
 PINNED_SHA256 = (
     "a81d509005b28cab7e72151abc815e4edd84406fe8e3418afb4c9f7fadb5efa5")
+# Digest of the random plots in_old_domain, as line_plot drew or
+# refused them before it filtered x and guarded its floor.
+RANDOM_SHA256 = (
+    "11d915c0053a0868e56673e18ce6d12d807b1dbc09b59b73d55d5fc38f4ee987")
+OWN_ERRORS = ("nothing to plot: every series is empty",
+              "log axis needs at least one positive value")
 
 
 def render(tmp_path, series):
@@ -98,6 +104,63 @@ class TestLinePlot:
         line_plot(str(path), series, title="pinned <&> plot",
                   y_label="y & <label>")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256
+
+
+def random_series(rng):
+    """1-4 series of 0-40 points, with labels that need escaping.  In
+    each series, one sample in ten is NaN, +-inf, zero or -1, and also
+    the smallest subnormal in one series of five; every value is
+    negative in one series of ten; three x's in ten are NaN or +-inf in
+    one series of five; two series in three have a band."""
+    def spoil(values, odd, rate):
+        hit = rng.random(len(values)) < rate
+        values[hit] = rng.choice(odd, hit.sum())
+        return values
+
+    out = []
+    for i in range(rng.integers(1, 5)):
+        n = int(rng.integers(0, 41))
+        odd = (np.nan, np.inf, -np.inf, 0.0, -1.0, 5e-324)
+        odd = odd if rng.random() < 0.2 else odd[:-1]
+        sign = -1.0 if rng.random() < 0.1 else 1.0
+        rate = 0.3 if rng.random() < 0.2 else 0.0
+        xs = spoil(10.0 * np.arange(n), (np.nan, np.inf, -np.inf), rate)
+        ys, lower, upper = (spoil(sign * rng.lognormal(0.0, 3.0, n), odd, 0.1)
+                            for _ in range(3))
+        band = (lower, upper) if rng.random() < 0.67 else None
+        out.append(Series(f"s{i} <&>", xs, ys, band))
+    return out
+
+
+def in_old_domain(series):
+    """Every finite curve y has a finite x, and half the smallest
+    positive value is above 0 or no value is nonpositive.  Outside it, an
+    unfiltered x range or a floor of 0 ended in an error from the tick
+    code, or in points off the canvas."""
+    values = np.concatenate(
+        [[], *(v for s in series for v in (s.ys, *(s.band or ())))])
+    return (all(np.isfinite(s.xs[np.isfinite(s.ys)]).all() for s in series)
+            and not (np.any(values == 5e-324) and np.any(values <= 0)))
+
+
+def test_random_plots_draw_or_raise_their_own_errors(tmp_path):
+    rng = np.random.default_rng(20)
+    digest, outside = hashlib.sha256(), 0
+    path = tmp_path / "random.svg"
+    for _ in range(400):
+        series = random_series(rng)
+        try:
+            line_plot(str(path), series, "random <&>")
+            outcome = path.read_bytes()
+        except ValueError as err:
+            assert str(err) in OWN_ERRORS
+            outcome = str(err).encode()
+        if in_old_domain(series):
+            digest.update(outcome)
+        else:
+            outside += 1
+    assert outside > 100
+    assert digest.hexdigest() == RANDOM_SHA256
 
 
 class TestStdBand:

@@ -24,6 +24,9 @@ ok and violation_k, then every array as float.hex lines.  They run in
 a child process with the same PYTHONPATH and use only names exported
 from the top of the `dpopt` package, so an older src/ works too.
 
+Two runs on the same source write identical trees: every command's
+output is deterministic, and no command writes a numpy warning, whose
+lines from `compare`'s forked workers would interleave in any order.
 Only the standard library is used here.  The matrix runs serially, in
 about twelve seconds on two CPUs.
 """
