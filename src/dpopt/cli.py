@@ -326,10 +326,11 @@ def cmd_compare(args) -> int:
         f"{'eps bound':>12}"
     )
     for row in summary_rows:
-        print(
-            f"{row[0]:>16}  {row[2]:>3}/{row[1]}  {row[4]:>12.6g}  "
-            f"{row[5]:>10.3g}  {row[7]:>12.6g}"
-        )
+        # As run does, no final gap for a variant with no completed run.
+        gap, se = ((f"{row[4]:.6g}", f"{row[5]:.3g}") if row[2]
+                   else ("-", "-"))
+        print(f"{row[0]:>16}  {row[2]:>3}/{row[1]}  {gap:>12}  {se:>10}  "
+              f"{row[7]:>12.6g}")
     print(f"outputs in {base}")
     return max([_exit_code(agg) for agg, _ in results.values()])
 

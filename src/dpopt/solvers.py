@@ -28,7 +28,7 @@ while every diagonal of that matrix stays positive, that is, while the
 diagonal load gamma^k * max(0, -min_i A_ii) is below 1 (_diagonal_load):
 validate_for_variant reports it at each coupling's peak; run_batch
 raises RangeError before it steps when it reaches 1 at the run's
-largest coupling.
+largest coupling, found block by block.
 
 Every message is obscured by one fresh Laplace draw per sender per
 iteration; all receivers observe the same copy and the sender's own
@@ -45,18 +45,20 @@ states A_k and b_k).  A non-quadratic objective would need the
 per-agent form back.  The dense operators also assume a small state:
 an iteration costs O(R N^2) against O(R (m^2 d + m s d)) per agent,
 which the affine form beats at the shipped m d = 10 but loses to from
-about m d = 50 on (README gives the timings).  The operators A_k^T and
-the noise offsets b_k of all runs are built with vectorized operations
-once per chunk of NOISE_CHUNK // max(R, N) iterations, so every chunk
-array holds at most NOISE_CHUNK x N floats whatever the batch or
-problem size, and the loop body is one per-row product and one add per
-iteration.  Divergence, gradient bounds and record captures are then
-read from the chunk's stored states; the per-state max |z| is taken
-only when a whole-array max and min put the chunk past the threshold,
-as a NaN or an infinity always does; the noise is drawn in place
-(noise.py).  The seed-independent budget series is computed once per
-batch, before the loop, by the privacy accountant (the series `dpopt
-budget` reports).
+about m d = 50 on (README gives the timings).  The schedule values,
+the operators A_k^T and the noise offsets b_k of all runs are built
+with vectorized operations once per chunk of NOISE_CHUNK // max(R, N)
+iterations, so every chunk array holds at most NOISE_CHUNK x N floats
+whatever R, N or the horizon (at R = 1 and 1e6 iterations the heap
+peaks at 5.7 MB on alg1_rate and 5.6 MB on alg2_nonoise, against 29.7
+and 45.6 MB with schedules evaluated over the whole run), and the loop
+body is one per-row product and one add per iteration.  Divergence,
+gradient bounds and record captures are then read from the chunk's
+stored states; the per-state max |z| is taken only when a whole-array
+max and min put the chunk past the threshold, as a NaN or an infinity
+always does; the noise is drawn in place (noise.py).  The
+seed-independent budget series is computed once per batch, before the
+loop, by the privacy accountant (the series `dpopt budget` reports).
 
 Noise is keyed by (seed, agent, stream, iteration, coordinate), so each
 run gets exactly its own draws, and every product that involves run
@@ -94,7 +96,7 @@ from .errors import ConditionError, RangeError
 from .graphs import ConsensusWeights, PushPullWeights, validate_consensus_matrix
 from .noise import NOISE_CHUNK, laplace_draws
 from .objectives import QuadraticEstimationProblem, optimal_solution
-from .privacy import conservative_budget
+from .privacy import _blocks, conservative_budget
 from .schedules import (
     PowerSchedule,
     ScheduleSet,
@@ -488,29 +490,24 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
     dist = np.full((n_runs, n_rec), np.nan)
     track = np.full((n_runs, n_rec), np.nan)
 
-    # Float indices: values() would copy integer ones on every call.
-    ks_all = np.arange(iterations, dtype=float)
-    lam_vals = sch.stepsize.values(ks_all)
     tracking = spec.tracking
     weights = spec.weights(setup)
     if tracking:
         u, v = weights.left_eigvec, weights.right_eigvec
-        g1_vals = sch.coupling_state.values(ks_all)
-        g2_vals = sch.coupling_tracker.values(ks_all)
-        if sch.tracker_mix is None:
-            al_vals = np.zeros(iterations)
-        else:
-            al_vals = sch.tracker_mix.values(ks_all)
-        couplings = ((g1_vals, weights.pull), (g2_vals, weights.push))
-        schedule_vals = (lam_vals, g1_vals, g2_vals, al_vals)
+        schedules = (sch.stepsize, sch.coupling_state, sch.coupling_tracker,
+                     sch.tracker_mix)
+        mixed = (weights.pull, weights.push)
     else:
-        gmm_vals = sch.coupling.values(ks_all)
-        couplings = ((gmm_vals, weights.matrix),)
-        schedule_vals = (lam_vals, gmm_vals)
-    # Coupling must keep the mixed diagonals positive at every k.
-    if any(_diagonal_load(vals.max(), A) >= 1.0 for vals, A in couplings):
-        raise RangeError("gamma too large: a diagonal entry of the mixed "
-                         "matrix is nonpositive")
+        schedules = (sch.stepsize, sch.coupling)
+        mixed = (weights.matrix,)
+    # Each coupling must keep its mixed diagonals positive at every k;
+    # its maximum is taken block by block (NaN wins, as in one max).
+    for coupling, A in zip(schedules[1:], mixed):
+        peak = np.max([coupling.values(ks).max()
+                       for ks in _blocks(iterations)])
+        if _diagonal_load(peak, A) >= 1.0:
+            raise RangeError("gamma too large: a diagonal entry of the "
+                             "mixed matrix is nonpositive")
 
     # The raw (unit gradient bound) budget does not depend on the seed:
     # one conservative series per batch, read at the record points.
@@ -574,7 +571,8 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
             return laplace_draws(sch.noise_scale, run_seeds, m, stream,
                                  ks_chunk, d).reshape(shape)
 
-        coefs = [vals[start:stop, None, None] for vals in schedule_vals]
+        coefs = [(np.zeros(len(ks_chunk)) if s is None
+                  else s.values(ks_chunk))[:, None, None] for s in schedules]
         Z = step.offsets(coefs, draw)
         # A run that diverges inside the chunk is stepped on to its end
         # (rows never mix) and its states past divergence are ignored.
@@ -604,7 +602,8 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
             grad_bound[active] = np.where(peak > current, peak, current)
             # Records of a diverged run past its last capture are
             # written here but cut off by `kept`.
-            in_chunk = np.flatnonzero((record_ks > start) & (record_ks <= stop))
+            in_chunk = np.arange(*np.searchsorted(record_ks, (start, stop),
+                                                  side="right"))
             if in_chunk.size:
                 rows = record_ks[in_chunk] - start - 1
                 record(np.repeat(in_chunk, active.size),

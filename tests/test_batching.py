@@ -494,6 +494,24 @@ def test_chunk_memory_stays_flat_in_the_problem_size():
     assert peak < 6 * 2**20
 
 
+@pytest.mark.parametrize("iterations", [20_000, 200_000])
+@pytest.mark.parametrize("variant", ["alg1", "alg2"])
+def test_batch_memory_stays_flat_in_the_horizon(variant, iterations):
+    # Schedules are evaluated chunk by chunk: besides the traces it
+    # returns, a noiseless run holds about 0.5 MiB at either horizon,
+    # where one schedule's values over 2e5 iterations take 1.5 MiB.
+    setup = shared_setup(family(variant), False)
+    tracemalloc.start()
+    try:
+        (trace,) = solvers.run_batch(variant, setup, iterations, [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not trace.diverged
+    outputs = sum(getattr(trace, name).nbytes for name in COLUMNS)
+    assert peak - outputs < 2**20
+
+
 def with_schedules(setup, **changes):
     return dataclasses.replace(
         setup, schedules=dataclasses.replace(setup.schedules, **changes)
@@ -532,6 +550,36 @@ def test_coupling_that_grows_past_contraction_raises(variant, coupling):
                            **{coupling: PowerSchedule.growing(1.0, 0.1, 1.0)})
     with pytest.raises(RangeError, match="gamma too large"):
         run(variant, setup, 200, seed=1, force=True)
+
+
+@pytest.mark.parametrize("variant,coupling,weights", [
+    ("alg1", "coupling", lambda setup: setup.consensus.matrix),
+    ("alg2", "coupling_state", lambda setup: setup.push_pull.pull),
+    ("alg2", "coupling_tracker", lambda setup: setup.push_pull.push),
+])
+def test_coupling_that_loads_one_past_a_block_raises_before_stepping(
+        monkeypatch, variant, coupling, weights):
+    # The largest coupling is found block by block: one that first
+    # loads a mixed diagonal to 1 past the first two blocks of 8192 still
+    # stops the run before its first chunk, and a run that ends just
+    # before that k is not refused.
+    setup = shared_setup(family(variant), False)
+    worst = -np.min(np.diag(weights(setup)))
+    growing = PowerSchedule.growing(1.0, (1.0 / worst - 1.0) / 20_000, 1.0)
+    loads = growing.values(np.arange(30_000)) * worst
+    first = int(np.argmax(loads >= 1.0))
+    assert 2 * 8192 < first < 30_000
+    setup = with_schedules(setup, **{coupling: growing})
+
+    def refuse(*args):
+        raise AssertionError("a chunk was stepped")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_step_chunk", refuse)
+        with pytest.raises(RangeError, match="gamma too large"):
+            run(variant, setup, first + 1, seed=1, force=True)
+        with pytest.raises(AssertionError, match="a chunk was stepped"):
+            run(variant, setup, first, seed=1, force=True)
 
 
 # The divergence check first tests a whole chunk with one max and one

@@ -281,7 +281,7 @@ class TestRun:
                      "--output", out, "--plot"])
         assert code == 0
         for name in ("gap.svg", "consensus.svg"):
-            text = open(os.path.join(out, name), encoding="utf-8").read()
+            text = Path(out, name).read_text(encoding="utf-8")
             ElementTree.fromstring(text)
 
     def test_tracking_plot_includes_tracking_svg(self, tracking_cfg, tmp_path):
@@ -331,8 +331,8 @@ class TestRun:
         assert code == 1
         names = sorted(os.listdir(out))
         assert "run_000.csv" not in names
-        lines = open(os.path.join(out, "failures.csv"),
-                     encoding="utf-8").read().strip().split("\n")
+        lines = Path(out, "failures.csv").read_text(
+            encoding="utf-8").strip().split("\n")
         assert len(lines) == 3
         captured = capsys.readouterr()
         assert "2 diverged" in captured.out
@@ -393,8 +393,8 @@ class TestRun:
         code = main(["run", str(path), "--runs", "4", "--iters", "100",
                      "--output", out])
         assert code == 0
-        failures = open(os.path.join(out, "failures.csv"),
-                        encoding="utf-8").read().strip().split("\n")[1:]
+        failures = Path(out, "failures.csv").read_text(
+            encoding="utf-8").strip().split("\n")[1:]
         assert 0 < len(failures) < 4
         runs = [n for n in os.listdir(out) if n.startswith("run_")]
         assert len(runs) + len(failures) == 4
@@ -553,8 +553,8 @@ class TestCompare:
         assert code == 0
         for variant in ("alg1", "dgd", "pdop_alg1"):
             assert os.path.exists(os.path.join(out, variant, "aggregate.csv"))
-        lines = open(os.path.join(out, "summary.csv"),
-                     encoding="utf-8").read().strip().split("\n")
+        lines = Path(out, "summary.csv").read_text(
+            encoding="utf-8").strip().split("\n")
         assert lines[0].startswith("variant,runs,completed,failures")
         assert len(lines) == 4
         stdout = capsys.readouterr().out
@@ -568,7 +568,7 @@ class TestCompare:
         assert code == 0
         for name in ("compare_gap.svg", "compare_consensus.svg"):
             ElementTree.fromstring(
-                open(os.path.join(out, name), encoding="utf-8").read()
+                Path(out, name).read_text(encoding="utf-8")
             )
 
     @pytest.mark.parametrize("cfg,variants", [
@@ -606,6 +606,27 @@ class TestCompare:
         assert not (out / "pdop_alg1" / "run_000.csv").exists()
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and "every run of pdop_alg1 diverged" in err[0]
+
+    def test_fully_diverged_variant_prints_no_final_gap(self, tmp_path,
+                                                        capsys):
+        # The table prints "-" for the final gap and its se of a variant
+        # with no completed run, as run omits them; summary.csv keeps
+        # the aggregate's inf and 0.
+        text = STATIC_TEXT + PDOP_BLOCK.replace(
+            "pdop.stepsize.a = 0.02", "pdop.stepsize.a = 10.0")
+        path = tmp_path / "div.cfg"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["compare", str(path), "--variants", "alg1,pdop_alg1",
+                     "--runs", "2", "--iters", "300",
+                     "--output", str(out)]) == 1
+        rows = {line.split()[0]: line.split()
+                for line in capsys.readouterr().out.split("\n")[1:3]}
+        assert rows["pdop_alg1"][1:4] == ["0/2", "-", "-"]
+        assert rows["alg1"][1] == "2/2"
+        assert float(rows["alg1"][2]) > 0 and float(rows["alg1"][3]) > 0
+        summary = (out / "summary.csv").read_text(encoding="utf-8")
+        assert "\npdop_alg1,2,0,2,inf,0.0,inf," in summary
 
     def test_fully_diverged_plot_skipped(self, tmp_path, capsys):
         path = alg1_with(tmp_path, ("run.init_radius = 10.0",

@@ -1,5 +1,6 @@
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ class TestFormatting:
     def test_write_csv_layout(self, tmp_path):
         path = str(tmp_path / "t.csv")
         write_csv(path, ("a", "b"), [(1, 0.5), (2, 0.25)])
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
         assert text == "a,b\n1,0.5\n2,0.25\n"
 
     def test_columns_match_format_value_bytes(self, tmp_path):
@@ -161,7 +162,7 @@ class TestWriters:
         trace = run("alg1", setup, 40, seed=2)
         path = str(tmp_path / "run_000.csv")
         write_trace(path, trace)
-        lines = open(path, encoding="utf-8").read().strip().split("\n")
+        lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == ",".join(TRACE_COLUMNS)
         first = lines[1].split(",")
         assert int(first[0]) == 0
@@ -176,8 +177,8 @@ class TestWriters:
         write_aggregate(p1, agg)
         traces2 = monte_carlo("alg1", setup, 40, base_seed=3, n_runs=3)
         write_aggregate(p2, aggregate("alg1", traces2, base_seed=3))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-        header = open(p1, encoding="utf-8").readline().strip()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
+        header = Path(p1).read_text(encoding="utf-8").split("\n")[0].strip()
         assert header == ",".join(AGGREGATE_COLUMNS)
 
     def test_failures_csv_written_even_when_empty(self, tmp_path):
@@ -186,7 +187,7 @@ class TestWriters:
         agg = aggregate("alg1", traces, base_seed=3)
         path = str(tmp_path / "failures.csv")
         write_failures(path, agg)
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
         assert text == ",".join(FAILURE_COLUMNS) + "\n"
 
     def test_failures_csv_rows(self, tmp_path):
@@ -195,7 +196,7 @@ class TestWriters:
         agg = aggregate("dgd", traces, base_seed=5)
         path = str(tmp_path / "failures.csv")
         write_failures(path, agg)
-        lines = open(path, encoding="utf-8").read().strip().split("\n")
+        lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 3
         run_idx, seed, diverged_at, magnitude = lines[1].split(",")
         assert int(run_idx) == 0
@@ -270,7 +271,7 @@ class TestBudgetReport:
         rows = budget_account("alg1", setup, 1.0, [100, 1000]).rows
         path = str(tmp_path / "budget.csv")
         write_budget(path, rows)
-        lines = open(path, encoding="utf-8").read().strip().split("\n")
+        lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "horizon,epsilon_bound,epsilon_envelope,tail_envelope,summable"
         assert lines[1].endswith(",yes")
         assert int(lines[1].split(",")[0]) == 100
@@ -280,7 +281,7 @@ class TestBudgetReport:
         path = str(tmp_path / "breakdown.csv")
         write_breakdown(path, budget_account("alg1", setup, 1.0, [25_000])
                         .conservative)
-        lines = open(path, encoding="utf-8").read().strip().split("\n")
+        lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "k,varsigma,per_term,epsilon_partial"
         ks = [int(line.split(",")[0]) for line in lines[1:]]
         assert ks[0] == 1
@@ -295,7 +296,7 @@ class TestBudgetReport:
         # The full series gives the same file as the account's kept one.
         full = str(tmp_path / "full.csv")
         write_breakdown(full, series)
-        assert open(full, "rb").read() == open(path, "rb").read()
+        assert Path(full).read_bytes() == Path(path).read_bytes()
 
     def test_breakdown_needs_its_grid(self, tmp_path):
         setup = make_setup("static")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from envelopes import recursion_envelope_ratio, recursion_envelope_series
 
 from dpopt.errors import ConditionError, RangeError
+from dpopt.noise import NOISE_CHUNK
 from dpopt.schedules import (
     PowerSchedule,
     ScheduleExpr,
@@ -260,6 +261,40 @@ def test_power_envelope_dominates_terms(num, den, e_num, e_den):
     e, const = expr.power_envelope()
     ks = np.unique(np.logspace(0.0, 6.0, 241).round())
     assert np.all(expr.terms(ks) <= const * ks ** (-e) * (1 + 1e-12))
+
+
+@st.composite
+def any_schedules(draw):
+    """A schedule of any of the four forms, its parameters anywhere in
+    their valid ranges short of overflow."""
+    form = draw(st.sampled_from(("decaying", "growing", "geometric",
+                                 "constant")))
+    a = draw(st.floats(1e-6, 1e6))
+    if form == "constant":
+        return PowerSchedule.constant(a)
+    if form == "geometric":
+        return PowerSchedule.geometric(
+            a, draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    return PowerSchedule(form, a=a, b=draw(st.floats(0.0, 1e3)),
+                         p=draw(st.floats(0.0, 4.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedule=any_schedules(), first=st.integers(0, 10**7),
+       offset=st.integers(0, 300), tail=st.integers(0, 300),
+       length=st.sampled_from((1, 7, 8, 9, 16, 17, NOISE_CHUNK // 10,
+                               NOISE_CHUNK // 20)))
+def test_values_of_a_slice_are_the_slice_of_values(schedule, first, offset,
+                                                   tail, length):
+    # run_batch evaluates its schedules chunk by chunk: each chunk must
+    # read the bits one evaluation over the whole run would give, and
+    # those of value() at each index, whatever SIMD width numpy uses.
+    ks = np.arange(first, first + offset + length + tail, dtype=float)
+    whole = schedule.values(ks)[offset:offset + length]
+    part = ks[offset:offset + length]
+    assert schedule.values(part).tobytes() == whole.tobytes()
+    scalars = np.array([schedule.value(int(k)) for k in part])
+    assert scalars.tobytes() == whole.tobytes()
 
 
 def block_ratio(expr, j=16):

@@ -20,7 +20,8 @@ OWN_ERRORS = ("nothing to plot: every series is empty",
 def render(tmp_path, series):
     path = str(tmp_path / "plot.svg")
     line_plot(path, series, title="test plot")
-    return open(path, encoding="utf-8").read()
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 class TestLinePlot:

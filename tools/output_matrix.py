@@ -84,6 +84,12 @@ DERIVED = {
     "alg2_coupling_state_growing": (
         "alg2", "schedules.coupling_state.form = decaying",
         "schedules.coupling_state.form = growing"),
+    # One that first loads a diagonal to 1 at k = 17734, past the
+    # first two blocks of 8192 in which a forced run looks for its peak.
+    "alg1_coupling_growing_late": (
+        "alg1", "schedules.coupling.form = decaying",
+        "schedules.coupling.form = growing", "schedules.coupling.b = 0.1",
+        "schedules.coupling.b = 0.0001"),
     # Plots with nothing finite and positive to draw: one agent has no
     # consensus error, and every run starting at 1e300 diverges.
     "alg1_one_agent": ("alg1", "problem.agents = 5", "problem.agents = 1",
@@ -126,6 +132,8 @@ MATRIX = (
                 "alg1_coupling_growing", "alg2_coupling_state_growing")),
     *((f"run_{c}", c, ["run", "--force", "--runs", "2", "--iters", "200"])
       for c in ("alg1_coupling_growing", "alg2_coupling_state_growing")),
+    ("run_alg1_coupling_growing_late", "alg1_coupling_growing_late",
+     ["run", "--force", "--runs", "2", "--iters", "20000"]),
     *((f"run_{c}", c, ["run", "--plot", "--runs", "2", "--iters", "200"])
       for c in ("alg1_one_agent", "alg1_init_radius_1e300")),
     ("compare_alg1_init_radius_1e300", "alg1_init_radius_1e300",
