@@ -7,9 +7,9 @@ Subcommands:
     compare <config>      several variants on one shared problem
 
 Exit codes: 0 on success, 1 when an experiment fails validation or a
-run-level check or every run of a batch diverged, 2 on config or IO
-errors.  A failed validation prints "validation error:", any other
-run-level stop "error:".
+run-level check or every run of a batch diverged or a size cannot be
+allocated, 2 on config or IO errors.  A failed validation prints
+"validation error:", any other run-level stop "error:".
 
 --iters, --runs, --output and --gradient-bound are read as the config
 keys they override, with each key's parser, range and messages; each
@@ -413,7 +413,7 @@ def main(argv=None) -> int:
     except ConditionError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except DpoptError as exc:
+    except (DpoptError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

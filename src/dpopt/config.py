@@ -291,52 +291,39 @@ def load_config(path: str, overrides=()) -> ExperimentConfig:
     return parse_config_text(text, overrides)
 
 
-def _needs(config: ExperimentConfig, variants) -> None:
-    for variant in variants:
-        spec = Variant.of(variant)
-        attenuated = spec.schedules == "attenuated"
-        if attenuated and not spec.tracking \
-                and config.schedules.coupling is None:
-            raise ConfigError(
-                "variant alg1 needs schedules.coupling",
-                key="schedules.coupling.form",
-            )
-        if attenuated and spec.tracking and not (
-            config.schedules.is_tracking_shape()
-            and config.schedules.tracker_mix is not None
+def _schedule(config: ExperimentConfig, key: str) -> PowerSchedule | None:
+    """The schedule of a `schedules.*` or `pdop.*` block, None if unset."""
+    owner = config.schedules if key.startswith("schedules.") else config
+    return getattr(owner, key.removeprefix("schedules.").replace(".", "_"))
+
+
+def _needs(config: ExperimentConfig, specs) -> None:
+    """Every schedule block each variant's table row needs (Variant.needs),
+    then its family's edge lists."""
+    for spec in specs:
+        if any(_schedule(config, key) is None for key in spec.needs):
+            *rest, last = spec.needs
+            listed = f"{', '.join(rest)} and {last}" if rest else last
+            raise ConfigError(f"variant {spec.name} needs {listed}",
+                              key=f"{spec.needs[0]}.form")
+        if config.agents > 1 and not (
+            config.pull_edges and config.push_edges if spec.tracking
+            else config.edges
         ):
-            raise ConfigError(
-                "variant alg2 needs schedules.coupling_state, "
-                "schedules.coupling_tracker and schedules.tracker_mix",
-                key="schedules.coupling_state.form",
-            )
-        if spec.schedules == "pdop" and (
-            config.pdop_stepsize is None or config.pdop_noise is None
-        ):
-            raise ConfigError(
-                "pdop variants need pdop.stepsize and pdop.noise",
-                key="pdop.stepsize.form",
-            )
-        if not spec.tracking and not config.edges and config.agents > 1:
-            raise ConfigError(
-                "static variants need graph.edges", key="graph.edges"
-            )
-        if spec.tracking and (
-            not config.pull_edges or not config.push_edges
-        ) and config.agents > 1:
             raise ConfigError(
                 "tracking variants need graph.pull_edges and graph.push_edges "
-                "(or a shared graph.edges)",
-                key="graph.pull_edges",
+                "(or a shared graph.edges)" if spec.tracking
+                else "static variants need graph.edges",
+                key="graph.pull_edges" if spec.tracking else "graph.edges",
             )
 
 
 def build_setup(config: ExperimentConfig, variants=None) -> RunSetup:
     """Materialize the problem and coupling weights for the requested
     variants (default: the config's own variant)."""
-    variants = (tuple(map(_check_variant, variants))
-                if variants is not None else (config.variant,))
-    _needs(config, variants)
+    specs = [Variant.of(_check_variant(v))
+             for v in ((config.variant,) if variants is None else variants)]
+    _needs(config, specs)
     problem, _ = random_instance(
         seed=config.problem_seed,
         m=config.agents,
@@ -345,9 +332,7 @@ def build_setup(config: ExperimentConfig, variants=None) -> RunSetup:
         reg=config.regularization,
         noise_std=config.measurement_noise_std,
     )
-    consensus = None
-    push_pull = None
-    specs = [Variant.of(v) for v in variants]
+    consensus = push_pull = None
     if any(not spec.tracking for spec in specs):
         graph = DirectedGraph(config.agents, frozenset(config.edges))
         consensus = build_consensus_weights(graph, config.edge_weight)

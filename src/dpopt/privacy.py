@@ -319,7 +319,8 @@ def asymptotic_budget(
                 base = constant * ks.astype(float) ** (-e)
             yield ks, base * nu.values(ks), gradient_bound * base
 
-    return _series(keep, horizon, blocks())
+    with np.errstate(over="ignore"):  # past the float range: inf
+        return _series(keep, horizon, blocks())
 
 
 def infinite_tail(stepsize: PowerSchedule, nu: PowerSchedule) -> bool:

@@ -272,15 +272,12 @@ class ScheduleSet:
     tracker_mix: PowerSchedule | None = None
     noise_scale: PowerSchedule | None = None
 
-    def is_tracking_shape(self) -> bool:
-        return self.coupling_state is not None and self.coupling_tracker is not None
-
     def require_static(self) -> None:
         if self.coupling is None:
             raise ConditionError("schedule set lacks a coupling schedule")
 
     def require_tracking(self) -> None:
-        if not self.is_tracking_shape():
+        if self.coupling_state is None or self.coupling_tracker is None:
             raise ConditionError(
                 "schedule set lacks the state/tracker coupling pair"
             )

@@ -20,8 +20,8 @@ Baseline variants reuse the same steps with frozen couplings: "dgd" is
 static consensus with gamma == 1, "push_pull" is gradient tracking
 with both couplings == 1 and no tracker mix, and the "pdop_*" variants
 swap in geometric stepsize and noise schedules.  The variant table
-below declares each name's family and schedules once; every other
-module reads it through Variant.of.
+below declares each name's family, schedules and needed config blocks
+once; every other module reads it through Variant.of.
 
 Both families mix through I + gamma^k A (A = W, R or C), sound only
 while every diagonal of that matrix stays positive, that is, while the
@@ -116,11 +116,14 @@ class Variant:
         against the schedule conditions; "unit" pins every coupling at
         one and drops the tracker mix; "pdop" also swaps in the
         geometric stepsize and noise schedules.
+    needs: the config's schedule blocks (keys <block>.*) the variant
+        reads besides schedules.stepsize and noise.scale.
     """
 
     name: str
     tracking: bool
     schedules: str
+    needs: tuple[str, ...] = ()
 
     @staticmethod
     def of(name: str) -> "Variant":
@@ -140,12 +143,17 @@ class Variant:
 
 
 _VARIANT_TABLE = {v.name: v for v in (
-    Variant("alg1", tracking=False, schedules="attenuated"),
+    Variant("alg1", tracking=False, schedules="attenuated",
+            needs=("schedules.coupling",)),
     Variant("dgd", tracking=False, schedules="unit"),
-    Variant("pdop_alg1", tracking=False, schedules="pdop"),
-    Variant("alg2", tracking=True, schedules="attenuated"),
+    Variant("pdop_alg1", tracking=False, schedules="pdop",
+            needs=("pdop.stepsize", "pdop.noise")),
+    Variant("alg2", tracking=True, schedules="attenuated",
+            needs=("schedules.coupling_state", "schedules.coupling_tracker",
+                   "schedules.tracker_mix")),
     Variant("push_pull", tracking=True, schedules="unit"),
-    Variant("pdop_push_pull", tracking=True, schedules="pdop"),
+    Variant("pdop_push_pull", tracking=True, schedules="pdop",
+            needs=("pdop.stepsize", "pdop.noise")),
 )}
 VARIANTS = tuple(_VARIANT_TABLE)
 
@@ -224,13 +232,10 @@ def effective_schedules(variant: str, setup: RunSetup) -> ScheduleSet:
                 "pdop variants need geometric stepsize and noise schedules"
             )
         stepsize, noise = setup.pdop_stepsize, setup.pdop_noise
-    one = PowerSchedule.constant(1.0)
-    if spec.tracking:
-        return ScheduleSet(
-            stepsize=stepsize, coupling_state=one, coupling_tracker=one,
-            tracker_mix=None, noise_scale=noise,
-        )
-    return ScheduleSet(stepsize=stepsize, coupling=one, noise_scale=noise)
+    couplings = (("coupling_state", "coupling_tracker") if spec.tracking
+                 else ("coupling",))
+    return ScheduleSet(stepsize=stepsize, noise_scale=noise,
+                       **dict.fromkeys(couplings, PowerSchedule.constant(1.0)))
 
 
 def _diagonal_load(gamma: float, A: np.ndarray) -> float:

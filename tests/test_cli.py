@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 
-from test_config import LITERALS, STATIC_TEXT, TRACKING_TEXT
+from test_config import LITERALS, PDOP_BLOCK, STATIC_TEXT, TRACKING_TEXT
 
 import dpopt
 from dpopt import cli
@@ -23,16 +23,6 @@ from dpopt.harness import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-PDOP_BLOCK = """
-pdop.stepsize.form = geometric
-pdop.stepsize.a = 0.02
-pdop.stepsize.r = 0.995
-pdop.noise.form = geometric
-pdop.noise.a = 0.118619
-pdop.noise.r = 0.999
-"""
-
 
 # `budget --horizons 1e3,1e4,1e5` on each shipped config: digests of
 # its two files.
@@ -148,6 +138,24 @@ class TestValidate:
         path = tmp_path / "bad.cfg"
         path.write_text("variant = alg1\nwhat\n", encoding="utf-8")
         assert main(["validate", str(path)]) == 2
+
+    def test_empty_key_returns_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("variant = alg1\n= 5\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: empty key (line 2, key '= 5')\n")
+
+    def test_unallocatable_size_returns_one(self, tmp_path, capsys):
+        # 1e15 agents ask numpy for 42.6 PiB, past any address space, so
+        # the request fails at once; no size that might be partly
+        # allocated is tried.
+        path = alg1_with(tmp_path, ("problem.agents = 5",
+                                    "problem.agents = 1e15"))
+        assert main(["validate", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ")
+        assert "Traceback" not in err and err.count("\n") == 1
 
 
 class TestConfigValues:
@@ -479,6 +487,20 @@ class TestBudget:
         assert main(["budget", static_cfg, "--horizons", "ten",
                      "--output", out]) == 2
 
+    def test_no_horizons_return_two(self, static_cfg, tmp_path, capsys):
+        assert main(["budget", static_cfg, "--horizons", ",",
+                     "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: at least one horizon is required\n")
+
+    def test_output_under_a_file_returns_two(self, static_cfg, tmp_path,
+                                             capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        assert main(["budget", static_cfg, "--horizons", "100",
+                     "--output", str(blocker / "out")]) == 2
+        assert capsys.readouterr().err.startswith("io error: ")
+
     @pytest.mark.parametrize("bound", ["0", "-1", "nan", "inf"])
     def test_bad_gradient_bound_returns_two(self, static_cfg, tmp_path,
                                             capsys, bound):
@@ -749,6 +771,12 @@ class TestCompare:
     def test_unknown_variant_returns_two(self, static_cfg, tmp_path):
         assert main(["compare", static_cfg, "--variants", "alg1,warp",
                      "--output", str(tmp_path / "out")]) == 2
+
+    def test_no_variants_return_two(self, static_cfg, tmp_path, capsys):
+        assert main(["compare", static_cfg, "--variants", ",",
+                     "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: at least one variant is required\n")
 
     def test_missing_pdop_block_returns_two(self, tracking_cfg, tmp_path):
         assert main(["compare", tracking_cfg, "--variants", "pdop_push_pull",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dpopt.config import build_setup, load_config, parse_config_text
 from dpopt.errors import ConfigError
-from dpopt.solvers import run
+from dpopt.solvers import VARIANTS, Variant, run
 
 STATIC_TEXT = """
 # static consensus experiment
@@ -69,6 +69,31 @@ noise.scale.a = 1.0
 noise.scale.b = 0.1
 noise.scale.p = 0.1
 """
+
+PDOP_BLOCK = """
+pdop.stepsize.form = geometric
+pdop.stepsize.a = 0.02
+pdop.stepsize.r = 0.995
+pdop.noise.form = geometric
+pdop.noise.a = 0.118619
+pdop.noise.r = 0.999
+"""
+
+# Every schedule block any variant reads, on the static config's graph.
+ALL_BLOCKS_TEXT = STATIC_TEXT + "\n".join(
+    line for line in TRACKING_TEXT.splitlines()
+    if line.startswith(("schedules.coupling_", "schedules.tracker_mix."))
+) + PDOP_BLOCK
+OPTIONAL_BLOCKS = ("schedules.coupling", "schedules.coupling_state",
+                   "schedules.coupling_tracker", "schedules.tracker_mix",
+                   "pdop.stepsize", "pdop.noise")
+
+
+def without_blocks(text: str, *blocks: str) -> str:
+    """text without the lines of each `block.*` key."""
+    prefixes = tuple(f"{block}." for block in blocks)
+    return "\n".join(line for line in text.splitlines()
+                     if not line.startswith(prefixes))
 
 
 class TestParse:
@@ -326,6 +351,26 @@ class TestBuildSetup:
             with pytest.raises(ConfigError) as info:
                 build_setup(config, variants=(variant,))
             assert info.value.key == key, variant
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_variant_needs_suffice(self, variant):
+        needs = Variant.of(variant).needs
+        text = without_blocks(ALL_BLOCKS_TEXT, *(
+            block for block in OPTIONAL_BLOCKS if block not in needs))
+        build_setup(parse_config_text(text), [variant])
+
+    @pytest.mark.parametrize("variant,block", [
+        (variant, block) for variant in VARIANTS
+        for block in Variant.of(variant).needs
+    ])
+    def test_each_variant_need_is_required(self, variant, block):
+        needs = Variant.of(variant).needs
+        config = parse_config_text(without_blocks(ALL_BLOCKS_TEXT, block))
+        with pytest.raises(ConfigError) as info:
+            build_setup(config, [variant])
+        assert info.value.key == f"{needs[0]}.form"
+        assert str(info.value).startswith(f"variant {variant} needs ")
+        assert all(need in str(info.value) for need in needs)
 
     def test_missing_edges_rejected(self):
         text = STATIC_TEXT.replace(

@@ -336,6 +336,21 @@ class TestEffectiveSchedules:
         tracking = make_setup("tracking")
         assert effective_schedules("alg2", tracking) is tracking.schedules
 
+    @pytest.mark.parametrize("variant,kind,missing,message", [
+        ("alg1", "static", "coupling", "lacks a coupling schedule"),
+        ("alg2", "tracking", "coupling_state", "state/tracker coupling pair"),
+        ("alg2", "tracking", "coupling_tracker", "state/tracker coupling pair"),
+    ])
+    def test_attenuated_variants_need_their_couplings(self, variant, kind,
+                                                      missing, message):
+        # The API layer below the config's Variant.needs check: a
+        # RunSetup built by hand without a coupling the family steps.
+        setup = make_setup(kind)
+        bare = dataclasses.replace(setup, schedules=dataclasses.replace(
+            setup.schedules, **{missing: None}))
+        with pytest.raises(ConditionError, match=message):
+            effective_schedules(variant, bare)
+
 
 class TestValidateForVariant:
     def test_families_need_their_weights(self):
@@ -605,8 +620,9 @@ PDOP = (PowerSchedule.geometric(0.02, 0.995),
 )
 # The gaps found so far, kept as explicit cases: a tracker mix too
 # strong for the sensitivity bound, a geometric budget tail asked for
-# at a horizon too early for its ratio bound, and a subnormal noise
-# coefficient that overflowed the budget envelope.
+# at a horizon too early for its ratio bound, a subnormal noise
+# coefficient that overflowed the budget envelope, and a tiny one whose
+# finite envelope terms sum past the float range.
 @example(variant="alg2", bundle=SHIPPED_TRACKING[:3] + (
     PowerSchedule.decaying(0.95, 0.1, 1.0), SHIPPED_TRACKING[4]),
     pdop=PDOP)
@@ -615,6 +631,9 @@ PDOP = (PowerSchedule.geometric(0.02, 0.995),
     PowerSchedule.decaying(1.0, 1.0, 1.0)), pdop=PDOP)
 @example(variant="dgd", bundle=SHIPPED_TRACKING[:4] + (
     PowerSchedule.growing(0.001, 5e-324, 1.0),), pdop=PDOP)
+@example(variant="pdop_alg1", bundle=SHIPPED_TRACKING[:4] + (None,), pdop=(
+    PowerSchedule.constant(1.0),
+    PowerSchedule.growing(4.0, 2.0963824821276367e-308, 1.0)))
 def test_what_validates_runs_and_accounts(variant, bundle, pdop):
     """Whatever validate_for_variant passes, a short run and a budget
     account complete without a RangeError or ConditionError."""

@@ -97,6 +97,12 @@ DERIVED = {
                        "graph.edges ="),
     "alg1_init_radius_1e300": ("alg1", "run.init_radius = 10.0",
                                "run.init_radius = 1e300"),
+    # Each family's edge check in build_setup: no edge list at all.
+    **{f"{c}_no_edges": (c, "graph.edges = 0>1, 1>2, 2>3, 3>4, 4>0, 0>2, 1>4",
+                         "") for c in ("alg1", "alg2")},
+    # A problem whose first array cannot be allocated: 42.6 PiB, past
+    # any address space, so the request fails at once.
+    "alg1_agents_1e15": ("alg1", "problem.agents = 5", "problem.agents = 1e15"),
 }
 
 # (name, config, arguments after the config; --output is added when the
@@ -151,6 +157,14 @@ MATRIX = (
      ["budget", "--horizons", "100,1e400"]),
     ("compare_alg1_unknown_variant", "alg1",
      ["compare", "--variants", "alg1,nope"]),
+    # The schedule blocks each variant's table row needs, missing from
+    # the config compare runs it on: each exits 2 naming them.
+    ("compare_alg1_variant_alg2", "alg1", ["compare", "--variants", "alg2"]),
+    ("compare_alg2_variant_alg1", "alg2", ["compare", "--variants", "alg1"]),
+    ("compare_alg2_variant_pdop_push_pull", "alg2",
+     ["compare", "--variants", "pdop_push_pull"]),
+    *((f"validate_{c}", c, ["validate"])
+      for c in ("alg1_no_edges", "alg2_no_edges", "alg1_agents_1e15")),
 )
 
 
