@@ -57,8 +57,6 @@ from .privacy import (
     budget_tail_bound,
     conservative_budget,
     infinite_tail,
-    sensitivity_static,
-    sensitivity_tracking,
 )
 from .schedules import (
     PowerSchedule,

@@ -73,14 +73,15 @@ def _parse_horizons(text: str) -> list[int]:
                               f"{token!r}", key="--horizons")
         horizons.add(horizon)
     if not horizons:
-        raise ConfigError("at least one horizon is required")
+        raise ConfigError("at least one horizon is required",
+                          key="--horizons")
     return sorted(horizons)
 
 
 def _parse_variants(text: str) -> list[str]:
     names = [_check_variant(t.strip()) for t in text.split(",") if t.strip()]
     if not names:
-        raise ConfigError("at least one variant is required")
+        raise ConfigError("at least one variant is required", key="variant")
     return list(dict.fromkeys(names))
 
 
@@ -238,12 +239,13 @@ def cmd_budget(args) -> int:
         )
     elif top.horizon >= 10:
         ref = account.envelope.epsilon_at(top.horizon // 10)
-        growth = (top.envelope - ref) / ref
-        verdict = "yes" if growth < 0.05 else "no"
-        print(
-            f"envelope growth over the last decade: {100 * growth:.4f}% "
-            f"(under 5%: {verdict})"
-        )
+        if math.isfinite(ref) and math.isfinite(top.envelope):
+            growth = (top.envelope - ref) / ref
+            verdict = "yes" if growth < 0.05 else "no"
+            text = f"{100 * growth:.4f}% (under 5%: {verdict})"
+        else:
+            text = "undefined, the envelope is past the float range"
+        print(f"envelope growth over the last decade: {text}")
     print(f"outputs in {out_dir}")
     return 0
 

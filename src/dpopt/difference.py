@@ -7,8 +7,11 @@ when both runs observe identical incoming messages.  The drift is set
 against the sensitivity recursion of the privacy accountant, scaled by
 the gradient-difference envelope, and must stay below it.
 
-A trace walks k in blocks of NOISE_CHUNK iterations and holds only its
-outputs over the whole horizon.  A measured block takes two passes.
+A trace first fills its bounds from the accountant's sensitivity walk
+(privacy._static_walk or _tracking_walk), so a coupling too strong for
+the recursion fails before any step.  It then walks k in blocks of
+NOISE_CHUNK iterations and holds only its outputs over the whole
+horizon.  A measured block takes two passes.
 Pass 1 steps the primal state in the per-agent form (all_gradients, one
 iteration at a time) and keeps the perturbed agent's iterates.  Pass 2
 runs the difference recursion along them: the agent's own gradients
@@ -27,7 +30,7 @@ import numpy as np
 from .errors import RangeError
 from .noise import NOISE_CHUNK, laplace_draws
 from .objectives import AdjacentVariant
-from .privacy import _recurse, sensitivity_static, sensitivity_tracking
+from .privacy import _recurse, _static_walk, _tracking_walk
 from .solvers import RunSetup, Variant, _off_diagonal, effective_schedules
 
 
@@ -171,9 +174,10 @@ def _difference_static(variant, setup, adjacent, iterations, seed, envelope):
     agent = adjacent.agent
     W = weights.matrix
     # The sensitivity bound s[k], scaled into the state bound in place.
-    bound = sensitivity_static(sch.stepsize, sch.coupling,
-                               weights.min_diag_mag, iterations)
-    diff = np.zeros(iterations + 1)
+    diff, bound = np.zeros((2, iterations + 1))
+    for ks, s in _static_walk(sch.stepsize, sch.coupling,
+                              weights.min_diag_mag, iterations):
+        bound[ks + 1] = s
     problem, d_dim = setup.problem, setup.problem.dim
     x = setup.init_radius \
         * np.random.default_rng(seed).standard_normal((problem.m, d_dim))
@@ -220,12 +224,13 @@ def _difference_tracking(variant, setup, adjacent, iterations, seed,
     agent = adjacent.agent
     R, C = weights.pull, weights.push
     # The sensitivity bounds, scaled into the bounds in place.
-    xbound, ybound = sensitivity_tracking(
+    xdiff, ydiff, xbound, ybound = np.zeros((4, iterations + 1))
+    for ks, sx, sy in _tracking_walk(
         sch.stepsize, sch.tracker_mix, sch.coupling_state,
         sch.coupling_tracker, weights.min_diag_pull, weights.min_diag_push,
         iterations,
-    )
-    xdiff, ydiff = np.zeros((2, iterations + 1))
+    ):
+        xbound[ks + 1], ybound[ks + 1] = sx, sy
     problem, d_dim = setup.problem, setup.problem.dim
     x = setup.init_radius \
         * np.random.default_rng(seed).standard_normal((problem.m, d_dim))

@@ -42,7 +42,9 @@ stays flat in T.
 
 This module is accounting only: the solver's epsilon_partial column and
 the budget report both read conservative_budget, and the simulated
-drift the recursions must dominate lives in the difference module.
+drift the recursions must dominate lives in the difference module,
+whose traces fill their bounds from the same walks (_static_walk,
+_tracking_walk) block by block.
 """
 
 from __future__ import annotations
@@ -125,47 +127,6 @@ def _tracking_walk(stepsize, tracker_mix, coupling_state, coupling_tracker,
         x = _recurse(shrink_x, lam * np.append(sy, y[:-1]), sx)
         sx, sy = float(x[-1]), float(y[-1])
         yield ks, x, y
-
-
-def _whole(walk):
-    """Each part of a walk over the whole horizon, with s[0] = 0."""
-    blocks = [parts for _, *parts in walk]
-    return [np.concatenate([[0.0], *column]) for column in zip(*blocks)]
-
-
-def sensitivity_static(
-    stepsize: PowerSchedule,
-    coupling: PowerSchedule,
-    min_coupling: float,
-    horizon: int,
-) -> np.ndarray:
-    """Sensitivity bounds s[k] for k = 0..horizon (s[0] = 0).
-
-    Raises RangeError when the coupling is too strong for the recursion
-    to contract (min_coupling * gamma^k >= 1 for some k < horizon).
-    """
-    return _whole(_static_walk(stepsize, coupling, min_coupling, horizon))[0]
-
-
-def sensitivity_tracking(
-    stepsize: PowerSchedule,
-    tracker_mix: PowerSchedule | None,
-    coupling_state: PowerSchedule,
-    coupling_tracker: PowerSchedule,
-    min_diag_pull: float,
-    min_diag_push: float,
-    horizon: int,
-):
-    """State and tracker sensitivity bounds (s_x, s_y), each k = 0..horizon.
-
-    The tracker difference is seeded at zero: the initial tracker's
-    data dependence is folded into the first recursion step, whose
-    turnover term 2 - alpha^0 dominates it.
-    """
-    return tuple(_whole(_tracking_walk(
-        stepsize, tracker_mix, coupling_state, coupling_tracker,
-        min_diag_pull, min_diag_push, horizon,
-    )))
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,19 @@
 Each oracle computes a quantity the slow, obvious way: one agent's
 cost from its residual, the per-agent solver steps (stacked over
 agents, as the measured difference traces take them) with per-agent
-loops to check them, partial-product closed forms for the sensitivity
-recursions, the counter hash on Python ints, one word at a time, for
-the counter-based noise, and one iteration at a time, with its own
-draws and checks, for the measured difference traces.  None of them is used by the package itself.
+loops to check them, the accountant's sensitivity walks collected
+into whole-horizon arrays, partial-product closed forms for the
+sensitivity recursions, the counter hash on Python ints, one word at a
+time, for the counter-based noise, and one iteration at a time, with
+its own draws and checks, for the measured difference traces.  None of
+them is used by the package itself.
 """
 
 import numpy as np
 
 from dpopt.errors import RangeError
 from dpopt.noise import laplace_draws, laplace_inverse_cdf
-from dpopt.privacy import sensitivity_static, sensitivity_tracking
+from dpopt.privacy import _static_walk, _tracking_walk
 from dpopt.solvers import _off_diagonal, effective_schedules
 
 
@@ -77,6 +79,24 @@ def step_tracking_per_agent(x, y, g_prev, problem, R, C,
         y_next[i] = (1.0 - alpha_k + gamma2_k * C[i, i]) * y[i] \
             + gamma2_k * acc + g_next[i] - (1.0 - alpha_k) * g_prev[i]
     return x_next, y_next, g_next
+
+
+def _whole(walk):
+    """Each part of a walk over the whole horizon, with s[0] = 0."""
+    blocks = [parts for _, *parts in walk]
+    return [np.concatenate([[0.0], *column]) for column in zip(*blocks)]
+
+
+def sensitivity_static(stepsize, coupling, min_coupling, horizon):
+    """The accountant's static sensitivity s[k], k = 0..horizon, as one
+    array (s[0] = 0)."""
+    return _whole(_static_walk(stepsize, coupling, min_coupling, horizon))[0]
+
+
+def sensitivity_tracking(*walk_args):
+    """The accountant's tracking pair (s_x, s_y), each k = 0..horizon,
+    from _tracking_walk's arguments."""
+    return tuple(_whole(_tracking_walk(*walk_args)))
 
 
 def sensitivity_static_closed_form(stepsize, coupling, min_coupling, k):

@@ -18,7 +18,9 @@ from conftest import static_schedules, tracking_schedules
 from envelopes import recursion_envelope_series
 from oracles import (
     local_cost,
+    sensitivity_static,
     sensitivity_static_closed_form,
+    sensitivity_tracking,
     sensitivity_tracking_closed_form,
     step_tracking,
 )
@@ -29,10 +31,6 @@ from dpopt.difference import coupled_difference_trace
 from dpopt.harness import aggregate, budget_account, monte_carlo
 from dpopt.noise import NOISE_CHUNK
 from dpopt.objectives import adjacent_variant, random_instance
-from dpopt.privacy import (
-    sensitivity_static,
-    sensitivity_tracking,
-)
 from dpopt.schedules import (
     PowerSchedule,
     validate_static_schedules,

@@ -470,6 +470,20 @@ class TestBudget:
                      "--output", out]) == 0
         assert "no finite budget" in capsys.readouterr().out
 
+    def test_overflowing_envelope_has_no_growth(self, tmp_path, capsys):
+        # b = 5e-309 puts the envelope's constant past the float range,
+        # so both partial sums read inf and (inf - inf) / inf is NaN.
+        text = STATIC_TEXT.replace("noise.scale.b = 0.1",
+                                   "noise.scale.b = 5e-309")
+        path = tmp_path / "tiny_b.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["budget", str(path), "--horizons", "10,100",
+                     "--output", str(tmp_path / "out")]) == 0
+        stdout = capsys.readouterr().out
+        assert "nan" not in stdout
+        assert ("envelope growth over the last decade: undefined, the "
+                "envelope is past the float range\n") in stdout
+
     def test_zero_noise_rejected(self, tmp_path, capsys):
         text = STATIC_TEXT.replace("noise.scale.form = growing",
                                    "noise.scale.form = zero")
@@ -491,7 +505,8 @@ class TestBudget:
         assert main(["budget", static_cfg, "--horizons", ",",
                      "--output", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            "config error: at least one horizon is required\n")
+            "config error: at least one horizon is required "
+            "(key '--horizons')\n")
 
     def test_output_under_a_file_returns_two(self, static_cfg, tmp_path,
                                              capsys):
@@ -776,7 +791,8 @@ class TestCompare:
         assert main(["compare", static_cfg, "--variants", ",",
                      "--output", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            "config error: at least one variant is required\n")
+            "config error: at least one variant is required "
+            "(key 'variant')\n")
 
     def test_missing_pdop_block_returns_two(self, tracking_cfg, tmp_path):
         assert main(["compare", tracking_cfg, "--variants", "pdop_push_pull",

@@ -2,18 +2,27 @@ import ast
 import functools
 import math
 import pathlib
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_setup, static_schedules, tracking_schedules
+from conftest import (
+    desk_graph,
+    make_setup,
+    static_schedules,
+    tracking_schedules,
+)
 from oracles import (
     difference_static_measured,
     difference_tracking_measured,
+    sensitivity_static,
     sensitivity_static_closed_form,
+    sensitivity_tracking,
     sensitivity_tracking_closed_form,
 )
 
@@ -21,7 +30,11 @@ from dpopt import privacy
 from dpopt.config import build_setup, load_config
 from dpopt.difference import _ratio_scan, coupled_difference_trace
 from dpopt.errors import RangeError
-from dpopt.graphs import ConsensusWeights, PushPullWeights
+from dpopt.graphs import (
+    ConsensusWeights,
+    PushPullWeights,
+    build_push_pull_weights,
+)
 from dpopt.harness import budget_account
 from dpopt.noise import NOISE_CHUNK
 from dpopt.objectives import adjacent_variant
@@ -31,8 +44,6 @@ from dpopt.privacy import (
     budget_tail_bound,
     conservative_budget,
     infinite_tail,
-    sensitivity_static,
-    sensitivity_tracking,
 )
 from dpopt.schedules import PowerSchedule, ScheduleExpr, ScheduleSet
 from dpopt.solvers import RunSetup, effective_schedules
@@ -590,6 +601,29 @@ class TestBlockedRecursions:
         for envelope in (None, 1.0):
             with pytest.raises(RangeError, match="perturbed agent"):
                 coupled_difference_trace("alg1", setup, adjacent, 50, seed=1,
+                                         envelope=envelope)
+
+    @pytest.mark.parametrize("variant, coupling, message", [
+        ("alg1", "coupling",
+         "coupling too strong: min_coupling * gamma >= 1"),
+        ("alg2", "coupling_state",
+         "coupling or mix too strong for the sensitivity bound"),
+    ])
+    def test_failing_sensitivity_walk_raises_first(self, variant, coupling,
+                                                   message):
+        # min |A_ii| = 0.4 times a constant 3.0 is at least 1, so the
+        # sensitivity walk fails; every agent's own check would fail
+        # too, but the walk runs before it and before any step.  The
+        # push-pull weights reach min |A_ii| = 0.4 at edge weight 0.4.
+        base = make_setup("static") if variant == "alg1" else replace(
+            make_setup("tracking"),
+            push_pull=build_push_pull_weights(desk_graph(), desk_graph(), 0.4))
+        setup = replace(base, schedules=replace(
+            base.schedules, **{coupling: PowerSchedule.constant(3.0)}))
+        adjacent = adjacent_variant(setup.problem, agent=0, delta=0.5, eta=1.0)
+        for envelope in (None, 1.0):
+            with pytest.raises(RangeError, match=re.escape(message)):
+                coupled_difference_trace(variant, setup, adjacent, 50, seed=1,
                                          envelope=envelope)
 
 

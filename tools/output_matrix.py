@@ -103,6 +103,10 @@ DERIVED = {
     # A problem whose first array cannot be allocated: 42.6 PiB, past
     # any address space, so the request fails at once.
     "alg1_agents_1e15": ("alg1", "problem.agents = 5", "problem.agents = 1e15"),
+    # An envelope constant past the float range: its partial sums read
+    # inf, and budget's growth line says why it has no value.
+    "alg1_noise_b_5e-309": ("alg1", "noise.scale.b = 0.1",
+                            "noise.scale.b = 5e-309"),
 }
 
 # (name, config, arguments after the config; --output is added when the
@@ -157,6 +161,8 @@ MATRIX = (
      ["budget", "--horizons", "100,1e400"]),
     ("compare_alg1_unknown_variant", "alg1",
      ["compare", "--variants", "alg1,nope"]),
+    ("budget_alg1_horizons_comma", "alg1", ["budget", "--horizons", ","]),
+    ("compare_alg1_variants_comma", "alg1", ["compare", "--variants", ","]),
     # The schedule blocks each variant's table row needs, missing from
     # the config compare runs it on: each exits 2 naming them.
     ("compare_alg1_variant_alg2", "alg1", ["compare", "--variants", "alg2"]),
@@ -165,6 +171,8 @@ MATRIX = (
      ["compare", "--variants", "pdop_push_pull"]),
     *((f"validate_{c}", c, ["validate"])
       for c in ("alg1_no_edges", "alg2_no_edges", "alg1_agents_1e15")),
+    ("budget_alg1_noise_b_5e-309", "alg1_noise_b_5e-309",
+     ["budget", "--horizons", "10,100"]),
 )
 
 
