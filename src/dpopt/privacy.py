@@ -202,8 +202,8 @@ def conservative_budget(
     the walk itself covers every k in blocks, so memory does not grow
     with the horizon.  Raises RangeError when the coupling cannot
     contract anywhere before the horizon, else at the first k whose
-    term is not finite, as when a geometric noise scale underflows on a
-    long horizon.
+    term or noise scale is not finite, as when a geometric noise scale
+    underflows or a growing one overflows.
     """
     sch = schedules
     if sch.noise_scale is None:
@@ -223,20 +223,21 @@ def conservative_budget(
     def blocks():
         for ks, first, *rest in walk:
             s = sum(rest, first)  # s, or s_x + s_y
-            nu = sch.noise_scale.values(ks + 1)
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
+                nu = sch.noise_scale.values(ks + 1)
                 per = scale * s / nu
-            bad = np.flatnonzero(~np.isfinite(per))
+            bad = np.flatnonzero(~(np.isfinite(per) & np.isfinite(nu)))
             if bad.size:
                 # A coupling that cannot contract later on wins.
                 for _ in walk:
                     pass
                 i = bad[0]
+                what = ("conservative budget term" if np.isfinite(nu[i])
+                        else "noise scale")
                 raise RangeError(
-                    f"conservative budget term not finite at k = "
-                    f"{ks[i] + 1}: sensitivity {s[i]:.6g} over noise "
-                    f"scale {nu[i]:.6g}"
+                    f"{what} not finite at k = {ks[i] + 1}: sensitivity "
+                    f"{s[i]:.6g} over noise scale {nu[i]:.6g}"
                 )
             yield ks + 1, s, per
 

@@ -7,9 +7,12 @@ loops to check them, the accountant's sensitivity walks collected
 into whole-horizon arrays, partial-product closed forms for the
 sensitivity recursions, the counter hash on Python ints, one word at a
 time, for the counter-based noise, and one iteration at a time, with
-its own draws and checks, for the measured difference traces.  None of
-them is used by the package itself.
+its own draws and checks, for the measured difference traces, and the
+SVG line plot built from whole arrays and element lists.  None of them
+is used by the package itself.
 """
+
+import math
 
 import numpy as np
 
@@ -17,6 +20,10 @@ from dpopt.errors import RangeError
 from dpopt.noise import laplace_draws, laplace_inverse_cdf
 from dpopt.privacy import _static_walk, _tracking_walk
 from dpopt.solvers import _off_diagonal, effective_schedules
+from dpopt.svgplot import (
+    _HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _WIDTH, PALETTE,
+    Series, _element, _fmt, _linear_ticks, _log_ticks, _tick_label,
+)
 
 
 def local_cost(problem, agent, theta):
@@ -307,3 +314,143 @@ def difference_tracking_measured(variant, setup, adjacent, iterations, seed):
         ybound[k + 1] = run_env * sy_bound[k + 1]
         gdiff_prev = gdiff
     return xdiff, xbound, ydiff, ybound
+
+
+def line_plot(
+    path: str,
+    series: list[Series],
+    title: str,
+    y_label: str = "value",
+) -> None:
+    """svgplot.line_plot as it was before it streamed point blocks: every
+    range from whole concatenated arrays, every element's text kept in
+    lists and written at the end."""
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+
+    # The finite values of every curve and band edge set the y range;
+    # the x range is that of the curves' points with finite x and y.
+    xs_all, ys_all = [], []
+    for s in series:
+        xs, ys = np.asarray(s.xs, dtype=float), np.asarray(s.ys, dtype=float)
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        if keep.any():
+            xs_all.append(xs[keep])
+        for v in (ys, *(() if s.band is None else s.band)):
+            v = np.asarray(v, dtype=float)
+            ys_all.append(v[np.isfinite(v)])
+    if not xs_all:
+        raise ValueError("nothing to plot: every series is empty")
+    ys_all = np.concatenate(ys_all)
+    floor = float(ys_all[ys_all > 0].min(initial=math.inf))
+    if not math.isfinite(floor):
+        raise ValueError("log axis needs at least one positive value")
+    # Nonpositive values are clamped to half the smallest positive value
+    # (or to it, where half is 0), so curves that touch zero stay visible.
+    floor = floor / 2.0 or floor
+
+    def ty(values: np.ndarray) -> np.ndarray:
+        return np.log10(np.maximum(values, floor))
+
+    x_lo = min(float(x.min()) for x in xs_all)
+    x_hi = max(float(x.max()) for x in xs_all)
+    # Rebound, so that one copy of the values stays alive while the series
+    # are drawn: the plot step sets the peak memory of `compare --plot`.
+    ys_all = ty(ys_all)
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
+    if x_hi <= x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi <= y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.04 * (y_hi - y_lo)
+    y_lo -= pad
+    y_hi += pad
+
+    def px(x: float) -> float:
+        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(t: float) -> float:
+        return _MARGIN_T + (1.0 - (t - y_lo) / (y_hi - y_lo)) * plot_h
+
+    def points(xs: np.ndarray, ts: np.ndarray) -> str:
+        """SVG points of x values against log10 y values, mapped as
+        whole arrays (the per-element operations of px and py)."""
+        return " ".join(map("{:.2f},{:.2f}".format, px(xs).tolist(),
+                            py(ts).tolist()))
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        _element("rect", width=_WIDTH, height=_HEIGHT, fill="white"),
+        '<g font-family="sans-serif" font-size="13" fill="#333333">',
+        _element("text", title, x=_WIDTH // 2, y=24, text_anchor="middle",
+                 font_size=16),
+    ]
+
+    # Gridlines and tick labels.
+    for t in _log_ticks(y_lo, y_hi):
+        if t < y_lo or t > y_hi:
+            continue
+        yy = _fmt(py(t))
+        parts.append(_element(
+            "line", x1=_MARGIN_L, y1=yy, x2=_WIDTH - _MARGIN_R, y2=yy,
+            stroke="#dddddd", stroke_width=1))
+        parts.append(_element("text", f"1e{int(round(t))}", x=_MARGIN_L - 8,
+                              y=_fmt(py(t) + 4), text_anchor="end"))
+    for t in _linear_ticks(x_lo, x_hi):
+        if t < x_lo or t > x_hi:
+            continue
+        xx = _fmt(px(t))
+        parts.append(_element(
+            "line", x1=xx, y1=_MARGIN_T, x2=xx, y2=_HEIGHT - _MARGIN_B,
+            stroke="#eeeeee", stroke_width=1))
+        parts.append(_element("text", _tick_label(t), x=xx,
+                              y=_HEIGHT - _MARGIN_B + 20, text_anchor="middle"))
+
+    # Axes.
+    parts.append(_element(
+        "line", x1=_MARGIN_L, y1=_MARGIN_T, x2=_MARGIN_L,
+        y2=_HEIGHT - _MARGIN_B, stroke="#333333", stroke_width=1.5))
+    parts.append(_element(
+        "line", x1=_MARGIN_L, y1=_HEIGHT - _MARGIN_B, x2=_WIDTH - _MARGIN_R,
+        y2=_HEIGHT - _MARGIN_B, stroke="#333333", stroke_width=1.5))
+    parts.append(_element("text", "iteration", x=_WIDTH // 2, y=_HEIGHT - 14,
+                          text_anchor="middle"))
+    mid_y = _fmt(_MARGIN_T + plot_h / 2)
+    parts.append(_element("text", y_label, x=20, y=mid_y,
+                          text_anchor="middle",
+                          transform=f"rotate(-90 20 {mid_y})"))
+
+    # One pass per series; bands go beneath every curve, and the legend
+    # sits top right inside the plot area.
+    bands, curves, legend = [], [], []
+    lx = _WIDTH - _MARGIN_R - 170
+    for i, s in enumerate(series):
+        color = PALETTE[i % len(PALETTE)]
+        xs = np.asarray(s.xs, dtype=float)
+        if s.band is not None:
+            lower, upper = (np.asarray(e, dtype=float) for e in s.band)
+            keep = np.isfinite(lower) & np.isfinite(upper) & np.isfinite(xs)
+            if keep.any():
+                x = xs[keep]
+                # Along the upper edge, then back along the lower one.
+                pts = points(np.concatenate([x, x[::-1]]),
+                             np.concatenate([ty(upper[keep]),
+                                             ty(lower[keep])[::-1]]))
+                bands.append(_element("polygon", points=pts, fill=color,
+                                      fill_opacity=0.15, stroke="none"))
+        ys = np.asarray(s.ys, dtype=float)
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        if keep.any():
+            curves.append(_element(
+                "polyline", points=points(xs[keep], ty(ys[keep])),
+                fill="none", stroke=color, stroke_width=1.8))
+        y0 = _MARGIN_T + 10 + 18 * i
+        legend.append(_element("line", x1=lx, y1=y0, x2=lx + 26, y2=y0,
+                               stroke=color, stroke_width=2.5))
+        legend.append(_element("text", s.label, x=lx + 32, y=y0 + 4))
+
+    parts += [*bands, *curves, *legend, "</g>", "</svg>"]
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(f"{part}\n" for part in parts)

@@ -935,6 +935,40 @@ def test_fully_diverged_batch_writes_only_errors(argv, tmp_path, capfd):
     assert "final gap mean" not in out and "budget bound at" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["budget", "--horizons", "10,100"],
+    ["run", "--runs", "2", "--iters", "200"],
+])
+def test_overflowing_noise_scale_stops_the_accountant(argv, tmp_path):
+    # 1e308 * k^0.3 passes the float range at k = 8.  An infinite noise
+    # scale is not free: the command stops there with its reason, and
+    # numpy writes no overflow warning.
+    path = alg1_with(tmp_path, ("noise.scale.b = 0.1",
+                                "noise.scale.b = 1e308"))
+    command, *options = argv
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpopt", command, path, *options,
+         "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: noise scale not finite at k = 8: ")
+    assert proc.stderr.count("\n") == 1
+    assert tree(tmp_path / "out") == {}
+
+
+def test_overflowing_noise_scale_fails_validate(tmp_path):
+    path = alg1_with(tmp_path, ("noise.scale.b = 0.1",
+                                "noise.scale.b = 1e308"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpopt", "validate", path],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert "FAIL  budget_finite_through_horizon" in proc.stdout
+
+
 def test_compare_with_wrapped_command(static_cfg, tmp_path):
     # A tracer or profiler may wrap cmd_compare in a closure, which
     # pickle cannot send; only plain values go to the workers.

@@ -1,10 +1,13 @@
 import hashlib
+import tracemalloc
 import xml.etree.ElementTree as ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dpopt.svgplot import Series, line_plot, std_band
+import oracles
+from dpopt.svgplot import PLOT_BLOCK, Series, line_plot, std_band
 
 
 PINNED_SHA256 = (
@@ -162,6 +165,78 @@ def test_random_plots_draw_or_raise_their_own_errors(tmp_path):
             outside += 1
     assert outside > 100
     assert digest.hexdigest() == RANDOM_SHA256
+
+
+LENGTHS = (1, PLOT_BLOCK - 1, PLOT_BLOCK, PLOT_BLOCK + 1, 2 * PLOT_BLOCK + 1,
+           3 * PLOT_BLOCK + 2)
+ODD = (np.nan, np.inf, -np.inf, 0.0, -1.0, 5e-324)
+
+
+@st.composite
+def series_across_blocks(draw):
+    """1-4 series whose lengths straddle PLOT_BLOCK, each with or
+    without a band and of either sign.  NaN, +-inf, 0, -1 or the
+    smallest subnormal replace a drawn share of the values; x's are
+    integer iterations, or floats with that share NaN or +-inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = []
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.sampled_from(LENGTHS))
+        rate = draw(st.sampled_from((0.0, 0.002, 0.3, 1.0)))
+
+        def spoil(values, odd):
+            hit = rng.random(n) < rate
+            values[hit] = rng.choice(odd, hit.sum())
+            return values
+
+        xs = 10 * np.arange(n)
+        if draw(st.booleans()):
+            xs = spoil(xs.astype(float), ODD[:3])
+        sign = draw(st.sampled_from((1.0, -1.0)))
+        ys, lower, upper = (spoil(sign * rng.lognormal(0.0, 3.0, n), ODD)
+                            for _ in range(3))
+        band = (lower, upper) if draw(st.booleans()) else None
+        out.append(Series(f"s{i} <&>", xs, ys, band))
+    return out
+
+
+def drawn(plot, path, series):
+    """The bytes plot writes, or the message of the ValueError it raises
+    before it opens the file."""
+    path.unlink(missing_ok=True)
+    try:
+        plot(str(path), series, "blocks <&>", y_label="y & <label>")
+    except ValueError as err:
+        assert not path.exists()
+        return str(err)
+    return path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(series=series_across_blocks())
+def test_blocks_write_the_whole_array_bytes(tmp_path_factory, series):
+    # The writer that formatted whole arrays is the reference: streaming
+    # the points block by block changes no byte and no error.
+    path = tmp_path_factory.getbasetemp() / "blocks.svg"
+    assert drawn(line_plot, path, series) == \
+        drawn(oracles.line_plot, path, series)
+
+
+@pytest.mark.parametrize("records", [10_000, 100_000])
+def test_plot_memory_stays_flat_in_the_record_count(tmp_path, records):
+    # One banded series with integer x's, made before tracing starts:
+    # the writer traces 0.18 MiB at either size, where formatting the
+    # whole arrays traced 3.3 and 33.3 MiB.
+    xs = np.arange(records)
+    mean = 1.0 / (1.0 + xs)
+    series = [Series("gap", xs, mean, band=std_band(mean, mean**2 / 4))]
+    tracemalloc.start()
+    try:
+        line_plot(str(tmp_path / "flat.svg"), series, "flat")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestStdBand:

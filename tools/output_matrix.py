@@ -28,7 +28,7 @@ Two runs on the same source write identical trees: every command's
 output is deterministic, and no command writes a numpy warning, whose
 lines from `compare`'s forked workers would interleave in any order.
 Only the standard library is used here.  The matrix runs serially, in
-about twelve seconds on two CPUs.
+about thirty seconds on two CPUs.
 """
 
 from __future__ import annotations
@@ -107,6 +107,10 @@ DERIVED = {
     # inf, and budget's growth line says why it has no value.
     "alg1_noise_b_5e-309": ("alg1", "noise.scale.b = 0.1",
                             "noise.scale.b = 5e-309"),
+    # A noise scale past the float range from k = 8: the accountant
+    # stops there, and validate fails its budget entry.
+    "alg1_noise_b_1e308": ("alg1", "noise.scale.b = 0.1",
+                           "noise.scale.b = 1e308"),
 }
 
 # (name, config, arguments after the config; --output is added when the
@@ -116,6 +120,8 @@ MATRIX = (
     *((f"run_{c}", c, ["run", "--plot", "--runs", "10"])
       for c in ("alg1", "alg2", "alg2_nonoise")),
     ("run_alg1_rate", "alg1_rate", ["run"]),
+    # Two figures of 10,001 points: the plot writer crosses block edges.
+    ("run_alg1_rate_plot", "alg1_rate", ["run", "--plot"]),
     ("compare_alg1", "alg1",
      ["compare", "--variants", "alg1,dgd,pdop_alg1", "--plot", "--runs", "10"]),
     ("compare_alg2", "alg2",
@@ -172,6 +178,9 @@ MATRIX = (
     *((f"validate_{c}", c, ["validate"])
       for c in ("alg1_no_edges", "alg2_no_edges", "alg1_agents_1e15")),
     ("budget_alg1_noise_b_5e-309", "alg1_noise_b_5e-309",
+     ["budget", "--horizons", "10,100"]),
+    ("validate_alg1_noise_b_1e308", "alg1_noise_b_1e308", ["validate"]),
+    ("budget_alg1_noise_b_1e308", "alg1_noise_b_1e308",
      ["budget", "--horizons", "10,100"]),
 )
 
