@@ -56,13 +56,6 @@ from .privacy import conservative_budget
 from .solvers import Variant, effective_schedules, validate_for_variant
 from .svgplot import Series, line_plot, std_band
 
-SUMMARY_COLUMNS = (
-    "variant", "runs", "completed", "failures", "mean_final_gap",
-    "se_final_gap", "mean_final_consensus", "epsilon_bound",
-    "epsilon_envelope",
-)
-
-
 def _parse_horizons(text: str) -> list[int]:
     """Each comma-separated token read as an integer key, at least 1."""
     horizons = set()
@@ -253,24 +246,31 @@ def cmd_budget(args) -> int:
 def _write_comparison(
     base: str, results: dict[str, tuple[Aggregate, BudgetRow | None]],
     plot: bool,
-) -> list[tuple]:
+) -> dict[str, list]:
     """Write summary.csv and, with `plot`, the comparison plots from
-    each variant's aggregate and budget row; return the summary rows."""
-    summary_rows = []
-    for variant, (agg, row) in results.items():
-        eps = (row.conservative, row.envelope) if row else (math.nan,) * 2
-        summary_rows.append((
-            variant, agg.requested, agg.completed, len(agg.failures),
-            agg.mean_final_gap, agg.se_final_gap,
-            float(np.mean(agg.final_consensus)), *eps,
-        ))
-    write_csv(os.path.join(base, "summary.csv"), SUMMARY_COLUMNS, summary_rows)
+    each variant's aggregate and budget row; return the summary columns."""
+    aggs = [agg for agg, _ in results.values()]
+    rows = [row for _, row in results.values()]
+    summary = {
+        "variant": list(results),
+        "runs": [agg.requested for agg in aggs],
+        "completed": [agg.completed for agg in aggs],
+        "failures": [len(agg.failures) for agg in aggs],
+        "mean_final_gap": [agg.mean_final_gap for agg in aggs],
+        "se_final_gap": [agg.se_final_gap for agg in aggs],
+        "mean_final_consensus": [float(np.mean(agg.final_consensus))
+                                 for agg in aggs],
+        "epsilon_bound": [row.conservative if row else math.nan
+                          for row in rows],
+        "epsilon_envelope": [row.envelope if row else math.nan
+                             for row in rows],
+    }
+    write_csv(os.path.join(base, "summary.csv"), summary)
     if plot:
-        aggregates = {variant: agg for variant, (agg, _) in results.items()}
         for column in ("gap", "consensus"):
             _plot(os.path.join(base, f"compare_{column}.svg"), column,
-                  aggregates, " by variant")
-    return summary_rows
+                  dict(zip(results, aggs)), " by variant")
+    return summary
 
 
 def _exit_with_parent() -> None:
@@ -322,17 +322,18 @@ def cmd_compare(args) -> int:
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    summary_rows = _write_comparison(base, results, args.plot)
+    s = _write_comparison(base, results, args.plot)
     print(
         f"{'variant':>16}  {'done':>5}  {'final gap':>12}  {'se':>10}  "
         f"{'eps bound':>12}"
     )
-    for row in summary_rows:
+    for variant, runs, done, gap, se, eps in zip(
+            s["variant"], s["runs"], s["completed"], s["mean_final_gap"],
+            s["se_final_gap"], s["epsilon_bound"]):
         # As run does, no final gap for a variant with no completed run.
-        gap, se = ((f"{row[4]:.6g}", f"{row[5]:.3g}") if row[2]
-                   else ("-", "-"))
-        print(f"{row[0]:>16}  {row[2]:>3}/{row[1]}  {gap:>12}  {se:>10}  "
-              f"{row[7]:>12.6g}")
+        gap, se = (f"{gap:.6g}", f"{se:.3g}") if done else ("-", "-")
+        print(f"{variant:>16}  {done:>3}/{runs}  {gap:>12}  {se:>10}  "
+              f"{eps:>12.6g}")
     print(f"outputs in {base}")
     return max([_exit_code(agg) for agg, _ in results.values()])
 

@@ -125,9 +125,13 @@ def build_consensus_weights(
     M = np.eye(m) + W - np.ones((m, m)) / m
     contraction = float(np.max(np.abs(np.linalg.eigvals(M))))
     if m > 1 and contraction >= 1.0:
+        # Below a diagonal magnitude of 1 the spectrum of I + W lies in
+        # (-1, 1], so only rounding keeps the norm at 1.
+        advice = ("a larger edge weight, as rounding loses this one"
+                  if np.max(-np.diag(W)) < 1.0 else "a smaller edge weight")
         raise SpectralError(
             f"no contraction at edge_weight={edge_weight} "
-            f"(norm {contraction:.6g} >= 1); use a smaller edge weight"
+            f"(norm {contraction:.6g} >= 1); use {advice}"
         )
     return ConsensusWeights(
         matrix=W,

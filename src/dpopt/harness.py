@@ -36,60 +36,28 @@ from .solvers import (
     run_batch,
 )
 
-TRACE_COLUMNS = (
-    "k", "consensus", "gap", "dist_opt", "tracking", "epsilon_partial"
-)
-AGGREGATE_COLUMNS = (
-    "k", "mean_gap", "var_gap", "mean_consensus", "var_consensus",
-    "mean_tracking", "var_tracking", "epsilon_partial",
-)
-FAILURE_COLUMNS = ("run", "seed", "diverged_at", "magnitude")
-BUDGET_COLUMNS = (
-    "horizon", "epsilon_bound", "epsilon_envelope", "tail_envelope",
-    "summable",
-)
-BREAKDOWN_COLUMNS = ("k", "varsigma", "per_term", "epsilon_partial")
-
-
 # Rows per block when writing whole columns.  Small blocks hold few
 # cell strings at once, so peak memory stays that of a row-by-row
 # writer; at 128 rows the per-block cost is lost in the formatting.
 CSV_BLOCK = 128
 
 
-def format_value(value) -> str:
-    """Shortest round-trip decimal form; deterministic across runs."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def format_column(column: np.ndarray) -> list[str]:
+    """The cells of a column: repr, the shortest round-trip decimal
+    form, for a float dtype; str for any other."""
+    return list(map(repr if column.dtype.kind == "f" else str,
+                    column.tolist()))
 
 
-def format_column(column) -> list[str]:
-    """format_value over a whole numpy column, formatted in bulk."""
-    column = np.asarray(column)
-    if column.dtype.kind == "f":
-        return list(map(repr, column.tolist()))
-    if column.dtype.kind in "iu":
-        return list(map(str, column.tolist()))
-    return [format_value(v) for v in column]
-
-
-def write_csv(path: str, header, rows=(), *, columns=None) -> None:
-    """Write header and rows of cells, or whole columns (numpy arrays of
-    equal length) given as `columns`, which are formatted in bulk one
-    block of CSV_BLOCK rows at a time."""
+def write_csv(path: str, columns: dict) -> None:
+    """Write a table given as {header: column}: the header line, then
+    the columns (sequences of equal length) formatted one block of
+    CSV_BLOCK rows at a time."""
+    data = [np.asarray(column) for column in columns.values()]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        if columns is None:
-            handle.writelines(
-                ",".join(map(format_value, row)) + "\n" for row in rows
-            )
-            return
-        for start in range(0, len(columns[0]), CSV_BLOCK):
-            cells = [format_column(c[start:start + CSV_BLOCK])
-                     for c in columns]
+        handle.write(",".join(columns) + "\n")
+        for start in range(0, len(data[0]), CSV_BLOCK):
+            cells = [format_column(c[start:start + CSV_BLOCK]) for c in data]
             handle.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
@@ -203,26 +171,32 @@ def aggregate(variant: str, traces: list[Trace], base_seed: int) -> Aggregate:
 
 
 def write_trace(path: str, trace: Trace) -> None:
-    write_csv(path, TRACE_COLUMNS, columns=(
-        trace.ks, trace.consensus, trace.gap, trace.dist_opt,
-        trace.tracking, trace.epsilon_partial,
-    ))
+    write_csv(path, {
+        "k": trace.ks, "consensus": trace.consensus, "gap": trace.gap,
+        "dist_opt": trace.dist_opt, "tracking": trace.tracking,
+        "epsilon_partial": trace.epsilon_partial,
+    })
 
 
 def write_aggregate(path: str, agg: Aggregate) -> None:
-    write_csv(path, AGGREGATE_COLUMNS, columns=(
-        agg.ks, agg.mean_gap, agg.var_gap, agg.mean_consensus,
-        agg.var_consensus, agg.mean_tracking, agg.var_tracking,
-        agg.epsilon_partial,
-    ))
+    write_csv(path, {
+        "k": agg.ks, "mean_gap": agg.mean_gap, "var_gap": agg.var_gap,
+        "mean_consensus": agg.mean_consensus,
+        "var_consensus": agg.var_consensus,
+        "mean_tracking": agg.mean_tracking,
+        "var_tracking": agg.var_tracking,
+        "epsilon_partial": agg.epsilon_partial,
+    })
 
 
 def write_failures(path: str, agg: Aggregate) -> None:
-    rows = [
-        (f.run_index, f.seed, f.diverged_at, f.magnitude)
-        for f in agg.failures
-    ]
-    write_csv(path, FAILURE_COLUMNS, rows)
+    failures = agg.failures
+    write_csv(path, {
+        "run": [f.run_index for f in failures],
+        "seed": [f.seed for f in failures],
+        "diverged_at": [f.diverged_at for f in failures],
+        "magnitude": [f.magnitude for f in failures],
+    })
 
 
 @dataclass(frozen=True)
@@ -297,14 +271,13 @@ def budget_account(
 
 
 def write_budget(path: str, rows: list[BudgetRow]) -> None:
-    write_csv(
-        path, BUDGET_COLUMNS,
-        (
-            (r.horizon, r.conservative, r.envelope, r.tail,
-             "yes" if r.summable else "no")
-            for r in rows
-        ),
-    )
+    write_csv(path, {
+        "horizon": [r.horizon for r in rows],
+        "epsilon_bound": [r.conservative for r in rows],
+        "epsilon_envelope": [r.envelope for r in rows],
+        "tail_envelope": [r.tail for r in rows],
+        "summable": ["yes" if r.summable else "no" for r in rows],
+    })
 
 
 def _breakdown_ks(horizon: int) -> np.ndarray:
@@ -322,10 +295,11 @@ def write_breakdown(path: str, series: BudgetSeries) -> None:
     idx = np.searchsorted(series.ks, grid)
     if not np.array_equal(series.ks[idx], grid):
         raise RangeError("budget series lacks k's of its breakdown grid")
-    write_csv(path, BREAKDOWN_COLUMNS, columns=(
-        series.ks[idx], series.varsigma[idx], series.per_term[idx],
-        series.epsilon_partial[idx],
-    ))
+    write_csv(path, {
+        "k": series.ks[idx], "varsigma": series.varsigma[idx],
+        "per_term": series.per_term[idx],
+        "epsilon_partial": series.epsilon_partial[idx],
+    })
 
 
 def run_directory(base: str, variant: str | None = None) -> str:

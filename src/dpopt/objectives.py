@@ -88,13 +88,16 @@ class QuadraticEstimationProblem:
         """(H, c) with all_gradients(x).ravel() = H @ x.ravel() - c up
         to rounding, for x of shape (m, d): every local cost is
         quadratic, so H = blockdiag(2 (M_i^T M_i + reg I)) of shape
-        (m d, m d) and c = (2 M_i^T z_i)_i of shape (m d,)."""
+        (m d, m d) and c = (2 M_i^T z_i)_i of shape (m d,); an entry of c
+        past the float range is inf, and the runs diverge on it."""
         m, d = self.m, self.dim
         blocks = 2.0 * (np.einsum("isd,ise->ide", self.sensing, self.sensing)
                         + self.reg * np.eye(d))
         H = np.zeros((m, d, m, d))
         H[np.arange(m), :, np.arange(m), :] = blocks
-        c = 2.0 * np.einsum("isd,is->id", self.sensing, self.observations)
+        with np.errstate(over="ignore"):
+            c = 2.0 * np.einsum("isd,is->id", self.sensing,
+                                self.observations)
         return H.reshape(m * d, m * d), c.ravel()
 
 

@@ -156,14 +156,16 @@ class BudgetSeries:
         return float(self.epsilon_partial[idx])
 
 
-def _series(keep, horizon: int, blocks) -> BudgetSeries:
+def _series(keep, horizon: int, blocks, name=None) -> BudgetSeries:
     """The series at the kept k's from blocks of (ks, varsigma, per_term)
     over consecutive k's of 1..horizon.
 
     Each block's running sums start from the previous block's last one
     (total + per[0], then one add per term), the same sequential adds
     as one np.cumsum over the whole horizon.  keep=None keeps every k;
-    otherwise its k's must increase strictly within 1..horizon.
+    otherwise its k's must increase strictly within 1..horizon.  With a
+    name, a running total past the float range raises RangeError at its
+    first k; without one it reads inf.
     """
     if keep is None:
         keep = np.arange(1, horizon + 1)
@@ -178,8 +180,13 @@ def _series(keep, horizon: int, blocks) -> BudgetSeries:
     for ks, varsigma, per in blocks:
         partial = per.copy()
         partial[0] += total
-        np.cumsum(partial, out=partial)
+        with np.errstate(over="ignore"):
+            np.cumsum(partial, out=partial)
         total = float(partial[-1])
+        if name and not math.isfinite(total):
+            k = ks[np.flatnonzero(~np.isfinite(partial))[0]]
+            raise RangeError(f"{name} running total not finite at k = {k}: "
+                             "its terms sum past the float range")
         lo, hi = np.searchsorted(keep, (ks[0], ks[-1] + 1))
         for column, block in zip(columns, (varsigma, per, partial)):
             np.take(block, keep[lo:hi] - ks[0], out=column[lo:hi])
@@ -202,8 +209,8 @@ def conservative_budget(
     the walk itself covers every k in blocks, so memory does not grow
     with the horizon.  Raises RangeError when the coupling cannot
     contract anywhere before the horizon, else at the first k whose
-    term or noise scale is not finite, as when a geometric noise scale
-    underflows or a growing one overflows.
+    term, noise scale or running total is not finite, as when a
+    geometric noise scale underflows or a growing one overflows.
     """
     sch = schedules
     if sch.noise_scale is None:
@@ -229,9 +236,6 @@ def conservative_budget(
                 per = scale * s / nu
             bad = np.flatnonzero(~(np.isfinite(per) & np.isfinite(nu)))
             if bad.size:
-                # A coupling that cannot contract later on wins.
-                for _ in walk:
-                    pass
                 i = bad[0]
                 what = ("conservative budget term" if np.isfinite(nu[i])
                         else "noise scale")
@@ -241,7 +245,12 @@ def conservative_budget(
                 )
             yield ks + 1, s, per
 
-    return _series(keep, horizon, blocks())
+    try:
+        return _series(keep, horizon, blocks(), "conservative budget")
+    except RangeError:
+        for _ in walk:  # a coupling that cannot contract later on wins
+            pass
+        raise
 
 
 def asymptotic_budget(

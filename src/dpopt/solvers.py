@@ -625,8 +625,10 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
         keep = kept[r]
         # The budget bound scales linearly with the gradient bound,
         # which is only fully harvested at the end of the run; a
-        # noiseless run's NaN column stays NaN.
-        eps_r = eps[:keep] * grad_bound[r]
+        # noiseless run's NaN column stays NaN, and a run whose gradient
+        # bound is infinite reads NaN at k = 0 (0 * inf).
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps_r = eps[:keep] * grad_bound[r]
         traces.append(Trace(
             variant=variant,
             ks=record_ks[:keep],

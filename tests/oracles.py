@@ -7,9 +7,10 @@ loops to check them, the accountant's sensitivity walks collected
 into whole-horizon arrays, partial-product closed forms for the
 sensitivity recursions, the counter hash on Python ints, one word at a
 time, for the counter-based noise, and one iteration at a time, with
-its own draws and checks, for the measured difference traces, and the
-SVG line plot built from whole arrays and element lists.  None of them
-is used by the package itself.
+its own draws and checks, for the measured difference traces, the
+SVG line plot built from whole arrays and element lists, and each CSV
+cell formatted from its own value.  None of them is used by the
+package itself.
 """
 
 import math
@@ -314,6 +315,16 @@ def difference_tracking_measured(variant, setup, adjacent, iterations, seed):
         ybound[k + 1] = run_env * sy_bound[k + 1]
         gdiff_prev = gdiff
     return xdiff, xbound, ydiff, ybound
+
+
+def format_value(value) -> str:
+    """One CSV cell: a string as it is, an integer's digits, and the
+    shortest round-trip decimal form of anything else, as a float."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
 
 
 def line_plot(

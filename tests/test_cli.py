@@ -211,6 +211,21 @@ class TestConfigValues:
                             code=1)
         assert err.startswith("error: no contraction at edge_weight=3e+307")
 
+    @pytest.mark.parametrize("weight,advice", [
+        # Too small to move I - 11^T/m in floating point: only a larger
+        # weight contracts.  Too large: only a smaller one does.
+        ("1e-17", "use a larger edge weight, as rounding loses this one"),
+        ("0.5", "use a smaller edge weight"),
+    ], ids=["too_small", "too_large"])
+    def test_no_contraction_advice(self, weight, advice, tmp_path, capsys):
+        text = self.mutate("alg1", "graph.edge_weight = 0.2",
+                           f"graph.edge_weight = {weight}")
+        err = self.validate(text, "graph.edge_weight", tmp_path, capsys,
+                            code=1)
+        assert err.startswith(f"error: no contraction at edge_weight={weight} "
+                              "(norm ")
+        assert err.endswith(f"; {advice}\n")
+
     @pytest.mark.parametrize("line", [
         "problem.agents = 5", "problem.measurements = 3",
         "problem.dimension = 2", "run.iterations = 10000",
@@ -967,6 +982,89 @@ def test_overflowing_noise_scale_fails_validate(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == ""
     assert "FAIL  budget_finite_through_horizon" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["budget", "--horizons", "10,1000"],
+    ["run", "--runs", "2", "--iters", "200"],
+    ["compare", "--variants", "alg1,dgd,pdop_alg1", "--runs", "2",
+     "--iters", "200"],
+])
+def test_overflowing_budget_total_stops_the_accountant(argv, tmp_path):
+    # At a gradient bound of 1e308 each alg1 term is finite, but their
+    # running total passes the float range at k = 56: the command stops
+    # there with its reason instead of a numpy warning and an inf cell.
+    path = alg1_with(tmp_path, ("budget.gradient_bound = 1.0",
+                                "budget.gradient_bound = 1e308"))
+    command, *options = argv
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpopt", command, path, *options,
+         "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: conservative budget running total not "
+                           "finite at k = 56: its terms sum past the float "
+                           "range\n")
+
+
+def test_overflowing_budget_total_fails_validate(tmp_path):
+    path = alg1_with(tmp_path, ("budget.gradient_bound = 1.0",
+                                "budget.gradient_bound = 1e308"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpopt", "validate", path],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert "FAIL  budget_finite_through_horizon" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"], ["compare", "--variants", "alg1,dgd"],
+])
+def test_infinite_gradient_batch_writes_only_errors(argv, tmp_path):
+    # Observation noise of 1e308 puts the gradient's constant term past
+    # the float range, so every run diverges; neither the gradient nor a
+    # 0 * inf budget cell writes a numpy warning.
+    path = alg1_with(tmp_path, ("problem.noise_std = 1.0",
+                                "problem.noise_std = 1e308"))
+    command, *options = argv
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpopt", command, path, *options, "--runs",
+         "2", "--iters", "200", "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr and all(line.startswith("error: every run of ")
+                               for line in proc.stderr.splitlines()), \
+        proc.stderr
+
+
+def test_table_headers_pinned(static_cfg, tmp_path):
+    # The header line of each of the six tables, byte for byte.
+    out = tmp_path / "out"
+    assert main(["compare", static_cfg, "--variants", "alg1", "--runs", "1",
+                 "--iters", "60", "--output", str(out)]) == 0
+    assert main(["budget", static_cfg, "--horizons", "100",
+                 "--output", str(out / "budget")]) == 0
+    headers = {
+        "alg1/run_000.csv":
+            b"k,consensus,gap,dist_opt,tracking,epsilon_partial\n",
+        "alg1/aggregate.csv":
+            b"k,mean_gap,var_gap,mean_consensus,var_consensus,"
+            b"mean_tracking,var_tracking,epsilon_partial\n",
+        "alg1/failures.csv": b"run,seed,diverged_at,magnitude\n",
+        "alg1/budget.csv":
+            b"horizon,epsilon_bound,epsilon_envelope,tail_envelope,"
+            b"summable\n",
+        "budget/breakdown.csv": b"k,varsigma,per_term,epsilon_partial\n",
+        "summary.csv":
+            b"variant,runs,completed,failures,mean_final_gap,se_final_gap,"
+            b"mean_final_consensus,epsilon_bound,epsilon_envelope\n",
+    }
+    for name, header in headers.items():
+        assert (out / name).read_bytes().startswith(header), name
 
 
 def test_compare_with_wrapped_command(static_cfg, tmp_path):

@@ -4,20 +4,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_setup
+from oracles import format_value
 
 from dpopt.errors import ConfigError, RangeError
 from dpopt.harness import (
-    AGGREGATE_COLUMNS,
-    FAILURE_COLUMNS,
-    TRACE_COLUMNS,
+    CSV_BLOCK,
     Aggregate,
     BudgetRow,
     aggregate,
     budget_account,
     format_column,
-    format_value,
     monte_carlo,
     run_directory,
     write_aggregate,
@@ -41,38 +41,84 @@ def diverging_setup():
     )
 
 
-class TestFormatting:
-    def test_format_value_round_trips_floats(self):
-        for value in (0.1, 1e-17, 3.0, float("inf"), 123456.789012345):
-            assert float(format_value(value)) == value
+# The special floats every cell test writes.
+SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308)
 
-    def test_format_value_ints_and_strings(self):
-        assert format_value(7) == "7"
-        assert format_value(np.int64(7)) == "7"
-        assert format_value("yes") == "yes"
+
+def csv_bytes(columns: dict) -> bytes:
+    """The table write_csv should give, each cell from the oracle."""
+    lines = [",".join(columns)] + [
+        ",".join(map(format_value, row)) for row in zip(*columns.values())
+    ]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def float32(values) -> np.ndarray:
+    # 1e308 and 5e-324 round to inf and 0 in float32, as intended.
+    with np.errstate(over="ignore", under="ignore"):
+        return np.array(values, dtype=np.float32)
+
+
+@st.composite
+def tables(draw):
+    """Float64, float32, int64 and str columns, one block long, one row
+    short of it or one row past it, with the special floats mixed in."""
+    n = draw(st.sampled_from((CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1)))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    floats = st.one_of(st.sampled_from(SPECIAL), st.floats())
+    return {
+        "f64": np.array(column(floats), dtype=np.float64),
+        "f32": float32(column(floats)),
+        "i64": np.array(column(st.integers(-2**63, 2**63 - 1)),
+                        dtype=np.int64),
+        "s": np.array(column(st.text("abcxyz_-.0123456789", max_size=6))),
+    }
+
+
+class TestFormatting:
+    def test_float_cells_round_trip(self):
+        values = np.array([0.1, 1e-17, 3.0, math.inf, 123456.789012345])
+        assert [float(cell) for cell in format_column(values)] \
+            == values.tolist()
+
+    def test_int_and_string_cells(self):
+        assert format_column(np.array([7, -7], dtype=np.int64)) \
+            == ["7", "-7"]
+        assert format_column(np.array(["yes", "no"])) == ["yes", "no"]
 
     def test_write_csv_layout(self, tmp_path):
         path = str(tmp_path / "t.csv")
-        write_csv(path, ("a", "b"), [(1, 0.5), (2, 0.25)])
+        write_csv(path, {"a": [1, 2], "b": [0.5, 0.25]})
         text = Path(path).read_text(encoding="utf-8")
         assert text == "a,b\n1,0.5\n2,0.25\n"
+        write_csv(path, {"a": [], "b": []})
+        assert Path(path).read_text(encoding="utf-8") == "a,b\n"
 
     def test_columns_match_format_value_bytes(self, tmp_path):
         # Long enough to span several write blocks, and end inside one.
-        floats = np.tile([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
-                          1e308, 0.1, -1.5e-17, 123456.789012345], 30)
-        ints = np.arange(len(floats), dtype=np.int64) * 10**15 - 7
-        strings = np.array(["yes", "no"] * 150)
-        columns = (ints, floats, strings,
-                   np.linspace(-1.0, 1.0, len(floats), dtype=np.float32))
-        by_rows = str(tmp_path / "rows.csv")
-        by_columns = str(tmp_path / "columns.csv")
-        write_csv(by_rows, ("i", "f", "s", "g"), zip(*columns))
-        write_csv(by_columns, ("i", "f", "s", "g"), columns=columns)
-        with open(by_rows, "rb") as a, open(by_columns, "rb") as b:
-            assert a.read() == b.read()
-        assert format_column(floats) == [format_value(v) for v in floats]
-        assert format_column(ints) == [format_value(v) for v in ints]
+        floats = np.tile([*SPECIAL, 0.1, -1.5e-17, 123456.789012345], 30)
+        columns = {
+            "i": np.arange(len(floats), dtype=np.int64) * 10**15 - 7,
+            "f": floats,
+            "s": np.array(["yes", "no"] * (len(floats) // 2)),
+            "g": np.linspace(-1.0, 1.0, len(floats), dtype=np.float32),
+        }
+        path = tmp_path / "columns.csv"
+        write_csv(str(path), columns)
+        assert path.read_bytes() == csv_bytes(columns)
+
+    # Without shrinking: shrinking 129-row tables took minutes on a
+    # broken writer, and the first failing table shows the fault.
+    @settings(max_examples=60, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(columns=tables())
+    def test_cells_match_the_oracle(self, columns, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cells") / "t.csv"
+        write_csv(str(path), columns)
+        assert path.read_bytes() == csv_bytes(columns)
 
 
 class TestMonteCarlo:
@@ -163,7 +209,7 @@ class TestWriters:
         path = str(tmp_path / "run_000.csv")
         write_trace(path, trace)
         lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
-        assert lines[0] == ",".join(TRACE_COLUMNS)
+        assert lines[0] == "k,consensus,gap,dist_opt,tracking,epsilon_partial"
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[1]) == trace.consensus[0]
@@ -178,8 +224,9 @@ class TestWriters:
         traces2 = monte_carlo("alg1", setup, 40, base_seed=3, n_runs=3)
         write_aggregate(p2, aggregate("alg1", traces2, base_seed=3))
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
-        header = Path(p1).read_text(encoding="utf-8").split("\n")[0].strip()
-        assert header == ",".join(AGGREGATE_COLUMNS)
+        assert Path(p1).read_bytes().startswith(
+            b"k,mean_gap,var_gap,mean_consensus,var_consensus,"
+            b"mean_tracking,var_tracking,epsilon_partial\n")
 
     def test_failures_csv_written_even_when_empty(self, tmp_path):
         setup = make_setup("static")
@@ -188,7 +235,7 @@ class TestWriters:
         path = str(tmp_path / "failures.csv")
         write_failures(path, agg)
         text = Path(path).read_text(encoding="utf-8")
-        assert text == ",".join(FAILURE_COLUMNS) + "\n"
+        assert text == "run,seed,diverged_at,magnitude\n"
 
     def test_failures_csv_rows(self, tmp_path):
         traces = monte_carlo("dgd", diverging_setup(), 200, base_seed=5,

@@ -68,6 +68,10 @@ DERIVED = {
     "alg1_self_loop": ("alg1", "0>2, 1>4", "0>2, 1>4, 1>1"),
     "alg1_edge_weight_1e308": ("alg1", "graph.edge_weight = 0.2",
                                "graph.edge_weight = 1e308"),
+    # A weight rounding loses from I + W - 11^T/m: no contraction, and
+    # only a larger weight helps.
+    "alg1_edge_weight_1e-17": ("alg1", "graph.edge_weight = 0.2",
+                               "graph.edge_weight = 1e-17"),
     "alg1_iterations_1e308": ("alg1", "run.iterations = 10000",
                               "run.iterations = 1e308"),
     "alg1_noise_seed_2_53": ("alg1", "noise.seed = 1",
@@ -111,6 +115,10 @@ DERIVED = {
     # stops there, and validate fails its budget entry.
     "alg1_noise_b_1e308": ("alg1", "noise.scale.b = 0.1",
                            "noise.scale.b = 1e308"),
+    # Observations past the float range: the gradient's constant term is
+    # inf and every run diverges.
+    "alg1_noise_std_1e308": ("alg1", "problem.noise_std = 1.0",
+                             "problem.noise_std = 1e308"),
 }
 
 # (name, config, arguments after the config; --output is added when the
@@ -143,6 +151,7 @@ MATRIX = (
     *((f"validate_{c}", c, ["validate"])
       for c in ("alg1_constant_coupling", "alg1_problem_seed_negative",
                 "alg1_agents_3", "alg1_self_loop", "alg1_edge_weight_1e308",
+                "alg1_edge_weight_1e-17",
                 "alg1_iterations_1e308", "alg1_noise_seed_2_53",
                 "alg1_stride_0", "alg1_noise_seed_fraction",
                 "alg1_coupling_growing", "alg2_coupling_state_growing")),
@@ -182,6 +191,15 @@ MATRIX = (
     ("validate_alg1_noise_b_1e308", "alg1_noise_b_1e308", ["validate"]),
     ("budget_alg1_noise_b_1e308", "alg1_noise_b_1e308",
      ["budget", "--horizons", "10,100"]),
+    # Noiseless variants: the summary's budget cells read nan.
+    ("compare_alg2_nonoise", "alg2_nonoise",
+     ["compare", "--variants", "alg2,push_pull", "--runs", "2", "--iters",
+      "200"]),
+    # Finite terms whose running total passes the float range.
+    ("budget_alg1_gradient_bound_1e308", "alg1",
+     ["budget", "--horizons", "10,1000", "--gradient-bound", "1e308"]),
+    ("run_alg1_noise_std_1e308", "alg1_noise_std_1e308",
+     ["run", "--runs", "2", "--iters", "200"]),
 )
 
 
