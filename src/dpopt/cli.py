@@ -19,20 +19,29 @@ too.  With --plot, run writes the gap, consensus and tracking figures and
 compare the first two; a figure with nothing finite and positive to draw
 is skipped.
 
-compare runs each variant's batch in a worker process, one worker per
-usable CPU and never more than there are variants; its outputs are
-byte-identical to those of a run in one process.  Pinned to one CPU
-(`taskset -c 0 dpopt compare ...`) it runs the variants one after
-another.  Peak memory is per worker: a variant's batch is held in its
-worker, and the parent gets back only the aggregate and budget row.
+compare forks a worker per variant with os.fork, at most one alive per
+usable CPU, so each starts with numpy, dpopt and the setup loaded; its
+outputs are byte-identical to those of a run in one process.  Pinned to
+one CPU (`taskset -c 0 dpopt compare ...`) it runs the variants one
+after another.  A worker sends back its aggregate and budget row, or
+its error, pickled through its own pipe; its batch stays in the worker,
+so peak memory is per worker.  A worker that ends with nothing sent
+back stops compare with "error: worker for variant V ended by signal N"
+(or "... ended with exit code N and no result").  Where os.fork does not
+exist the variants run in this process, one after another.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
+import pickle
 import sys
+import threading
+from collections.abc import Callable
+from typing import NoReturn
 
 import numpy as np
 
@@ -273,28 +282,107 @@ def _write_comparison(
     return summary
 
 
-def _exit_with_parent() -> None:
-    """Pool worker initializer: end the worker when the parent process
-    ends, so a compare killed mid-way leaves no worker behind, waiting
-    for work that never comes."""
-    import threading
-    from multiprocessing import connection, parent_process
+def _worker(call: Callable[[], object], result_fd: int, life_fd: int,
+            foreign: list[int]) -> NoReturn:
+    """A forked child: close the pipe ends it does not own, end when the
+    life pipe reads EOF (the parent has died), run the call and write
+    pickle.dumps((ok, value)) to its result pipe."""
+    code = 1
+    try:
+        for fd in foreign:
+            os.close(fd)
+        threading.Thread(target=lambda: (os.read(life_fd, 1), os._exit(1)),
+                         daemon=True).start()
+        try:
+            data = pickle.dumps((True, call()))
+        except Exception as exc:  # the call's error, or its value's
+            import traceback
 
-    sentinel = parent_process().sentinel
-    threading.Thread(
-        target=lambda: (connection.wait([sentinel]), os._exit(1)),
-        daemon=True,
-    ).start()
+            # Pickling drops the traceback: keep the worker's frames as a
+            # note, which a traceback printed by the parent shows.
+            exc.__notes__ = [*getattr(exc, "__notes__", []),
+                             "in the worker:\n" + traceback.format_exc()]
+            data = pickle.dumps((False, exc))
+        with open(result_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_each(calls: dict[str, Callable[[], object]],
+               limit: int) -> dict[str, object]:
+    """Each variant's call run in a forked child, at most `limit` alive
+    at once; their values in `calls` order.  After a failure no child
+    starts and the running ones finish; then the first failing variant
+    in order raises its error.  No child outlives this call.  Where
+    os.fork does not exist the calls run here, in order."""
+    if not hasattr(os, "fork"):
+        return {name: call() for name, call in calls.items()}
+    import selectors
+    import signal
+
+    queue = iter(calls.items())
+    children = {}  # result pipe read end -> (variant, pid, chunks read)
+    values, errors = {}, {}
+    life_read, life_write = os.pipe()  # only the parent holds life_write
+    selector = selectors.DefaultSelector()
+    try:
+        while True:
+            while len(children) < limit and not errors:
+                name, call = next(queue, (None, None))
+                if name is None:
+                    break
+                read, write = os.pipe()
+                sys.stdout.flush()
+                sys.stderr.flush()
+                pid = os.fork()
+                if pid == 0:
+                    _worker(call, write, life_read,
+                            [life_write, read, *children])
+                children[read] = (name, pid, [])
+                os.close(write)
+                selector.register(read, selectors.EVENT_READ)
+            if not children:
+                break
+            for key, _ in selector.select():
+                name, pid, chunks = children[key.fd]
+                chunk = os.read(key.fd, 1 << 16)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                selector.unregister(key.fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[key.fd]
+                os.close(key.fd)
+                if code == 0 and chunks:
+                    ok, value = pickle.loads(b"".join(chunks))
+                    (values if ok else errors)[name] = value
+                else:
+                    errors[name] = DpoptError(
+                        f"worker for variant {name} " + (
+                            f"ended by signal {-code}" if code < 0 else
+                            f"ended with exit code {code} and no result"))
+    finally:
+        for read, (_, pid, _) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+        selector.close()
+        os.close(life_read)
+        os.close(life_write)
+    for name in calls:
+        if name in errors:
+            raise errors[name]
+    return {name: values[name] for name in calls}
 
 
 def cmd_compare(args) -> int:
-    """Run each variant's batch in a worker process, at most one worker
+    """Run each variant's batch in a forked worker, at most one worker
     per usable CPU, then write the summary and plots from the results,
     read in --variants order: the first variant in that order to fail
-    decides the error, and variants not yet started are cancelled."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
+    decides the error, a worker killed or exiting without a result
+    fails its variant, and no variant starts after a failure."""
     config = _load_config(args)
     variants = _parse_variants(args.variants)
     setup = build_setup(config, variants)
@@ -303,25 +391,14 @@ def cmd_compare(args) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    # Forked workers start with numpy and dpopt imported; spawned ones
-    # would import and compile them again.
-    context = (multiprocessing.get_context("fork")
-               if "fork" in multiprocessing.get_all_start_methods() else None)
-    # Only plain values cross to the workers: a pickling error inside
-    # the pool hangs its shutdown (Python 3.11).
-    with ProcessPoolExecutor(min(len(variants), cpus), mp_context=context,
-                             initializer=_exit_with_parent) as pool:
-        futures = [
-            pool.submit(_run_variant, config, setup, variant,
-                        run_directory(base, variant), args.force, False)
-            for variant in variants
-        ]
-        try:
-            results = {variant: future.result()
-                       for variant, future in zip(variants, futures)}
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    # Forked workers start with numpy and dpopt imported, and share the
+    # parent's config and setup without pickling them.
+    results = _fork_each({
+        variant: functools.partial(
+            _run_variant, config, setup, variant,
+            run_directory(base, variant), args.force, False)
+        for variant in variants
+    }, min(len(variants), cpus))
     s = _write_comparison(base, results, args.plot)
     print(
         f"{'variant':>16}  {'done':>5}  {'final gap':>12}  {'se':>10}  "

@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import os
 import signal
@@ -725,6 +724,17 @@ class TestCompare:
         assert "summary.csv" in one and len(one) > 10
         assert workers == one
 
+    def test_without_fork_runs_in_process(self, static_cfg, tmp_path,
+                                          monkeypatch):
+        # Where os.fork does not exist, the same tree comes from this
+        # process.
+        argv = ["compare", static_cfg, "--variants", "alg1,dgd,pdop_alg1",
+                "--runs", "2", "--iters", "60", "--plot", "--output"]
+        assert main(argv + [str(tmp_path / "workers")]) == 0
+        monkeypatch.delattr(os, "fork")
+        assert main(argv + [str(tmp_path / "one")]) == 0
+        assert tree(tmp_path / "workers") == tree(tmp_path / "one")
+
     @pytest.mark.parametrize("cpus,variants,expected", [
         (1, "alg1,dgd,pdop_alg1", 1),
         (2, "alg1,dgd,pdop_alg1", 2),
@@ -734,22 +744,33 @@ class TestCompare:
     def test_workers_bounded_by_variants_and_cpus(
         self, static_cfg, tmp_path, monkeypatch, cpus, variants, expected
     ):
-        pools = []
+        # Recorded in this process: a child is alive from its fork until
+        # compare reaps it.
+        fork, waitpid = os.fork, os.waitpid
+        alive, counts = set(), []
 
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                pools.append((max_workers,
-                              kwargs["mp_context"].get_start_method()))
-                super().__init__(max_workers, **kwargs)
+        def recording_fork():
+            pid = fork()
+            if pid:
+                alive.add(pid)
+                counts.append(len(alive))
+            return pid
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            Recording)
+        def recording_waitpid(pid, options):
+            result = waitpid(pid, options)
+            alive.discard(pid)
+            return result
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(os, "waitpid", recording_waitpid)
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
         assert main(["compare", static_cfg, "--variants", variants,
                      "--runs", "1", "--iters", "30",
                      "--output", str(tmp_path / "out")]) == 0
-        assert pools == [(expected, "fork")]
+        assert len(counts) == len(variants.split(","))
+        assert max(counts) == expected
+        assert not alive
 
     @pytest.mark.parametrize("first,later,label", [
         (ConditionError, RangeError, "validation error: "),
@@ -1136,3 +1157,141 @@ cli.main(["compare", {static_cfg!r}, "--variants", "alg1,dgd", "--runs",
         for pid in workers:
             if not _ended(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_end_with_an_interrupted_parent(static_cfg, tmp_path):
+    # SIGINT to compare alone: its KeyboardInterrupt kills and reaps the
+    # workers before it exits.
+    script = f"""
+import os, time
+from dpopt import cli
+
+def batch(variant, *args, **kwargs):
+    with open(os.path.join({str(tmp_path)!r}, f"{{variant}}.pid"), "w") as fh:
+        fh.write(str(os.getpid()))
+    time.sleep(120)
+
+cli.monte_carlo = batch
+os.sched_getaffinity = lambda pid: {{0, 1}}
+cli.main(["compare", {static_cfg!r}, "--variants", "alg1,dgd", "--runs",
+          "1", "--iters", "30", "--output", {str(tmp_path / "out")!r}])
+"""
+    parent = subprocess.Popen([sys.executable, "-c", script],
+                              env=_src_env(), stderr=subprocess.DEVNULL)
+    paths = [tmp_path / f"{variant}.pid" for variant in ("alg1", "dgd")]
+    try:
+        deadline = time.monotonic() + 60
+        while not all(p.exists() and p.read_text() for p in paths):
+            assert time.monotonic() < deadline, "workers did not start"
+            assert parent.poll() is None, "compare exited early"
+            time.sleep(0.05)
+        parent.send_signal(signal.SIGINT)
+        parent.wait(timeout=30)
+    finally:
+        parent.kill()
+        parent.wait(timeout=30)
+    workers = [int(p.read_text()) for p in paths]
+    try:
+        assert all(_ended(pid) for pid in workers)
+    finally:
+        for pid in workers:
+            if not _ended(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("end,reason", [
+    ("os.kill(os.getpid(), signal.SIGKILL)", "ended by signal 9"),
+    ("os._exit(3)", "ended with exit code 3 and no result"),
+])
+def test_worker_ended_without_a_result(static_cfg, tmp_path, end, reason):
+    # dgd's worker ends in its batch with nothing sent back: one error
+    # line naming the variant, exit 1, no traceback and no worker left.
+    # alg1, already running, finishes and keeps its files.
+    out = tmp_path / "out"
+    script = f"""
+import os, signal
+from dpopt import cli
+
+run_batch = cli.monte_carlo
+def batch(variant, *args, **kwargs):
+    with open(os.path.join({str(tmp_path)!r}, f"{{variant}}.pid"), "w") as fh:
+        fh.write(str(os.getpid()))
+    if variant == "dgd":
+        {end}
+    return run_batch(variant, *args, **kwargs)
+
+cli.monte_carlo = batch
+os.sched_getaffinity = lambda pid: {{0, 1}}
+raise SystemExit(cli.main(["compare", {static_cfg!r}, "--variants",
+                           "alg1,dgd", "--runs", "1", "--iters", "30",
+                           "--output", {str(out)!r}]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_src_env(), timeout=120)
+    workers = [int((tmp_path / f"{variant}.pid").read_text())
+               for variant in ("alg1", "dgd")]
+    assert all(_ended(pid) for pid in workers)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: worker for variant dgd {reason}\n"
+    assert proc.stdout == ""
+    assert (out / "alg1" / "aggregate.csv").exists()
+    assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="notes print")
+def test_worker_traceback_shown(static_cfg, tmp_path):
+    # An unexpected error in a worker prints with the worker's frames.
+    script = f"""
+from dpopt import cli
+
+def failing_batch(variant, *args, **kwargs):
+    raise ValueError("unexpected")
+
+cli.monte_carlo = failing_batch
+cli.main(["compare", {static_cfg!r}, "--variants", "alg1,dgd", "--runs",
+          "1", "--iters", "30", "--output", {str(tmp_path / "out")!r}])
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 1
+    assert "in the worker:" in proc.stderr
+    assert "in failing_batch" in proc.stderr
+    assert proc.stderr.count("ValueError: unexpected") == 2
+
+
+def test_unflushed_line_printed_once(static_cfg, tmp_path):
+    # stdout to a pipe is block-buffered: a line still in its buffer at
+    # the fork must not be written again by a worker.
+    script = f"""
+from dpopt import cli
+
+print("before compare")
+raise SystemExit(cli.main(["compare", {static_cfg!r}, "--variants",
+                           "alg1,dgd", "--runs", "1", "--iters", "30",
+                           "--output", {str(tmp_path / "out")!r}]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("before compare\n") == 1
+    assert proc.stdout.startswith("before compare\n")
+
+
+def test_compare_loads_no_process_pool(static_cfg, tmp_path):
+    # compare forks its workers with os alone.
+    script = f"""
+import sys
+from dpopt import cli
+
+assert cli.main(["compare", {static_cfg!r}, "--variants", "alg1,dgd",
+                 "--runs", "1", "--iters", "30",
+                 "--output", {str(tmp_path / "out")!r}]) == 0
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
