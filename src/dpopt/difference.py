@@ -15,8 +15,10 @@ horizon.  A measured block takes two passes.
 Pass 1 steps the primal state in the per-agent form (all_gradients, one
 iteration at a time) and keeps the perturbed agent's iterates.  Pass 2
 runs the difference recursion along them: the agent's own gradients
-come from one stacked product, so only the adjacent gradient, which is
-not affine, stays in the loop.  The envelope, norms and bounds are then
+come from one stacked problem.local_gradient call, so only
+AdjacentVariant.local_gradient, whose ramp is not affine, is called in
+the loop.  Both are the objectives module's own gradients; the trace
+keeps no copy of either.  The envelope, norms and bounds are then
 block-wide array operations, bit for bit the per-iteration values.
 """
 
@@ -88,36 +90,6 @@ def _trace(diffs, bounds) -> DifferenceTrace:
                            worst, violation is None, violation)
 
 
-def _own_gradients(problem, agent, thetas):
-    """problem.local_gradient(agent, theta) of every row of thetas,
-    (K, d), through one stacked product per factor."""
-    Mi = problem.sensing[agent]
-    resid = np.matmul(Mi, thetas[:, :, None])
-    resid -= problem.observations[agent][:, None]
-    return np.matmul(2.0 * Mi.T, resid)[..., 0] + 2.0 * problem.reg * thetas
-
-
-def _adjacent_gradient(adjacent: AdjacentVariant):
-    """adjacent.local_gradient at the perturbed agent, with its
-    constants hoisted: the same operations in the same order."""
-    problem = adjacent.base
-    Mi = problem.sensing[adjacent.agent]
-    obs = problem.observations[adjacent.agent]
-    two_MiT, two_reg = 2.0 * Mi.T, 2.0 * problem.reg
-    center, delta, neg_eta = adjacent.center, adjacent.delta, -adjacent.eta
-
-    def gradient(theta):
-        g = two_MiT @ (Mi @ theta - obs) + two_reg * theta
-        offset = theta - center
-        # np.linalg.norm of a 1-D array is sqrt(x.dot(x)).
-        radius = math.sqrt(offset.dot(offset))
-        ramp = max(0.0, radius - delta)
-        if ramp == 0.0 or radius == 0.0:
-            return g
-        return g - (neg_eta * ramp) * offset / radius
-    return gradient
-
-
 def _running_max(start: float, values: np.ndarray) -> np.ndarray:
     """Python's run = max(run, v) from start at each v in turn: a NaN v
     is skipped, and a NaN start stays NaN."""
@@ -183,7 +155,6 @@ def _difference_static(variant, setup, adjacent, iterations, seed, envelope):
         * np.random.default_rng(seed).standard_normal((problem.m, d_dim))
     W_off = _off_diagonal(W)
     grads = problem.all_gradients(x)
-    adjacent_at = _adjacent_gradient(adjacent)
     e = np.zeros(d_dim)
     run_env = 0.0
     for lo in range(0, iterations, NOISE_CHUNK):
@@ -202,10 +173,10 @@ def _difference_static(variant, setup, adjacent, iterations, seed, envelope):
             xa[j] = x[agent]
             x = x + g * (W @ x + noise[j]) - l * grads
             grads = problem.all_gradients(x)
-        own = _own_gradients(problem, agent, xa)
+        own = problem.local_gradient(agent, xa)
         es, gdiffs = np.empty_like(xa), np.empty_like(xa)
         for j, (s, l) in enumerate(zip(memoryview(shrink), memoryview(lam))):
-            gdiff = own[j] - adjacent_at(xa[j] - e)
+            gdiff = own[j] - adjacent.local_gradient(agent, xa[j] - e)
             e = s * e - l * gdiff
             es[j], gdiffs[j] = e, gdiff
         env = _running_max(run_env, np.abs(gdiffs).sum(axis=1))
@@ -237,7 +208,6 @@ def _difference_tracking(variant, setup, adjacent, iterations, seed,
     R_off, C_off = _off_diagonal(R), _off_diagonal(C)
     grads = problem.all_gradients(x)
     y = grads.copy()
-    adjacent_at = _adjacent_gradient(adjacent)
     # The tracker difference starts at zero, as for coupled runs sharing
     # the tracker init; the initial gradient difference enters through
     # the first update (see the privacy module docstring).
@@ -273,13 +243,13 @@ def _difference_tracking(variant, setup, adjacent, iterations, seed,
             y = (1.0 - c) * (y - grads) + b * (C @ y + xis[j]) + g_next
             grads = g_next
             xa[j] = x[agent]
-        own = _own_gradients(problem, agent, xa)
+        own = problem.local_gradient(agent, xa)
         exs, eys, gdiffs = (np.empty_like(xa) for _ in range(3))
         steps = zip(memoryview(shrink_x), memoryview(lam),
                     memoryview(shrink_y), memoryview(1.0 - alpha))
         for j, (sx, l, sy, kp) in enumerate(steps):
             ex_next = sx * ex - l * ey
-            gdiff = own[j] - adjacent_at(xa[j] - ex_next)
+            gdiff = own[j] - adjacent.local_gradient(agent, xa[j] - ex_next)
             ey = sy * ey + gdiff - kp * gdiff_prev
             ex = ex_next
             exs[j], eys[j], gdiffs[j] = ex, ey, gdiff

@@ -225,8 +225,9 @@ def budget_account(
     horizons,
 ) -> BudgetAccount:
     """Budget series and rows of one variant, each series walked once to
-    the largest horizon and kept at the horizons, each horizon // 10
-    and the breakdown grid of the largest horizon.
+    the largest horizon.  Both series are kept at the horizons and each
+    horizon // 10 (the rows and the growth line read them), the
+    conservative one also at the breakdown grid of the largest horizon.
 
     conservative: the finite-horizon sensitivity-recursion bound.
     envelope: partial sums of the dominating stepsize-over-noise power
@@ -247,15 +248,19 @@ def budget_account(
             "budget accounting needs a nonzero noise scale",
             key="noise.scale.form",
         )
-    # A set, not np.union1d: np.unique imports numpy.ma, about 1 MB.
-    keep = sorted({*_breakdown_ks(top).tolist(), *horizons,
-                   *(h // 10 for h in horizons if h >= 10)})
+    marks = sorted({*horizons, *(h // 10 for h in horizons if h >= 10)})
+    # The marks merged into the sorted grid, duplicates dropped by a
+    # diff mask: np.unique imports numpy.ma, about 1 MB, and np.sort
+    # faults in about 0.2 MB of sort code.
+    keep = _breakdown_ks(top)
+    keep = np.insert(keep, np.searchsorted(keep, marks), marks)
+    keep = keep[np.diff(keep, prepend=0) > 0]
     conservative = conservative_budget(
         sch, spec.weights(setup), gradient_bound, top, keep
     )
     # Tracking variants send two noisy messages per iteration.
     bound = (2.0 if spec.tracking else 1.0) * gradient_bound
-    envelope = asymptotic_budget(sch.stepsize, nu, bound, top, keep)
+    envelope = asymptotic_budget(sch.stepsize, nu, bound, top, marks)
     summable = not infinite_tail(sch.stepsize, nu)
     rows = [
         BudgetRow(

@@ -18,6 +18,7 @@ distinguishable gradients away from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +70,13 @@ class QuadraticEstimationProblem:
         return total / self.m
 
     def local_gradient(self, agent: int, theta: np.ndarray) -> np.ndarray:
+        """Gradient of f_agent at theta of shape (d,), or at every row of
+        a (..., d) stack, equal to the one-point gradients bit for bit:
+        each point's products are (s, d) @ (d, 1) and (d, s) @ (s, 1)."""
         Mi = self.sensing[agent]
-        return 2.0 * Mi.T @ (Mi @ theta - self.observations[agent]) \
-            + 2.0 * self.reg * theta
+        resid = np.matmul(Mi, theta[..., None])
+        resid -= self.observations[agent][:, None]
+        return np.matmul(2.0 * Mi.T, resid)[..., 0] + 2.0 * self.reg * theta
 
     def all_gradients(self, thetas: np.ndarray) -> np.ndarray:
         """Gradient of f_i at thetas[..., i, :] for every agent.
@@ -174,19 +179,29 @@ class AdjacentVariant:
     eta: float
     center: np.ndarray
 
-    def gradient_difference(self, theta: np.ndarray) -> np.ndarray:
-        """g_i(theta) - g'_i(theta) for the perturbed agent."""
+    def _pull(self, theta: np.ndarray) -> np.ndarray | None:
+        """gradient_difference(theta), None inside the ball, where the
+        adjacent gradient then subtracts no array of zeros."""
         offset = theta - self.center
-        radius = float(np.linalg.norm(offset))
+        # np.linalg.norm of a 1-D array is sqrt(x.dot(x)).
+        radius = math.sqrt(offset.dot(offset))
         ramp = max(0.0, radius - self.delta)
         if ramp == 0.0 or radius == 0.0:
-            return np.zeros_like(offset)
+            return None
         return -self.eta * ramp * offset / radius
 
+    def gradient_difference(self, theta: np.ndarray) -> np.ndarray:
+        """g_i(theta) - g'_i(theta) for the perturbed agent, at theta of
+        shape (d,); zeros inside the ball."""
+        pull = self._pull(theta)
+        return np.zeros(np.shape(theta)) if pull is None else pull
+
     def local_gradient(self, agent: int, theta: np.ndarray) -> np.ndarray:
+        """Gradient of the adjacent f_agent at theta of shape (d,)."""
         g = self.base.local_gradient(agent, theta)
-        if agent == self.agent:
-            g = g - self.gradient_difference(theta)
+        pull = self._pull(theta) if agent == self.agent else None
+        if pull is not None:
+            g -= pull
         return g
 
 

@@ -23,22 +23,40 @@ initialization; the iteration-0 tracker message is therefore outside
 the accounted sums (the state message at iteration 0 is identical
 across adjacent runs and costs nothing).
 
-Two budget flavors are exposed.  The conservative series uses the
-recursions above with a constant gradient-difference envelope; it is a
-valid bound at every finite horizon but keeps growing when the
-stepsize-to-coupling ratio decays slowly.  The asymptotic series uses
-the per-iteration injection envelope lam^k / nu^k that governs whether
-the budget stays finite as T grows without bound: its per-term values
-are the dominating power law A k^(-e) >= lam(k)/nu(k), so its partial
-sums settle exactly when sum lam/nu converges, and the matching
-integral-test tail bound covers everything paid after any horizon.
+Two budget flavors are exposed, and they support different claims.
+
+The conservative series (budget.csv's epsilon_bound) sums the
+recursions above with a constant gradient-difference bound C.  In
+exact arithmetic it is the sum through T of the recursion's terms at
+the schedule values: a bound on the loss at that finite horizon when
+the recursion bounds the coupled drift (the difference module
+measures that) and C bounds the gradient difference.  It is not a
+finite budget.  The recursion gives s ~ lam/gamma, which the noise
+scale does not outgrow, so the series grows without limit on both
+shipped configs: about T^0.65 on alg1 (105.5 at 1e4, 11,614 at 1e7)
+and about T^1.67 on alg2 (6.18e6 at 1e4, 6.44e11 at 1e7).  Its sums
+round to nearest, not upward, so a reported total can sit below the
+exact sum of its float terms by about 1e-14 relative.
+
+The asymptotic series (epsilon_envelope) is the column that settles,
+under an assumption it adds: once adjacent runs near the shared
+optimum, the per-message sensitivity tracks lam^k, not lam^k/gamma^k.
+Nothing here checks that assumption.  Under it the per-iteration
+budget follows the injection envelope lam^k / nu^k: its per-term
+values are the dominating power law A k^(-e) >= lam(k)/nu(k), so its
+partial sums settle exactly when sum lam/nu converges, and the
+matching integral-test tail bound covers everything paid after any
+horizon (alg1 reads 7.81 at 1e7 plus a tail of 0.053, alg2 34.36 plus
+7.98).
 
 Both series are computed in one walk over k = 1..T in blocks of BLOCK
 iterations.  The recursion state crosses blocks as Python floats and
 each block's running sums start from the previous block's last one, so
 the values are the same bits as whole-horizon arrays; a caller passes
 the k's it reads (`keep`) and the series holds only those, so memory
-stays flat in T.
+stays flat in T.  Each stage (the walk, the series' terms, the running
+sums) computes a block's terms in place and drops the block before the
+next one is computed, so a few blocks are alive at a time.
 
 This module is accounting only: the solver's epsilon_partial column and
 the budget report both read conservative_budget, and the simulated
@@ -85,6 +103,13 @@ def _recurse(shrink: np.ndarray, drive: np.ndarray, s: float = 0.0):
     return np.fromiter(steps, float, len(shrink))
 
 
+def _one_minus(c: float, gamma: np.ndarray, alpha=0.0) -> np.ndarray:
+    """The shrink factor 1 - alpha - c gamma, computed in gamma's
+    array."""
+    np.multiply(c, gamma, out=gamma)
+    return np.subtract(np.subtract(1.0, alpha), gamma, out=gamma)
+
+
 def _static_walk(stepsize, coupling, min_coupling, horizon: int):
     """Yield (ks, s) per block: s[k] for k = ks + 1."""
     if horizon < 1:
@@ -93,12 +118,14 @@ def _static_walk(stepsize, coupling, min_coupling, horizon: int):
         raise RangeError("min_coupling must be nonnegative")
     s = 0.0
     for ks in _blocks(horizon):
-        shrink = 1.0 - min_coupling * coupling.values(ks)
+        shrink = _one_minus(min_coupling, coupling.values(ks))
         if np.any(shrink <= 0.0):
             raise RangeError("coupling too strong: min_coupling * gamma >= 1")
         block = _recurse(shrink, stepsize.values(ks), s)
+        del shrink
         s = float(block[-1])
         yield ks, block
+        del ks, block
 
 
 def _tracking_walk(stepsize, tracker_mix, coupling_state, coupling_tracker,
@@ -113,20 +140,26 @@ def _tracking_walk(stepsize, tracker_mix, coupling_state, coupling_tracker,
         raise RangeError("horizon must be at least 1")
     sx = sy = 0.0
     for ks in _blocks(horizon):
-        lam = stepsize.values(ks)
         alpha = np.zeros(len(ks)) if tracker_mix is None \
             else tracker_mix.values(ks)
-        shrink_x = 1.0 - min_diag_pull * coupling_state.values(ks)
-        shrink_y = 1.0 - alpha - min_diag_push * coupling_tracker.values(ks)
+        shrink_x = _one_minus(min_diag_pull, coupling_state.values(ks))
+        shrink_y = _one_minus(min_diag_push, coupling_tracker.values(ks),
+                              alpha)
         if np.any(shrink_x <= 0.0) or np.any(shrink_y <= 0.0):
             raise RangeError(
                 "coupling or mix too strong for the sensitivity bound"
             )
-        # The turnover 2 - alpha overwrites alpha, so no array is added.
+        # The turnover 2 - alpha overwrites alpha, and the state drive
+        # lam * s_y its shifted copy, so no array is added.
         y = _recurse(shrink_y, np.subtract(2.0, alpha, out=alpha), sy)
-        x = _recurse(shrink_x, lam * np.append(sy, y[:-1]), sx)
+        del shrink_y, alpha
+        drive = np.append(sy, y[:-1])
+        x = _recurse(shrink_x, np.multiply(stepsize.values(ks), drive,
+                                           out=drive), sx)
+        del shrink_x, drive
         sx, sy = float(x[-1]), float(y[-1])
         yield ks, x, y
+        del ks, x, y
 
 
 @dataclass(frozen=True)
@@ -178,18 +211,21 @@ def _series(keep, horizon: int, blocks, name=None) -> BudgetSeries:
     columns = [np.empty(len(keep)) for _ in range(3)]
     total = 0.0
     for ks, varsigma, per in blocks:
-        partial = per.copy()
-        partial[0] += total
+        lo, hi = np.searchsorted(keep, (ks[0], ks[-1] + 1))
+        rows = keep[lo:hi] - ks[0]
+        np.take(varsigma, rows, out=columns[0][lo:hi])
+        np.take(per, rows, out=columns[1][lo:hi])
+        # The running sums overwrite the terms once they are kept.
+        per[0] += total
         with np.errstate(over="ignore"):
-            np.cumsum(partial, out=partial)
+            partial = np.cumsum(per, out=per)
         total = float(partial[-1])
         if name and not math.isfinite(total):
             k = ks[np.flatnonzero(~np.isfinite(partial))[0]]
             raise RangeError(f"{name} running total not finite at k = {k}: "
                              "its terms sum past the float range")
-        lo, hi = np.searchsorted(keep, (ks[0], ks[-1] + 1))
-        for column, block in zip(columns, (varsigma, per, partial)):
-            np.take(block, keep[lo:hi] - ks[0], out=column[lo:hi])
+        np.take(partial, rows, out=columns[2][lo:hi])
+        del ks, varsigma, per, partial, rows
     return BudgetSeries(keep, *columns)
 
 
@@ -228,22 +264,27 @@ def conservative_budget(
         scale = 2.0 * gradient_bound
 
     def blocks():
-        for ks, first, *rest in walk:
-            s = sum(rest, first)  # s, or s_x + s_y
+        for ks, s, *tracker in walk:
+            if tracker:  # s_x + s_y, in s_x's array
+                s += tracker[0]
+            ks = ks + 1
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
-                nu = sch.noise_scale.values(ks + 1)
-                per = scale * s / nu
+                nu = sch.noise_scale.values(ks)
+                per = np.multiply(scale, s)
+                per /= nu
             bad = np.flatnonzero(~(np.isfinite(per) & np.isfinite(nu)))
             if bad.size:
                 i = bad[0]
                 what = ("conservative budget term" if np.isfinite(nu[i])
                         else "noise scale")
                 raise RangeError(
-                    f"{what} not finite at k = {ks[i] + 1}: sensitivity "
+                    f"{what} not finite at k = {ks[i]}: sensitivity "
                     f"{s[i]:.6g} over noise scale {nu[i]:.6g}"
                 )
-            yield ks + 1, s, per
+            del nu, tracker
+            yield ks, s, per
+            del ks, s, per
 
     try:
         return _series(keep, horizon, blocks(), "conservative budget")
@@ -287,8 +328,13 @@ def asymptotic_budget(
                 base = expr.terms(ks)
             else:
                 e, constant = envelope
-                base = constant * ks.astype(float) ** (-e)
-            yield ks, base * nu.values(ks), gradient_bound * base
+                base = np.power(ks.astype(float), -e)
+                base *= constant
+            varsigma = nu.values(ks)
+            varsigma *= base
+            base *= gradient_bound  # the per-iteration terms
+            yield ks, varsigma, base
+            del ks, varsigma, base
 
     with np.errstate(over="ignore"):  # past the float range: inf
         return _series(keep, horizon, blocks())

@@ -64,16 +64,18 @@ Noise is keyed by (seed, agent, stream, iteration, coordinate), so each
 run gets exactly its own draws, and every product that involves run
 states is per row (_vecmat, a stacked (R, 1, n) @ (n, n) matmul): a
 row's result does not depend on which rows share the stack, where a
-2-D (R, n) @ (n, n) matmul may change with R.  Every batched trace
-therefore equals the serial run of its seed bit for bit; run is the
-R = 1 case.  A run diverges at the first iteration whose max |z| is
-NaN or above DIVERGENCE_THRESHOLD; for tracking that is over x and y
-together, so a NaN tracker stops the run while x is still finite.  A
-diverged run keeps its serial record (diverged_at = k + 1, its
-gradient bound includes that iteration, its records stop at the last
-capture before it) and leaves the batch at the end of the chunk; rows
-never mix, so the states it reaches past divergence touch no other
-run.
+2-D (R, n) @ (n, n) matmul may change with R.  A one-row product,
+row.dot(A) on the (n,) row, gives the same bits as its (1, 1, n)
+stack, so _step_chunk steps a one-run batch that way, without the
+stack.  Every batched trace therefore equals the serial run of its
+seed bit for bit; run is the R = 1 case.  A run diverges at the first
+iteration whose max |z| is NaN or above DIVERGENCE_THRESHOLD; for
+tracking that is over x and y together, so a NaN tracker stops the run
+while x is still finite.  A diverged run keeps its serial record
+(diverged_at = k + 1, its gradient bound includes that iteration, its
+records stop at the last capture before it) and leaves the batch at
+the end of the chunk; rows never mix, so the states it reaches past
+divergence touch no other run.
 
 The affine arithmetic rounds differently from the per-agent form (the
 updates above with all_gradients): on the shipped configs recorded gaps
@@ -457,7 +459,15 @@ class _AffineStep:
 def _step_chunk(z, T, Z) -> None:
     """Overwrite the offsets Z (K, R, N) with the states they lead to
     from z (R, N): Z[k] = z_k T[k] + Z[k], z_{k+1} = Z[k].  The states
-    are stepped as (R, 1, N) stacks, so each product is per row."""
+    are stepped as (R, 1, N) stacks, so each product is per row; one
+    run steps its row as row.dot(T[k]), the same bits without the
+    stack."""
+    if len(z) == 1:
+        row = z[0]
+        for T_k, z_next in zip(T, Z[:, 0]):
+            z_next += row.dot(T_k)
+            row = z_next
+        return
     z = z[:, None, :]
     product = np.empty_like(z)
     for T_k, z_next in zip(T, Z[:, :, None, :]):

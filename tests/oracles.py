@@ -1,10 +1,12 @@
 """Reference implementations the tests check the package against.
 
 Each oracle computes a quantity the slow, obvious way: one agent's
-cost from its residual, the per-agent solver steps (stacked over
-agents, as the measured difference traces take them) with per-agent
-loops to check them, the accountant's sensitivity walks collected
-into whole-horizon arrays, partial-product closed forms for the
+cost from its residual, one agent's gradient at one point and the
+adjacent problem's gradient and ramp with np.linalg.norm, the
+per-agent solver steps (stacked over agents, as the measured
+difference traces take them) with per-agent loops to check them, the
+accountant's sensitivity walks collected into whole-horizon arrays,
+partial-product closed forms for the
 sensitivity recursions, the counter hash on Python ints, one word at a
 time, for the counter-based noise, and one iteration at a time, with
 its own draws and checks, for the measured difference traces, the
@@ -31,6 +33,34 @@ def local_cost(problem, agent, theta):
     """f_i(theta) = ||z_i - M_i theta||^2 + reg ||theta||^2 of one agent."""
     resid = problem.observations[agent] - problem.sensing[agent] @ theta
     return float(resid @ resid + problem.reg * (theta @ theta))
+
+
+def local_gradient(problem, agent, theta):
+    """grad f_i(theta) = 2 M_i^T (M_i theta - z_i) + 2 reg theta of one
+    agent at one point theta of shape (d,)."""
+    Mi = problem.sensing[agent]
+    return 2.0 * Mi.T @ (Mi @ theta - problem.observations[agent]) \
+        + 2.0 * problem.reg * theta
+
+
+def gradient_difference(adjacent, theta):
+    """The adjacent problem's ramp g_i - g'_i at theta of shape (d,):
+    zero inside the ball, eta (r - delta) toward the center outside."""
+    offset = theta - adjacent.center
+    radius = float(np.linalg.norm(offset))
+    ramp = max(0.0, radius - adjacent.delta)
+    if ramp == 0.0 or radius == 0.0:
+        return np.zeros_like(offset)
+    return -adjacent.eta * ramp * offset / radius
+
+
+def adjacent_gradient(adjacent, agent, theta):
+    """grad f'_agent(theta) of the adjacent problem at theta of shape
+    (d,)."""
+    g = local_gradient(adjacent.base, agent, theta)
+    if agent == adjacent.agent:
+        g = g - gradient_difference(adjacent, theta)
+    return g
 
 
 def step_static(x, grads, W, W_off, gamma_k, lam_k, zeta):
@@ -76,7 +106,7 @@ def step_tracking_per_agent(x, y, g_prev, problem, R, C,
         x_next[i] = (1.0 + gamma1_k * R[i, i]) * x[i] + gamma1_k * acc \
             - lam_k * y[i]
     g_next = np.array(
-        [problem.local_gradient(i, x_next[i]) for i in range(m)]
+        [local_gradient(problem, i, x_next[i]) for i in range(m)]
     )
     y_next = np.empty_like(y)
     for i in range(m):
@@ -247,8 +277,8 @@ def difference_static_measured(variant, setup, adjacent, iterations, seed):
         if 1.0 - self_mag * gam[k] <= 0.0:
             raise RangeError("coupling too strong for the perturbed agent")
         zeta = _draw(sch.noise_scale, seed, m, "state", k, d)
-        gdiff = problem.local_gradient(agent, x[agent]) \
-            - adjacent.local_gradient(agent, x[agent] - e)
+        gdiff = local_gradient(problem, agent, x[agent]) \
+            - adjacent_gradient(adjacent, agent, x[agent] - e)
         run_env = max(run_env, float(np.abs(gdiff).sum()))
         e = (1.0 - self_mag * gam[k]) * e - lam[k] * gdiff
         x = step_static(x, grads, W, W_off, gam[k], lam[k], zeta)
@@ -287,8 +317,8 @@ def difference_tracking_measured(variant, setup, adjacent, iterations, seed):
     R_off, C_off = _off_diagonal(R), _off_diagonal(C)
     grads = problem.all_gradients(x)
     y = grads.copy()
-    gdiff_prev = problem.local_gradient(agent, x[agent]) \
-        - adjacent.local_gradient(agent, x[agent])
+    gdiff_prev = local_gradient(problem, agent, x[agent]) \
+        - adjacent_gradient(adjacent, agent, x[agent])
     ex = np.zeros(d)
     ey = np.zeros(d)
     run_env = float(np.abs(gdiff_prev).sum())
@@ -304,8 +334,8 @@ def difference_tracking_measured(variant, setup, adjacent, iterations, seed):
             x, y, grads, problem, R, R_off, C, C_off,
             g1[k], g2[k], alpha[k], lam[k], zeta, xi,
         )
-        gdiff = problem.local_gradient(agent, x[agent]) \
-            - adjacent.local_gradient(agent, x[agent] - ex_next)
+        gdiff = local_gradient(problem, agent, x[agent]) \
+            - adjacent_gradient(adjacent, agent, x[agent] - ex_next)
         run_env = max(run_env, float(np.abs(gdiff).sum()))
         ey = shrink_y * ey + gdiff - (1.0 - alpha[k]) * gdiff_prev
         ex = ex_next

@@ -18,6 +18,7 @@ serial semantics independently of the batched code:
 import dataclasses
 import functools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from conftest import make_setup, tracking_schedules
 from oracles import step_static, step_tracking
 
 from dpopt import solvers
+from dpopt.config import build_setup, load_config
 from dpopt.errors import RangeError
 from dpopt.graphs import DirectedGraph, build_push_pull_weights
 from dpopt.harness import monte_carlo
@@ -338,6 +340,19 @@ def test_run_matches_serial_reference_across_chunks():
     trace = run("alg1", setup, CHUNK + 9, seed=2)
     assert_matches_reference(trace, "alg1", setup, CHUNK + 9, 2)
     assert_close_to_stepwise(trace, "alg1", setup, CHUNK + 9, 2)
+
+
+def test_one_run_equals_its_row_in_a_batch_across_chunks():
+    # A one-run batch steps its row as row.dot(T_k), a three-run batch
+    # as a (3, 1, N) stack; the shipped noiseless alg2 config over five
+    # one-run chunks (2048 // 20 iterations each) and part of a sixth.
+    config = Path(__file__).resolve().parent.parent / "configs"
+    setup = build_setup(load_config(str(config / "alg2_nonoise.cfg")))
+    iterations = 5 * solvers._chunk_length(1, 20) + 31
+    alone = solvers.run_batch("alg2", setup, iterations, [11])
+    batch = solvers.run_batch("alg2", setup, iterations, [3, 11, 19])
+    assert_same(alone[0], batch[1])
+    assert not alone[0].diverged
 
 
 @pytest.mark.parametrize("variant", ["alg1", "alg2"])

@@ -16,13 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import desk_graph, static_schedules, tracking_schedules
+import oracles
 from oracles import difference_static_measured, difference_tracking_measured
 
 from dpopt import difference, privacy
 from dpopt.difference import (
-    _adjacent_gradient,
     _messages,
-    _own_gradients,
     _running_max,
     coupled_difference_trace,
 )
@@ -52,40 +51,58 @@ def thetas_of(seed, rows, d, magnitude):
        s=st.integers(1, 6), d=st.integers(1, 9), rows=st.integers(1, 7),
        magnitude=st.sampled_from([1e-8, 1e-3, 1.0, 37.5, 1e3]),
        reg=st.sampled_from([0.0, 0.01, 1.7]))
-def test_stacked_own_gradients_equal_local_gradient(seed, m, s, d, rows,
-                                                     magnitude, reg):
+def test_local_gradient_equals_the_one_point_oracle(seed, m, s, d, rows,
+                                                    magnitude, reg):
+    # One point, a (rows, d) stack and a (2, rows, d) stack: every
+    # point's gradient is the oracle's bits.
     problem, _ = random_instance(seed, m=m, s=s, d=d, reg=reg)
     thetas = thetas_of(seed, rows, d, magnitude)
     for agent in {0, m - 1}:
-        stacked = _own_gradients(problem, agent, thetas)
-        for theta, row in zip(thetas, stacked):
-            assert same_bits(row, problem.local_gradient(agent, theta))
+        stacked = problem.local_gradient(agent, thetas)
+        twice = problem.local_gradient(agent, np.stack([thetas,
+                                                        thetas[::-1]]))
+        for j, theta in enumerate(thetas):
+            want = oracles.local_gradient(problem, agent, theta)
+            assert same_bits(problem.local_gradient(agent, theta), want)
+            assert same_bits(stacked[j], want)
+            assert same_bits(twice[0, j], want)
+            assert same_bits(twice[1, rows - 1 - j], want)
 
 
 class TestAdjacentGradient:
-    """The hoisted adjacent gradient equals AdjacentVariant's bit for
-    bit, inside, on and outside the ball where the ramp switches on."""
+    """AdjacentVariant's gradient and ramp equal the oracle's bit for
+    bit, inside, on and outside the ball where the ramp switches on;
+    its other agents keep the base gradient."""
 
     def case(self, d=3, agent=1):
         problem, _ = random_instance(seed=5, m=4, s=3, d=d)
         return adjacent_variant(problem, agent=agent, delta=0.5, eta=2.0)
 
     def check(self, adjacent, theta):
-        got = _adjacent_gradient(adjacent)(theta)
-        want = adjacent.local_gradient(adjacent.agent, theta)
-        assert same_bits(got, want)
+        got = adjacent.local_gradient(adjacent.agent, theta)
+        assert same_bits(got, oracles.adjacent_gradient(
+            adjacent, adjacent.agent, theta))
+        assert same_bits(adjacent.gradient_difference(theta),
+                         oracles.gradient_difference(adjacent, theta))
+        other = (adjacent.agent + 1) % adjacent.base.m
+        assert same_bits(adjacent.local_gradient(other, theta),
+                         oracles.local_gradient(adjacent.base, other, theta))
         return got
 
     def with_delta(self, adjacent, delta):
         return AdjacentVariant(adjacent.base, adjacent.agent, delta,
                                adjacent.eta, adjacent.center)
 
+    def base_gradient(self, adjacent, theta):
+        return oracles.local_gradient(adjacent.base, adjacent.agent, theta)
+
     def test_at_the_center(self):
         adjacent = self.case()
         got = self.check(adjacent, adjacent.center.copy())
-        # Radius 0: g - 0 is returned as g.
-        assert same_bits(got, adjacent.base.local_gradient(
-            adjacent.agent, adjacent.center))
+        # Radius 0: the base gradient, and a zero ramp.
+        assert same_bits(got, self.base_gradient(adjacent, adjacent.center))
+        assert same_bits(adjacent.gradient_difference(adjacent.center),
+                         np.zeros(3))
 
     def test_on_the_surface(self):
         adjacent = self.case()
@@ -94,8 +111,7 @@ class TestAdjacentGradient:
         surface = self.with_delta(adjacent, radius)
         got = self.check(surface, theta)
         # Ramp 0 exactly: the base gradient, signed zeros included.
-        assert same_bits(got, surface.base.local_gradient(surface.agent,
-                                                          theta))
+        assert same_bits(got, self.base_gradient(surface, theta))
 
     def test_just_outside(self):
         adjacent = self.case()
@@ -103,22 +119,32 @@ class TestAdjacentGradient:
         radius = float(np.linalg.norm(theta - adjacent.center))
         outside = self.with_delta(adjacent, np.nextafter(radius, 0.0))
         got = self.check(outside, theta)
-        assert not same_bits(got, outside.base.local_gradient(outside.agent,
-                                                              theta))
+        assert not same_bits(got, self.base_gradient(outside, theta))
 
     def test_far_outside(self):
         adjacent = self.case()
-        self.check(adjacent, adjacent.center + np.array([40.0, -3.0, 1e-7]))
+        theta = adjacent.center + np.array([40.0, -3.0, 1e-7])
+        got = self.check(adjacent, theta)
+        assert not same_bits(got, self.base_gradient(adjacent, theta))
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 9),
            scale=st.sampled_from([1e-3, 0.4, 0.6, 3.0, 1e3]),
            eta=st.sampled_from([0.1, 1.0, 2.0, 7.3]))
     def test_random_points(self, seed, d, scale, eta):
+        # Each point (the first at the center) against the ball of
+        # radius 0.5, and against balls whose surface it lies on or
+        # just outside.
         problem, _ = random_instance(seed, m=3, s=2, d=d)
         adjacent = adjacent_variant(problem, agent=2, delta=0.5, eta=eta)
-        for theta in thetas_of(seed, 6, d, scale):
-            self.check(adjacent, adjacent.center + theta)
+        for offset in thetas_of(seed, 6, d, scale):
+            theta = adjacent.center + offset
+            self.check(adjacent, theta)
+            radius = float(np.linalg.norm(theta - adjacent.center))
+            if radius > 0.0:
+                self.check(self.with_delta(adjacent, radius), theta)
+                self.check(self.with_delta(
+                    adjacent, np.nextafter(radius, 0.0)), theta)
 
 
 @settings(max_examples=60, deadline=None)

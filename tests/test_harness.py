@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_setup
 from oracles import format_value
 
+from dpopt.config import build_setup, load_config
 from dpopt.errors import ConfigError, RangeError
 from dpopt.harness import (
     CSV_BLOCK,
@@ -28,9 +30,11 @@ from dpopt.harness import (
     write_trace,
 )
 from dpopt.noise import derive_seed
-from dpopt.privacy import conservative_budget
+from dpopt.privacy import asymptotic_budget, conservative_budget
 from dpopt.schedules import PowerSchedule, ScheduleSet
 from dpopt.solvers import RunSetup, effective_schedules, run
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def diverging_setup():
@@ -312,6 +316,43 @@ class TestBudgetReport:
         rows = budget_account("alg1", setup, 1.0, [100]).rows
         assert not rows[0].summable
         assert rows[0].tail == math.inf
+
+    def test_series_kept_where_they_are_read(self):
+        # The envelope is read at the horizons and each horizon // 10;
+        # the conservative series also at the breakdown grid.  The kept
+        # values are the full series' bits.
+        setup = make_setup("static")
+        account = budget_account("alg1", setup, 1.0, [25_000, 7, 300])
+        assert account.envelope.ks.tolist() == [7, 30, 300, 2_500, 25_000]
+        grid = np.arange(1, 25_001, 2).tolist() + [25_000]
+        assert account.conservative.ks.tolist() == sorted(
+            {*grid, 7, 30, 300, 2_500})
+        sch = effective_schedules("alg1", setup)
+        full = asymptotic_budget(sch.stepsize, sch.noise_scale, 1.0, 25_000)
+        for k, value in zip(account.envelope.ks,
+                            account.envelope.epsilon_partial):
+            assert value == full.epsilon_at(int(k))
+        full = conservative_budget(sch, setup.consensus, 1.0, 25_000)
+        idx = account.conservative.ks - 1
+        for name in ("varsigma", "per_term", "epsilon_partial"):
+            assert np.array_equal(getattr(account.conservative, name),
+                                  getattr(full, name)[idx])
+
+    @pytest.mark.parametrize("config", ["alg1", "alg2"])
+    def test_account_to_a_million_stays_under_one_mib(self, config):
+        # Walked in blocks, each dropped before the next, with ~10,000
+        # kept k's for the breakdown: the kept grid and the series set
+        # the peak, about 0.7 MiB here, not the horizon.
+        cfg = load_config(str(CONFIGS / f"{config}.cfg"))
+        setup = build_setup(cfg)
+        tracemalloc.start()
+        try:
+            budget_account(cfg.variant, setup, cfg.gradient_bound,
+                           [10**4, 10**5, 10**6])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     def test_budget_csv(self, tmp_path):
         setup = make_setup("static")
