@@ -7,7 +7,16 @@ geometric decay, constant), so sums and limits of products and quotients
 of schedules can be classified symbolically instead of numerically.
 The classification rule is the p-series test: a term behaving like
 k^(-e) has a convergent sum iff e > 1, and a geometric decay factor
-dominates every power of k.
+dominates every power of k.  A decaying or growing schedule with b = 0
+is the constant a.
+
+The validators' conditions are the two tables _STATIC_CONDITIONS and
+_TRACKING_CONDITIONS of (name, rule) rows.  A rule is `sum P = inf`,
+`sum P < inf`, `lim P = 0` or `lim P < inf`, where the product P is
+symbols (lam, gamma, gamma1, gamma2, alpha, nu) in the written order,
+each with an optional `^power`, and at most one `/` before the divisor,
+as in `sum lam^2/gamma1 < inf`.  The rule a report prints is the
+expression that was checked.
 """
 
 from __future__ import annotations
@@ -48,6 +57,9 @@ class PowerSchedule:
     def __post_init__(self):
         if self.form not in _FORMS:
             raise ValueError(f"unknown schedule form {self.form!r}")
+        for field in ("a", "b", "p", "r"):
+            if not math.isfinite(getattr(self, field)):
+                raise ValueError(f"schedule coefficient {field} must be finite")
         if not self.a > 0:
             raise ValueError("schedule coefficient a must be positive")
         if self.form in (DECAYING, GROWING):
@@ -79,19 +91,22 @@ class PowerSchedule:
         return float(self.values([k])[0])
 
     def values(self, ks: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over an integer index array."""
+        """Vectorized evaluation over an integer index array.  A decaying
+        or growing schedule with b = 0 is the constant a, also where k**p
+        passes the float range, and a decaying one reads its limit 0 there."""
         ks = np.asarray(ks, dtype=float)
         if np.any(ks < 0):
             raise RangeError("iteration indices must be nonnegative")
-        if self.form == DECAYING:
-            # numpy elides the other forms' temporaries, not a / array.
-            denominator = 1.0 + self.b * ks**self.p
-            return np.divide(self.a, denominator, out=denominator)
-        if self.form == GROWING:
-            return self.a + self.b * ks**self.p
         if self.form == GEOMETRIC:
             return self.a * self.r**ks
-        return np.full_like(ks, self.a)
+        if self.form == CONSTANT or self.b == 0:
+            return np.full_like(ks, self.a)
+        if self.form == DECAYING:
+            # numpy elides the other forms' temporaries, not a / array.
+            with np.errstate(over="ignore"):
+                denominator = 1.0 + self.b * ks**self.p
+            return np.divide(self.a, denominator, out=denominator)
+        return self.a + self.b * ks**self.p
 
     @property
     def peak(self) -> float:
@@ -283,71 +298,91 @@ class ScheduleSet:
             )
 
 
-def _sum_entry(report, name, expr, want_convergent, statement):
-    res = series_class(expr)
-    ok = res.convergent if want_convergent else not res.convergent
-    if res.geometric_log_ratio != 0.0:
-        rule = f"geometric ratio exp({res.geometric_log_ratio:.4g}) [{statement}]"
-    else:
-        rule = f"p-series exponent vs 1 [{statement}]"
-    report.add(name, rule, res.decay_exponent, ok)
-
-
-def _limit_entry(report, name, num, den, allowed, statement):
-    verdict = ratio_limit(num, den)
-    expr = ScheduleExpr.of(num) / den
-    report.add(
-        name,
-        f"limit is {verdict} [{statement}]",
-        expr.decay_exponent,
-        verdict in allowed,
-    )
-
-
-def _noise_entries(report, gammas, nu):
+# The condition tables (see the module docstring); two rows are shared.
+_STEPSIZE_DIVERGES = ("stepsize_sum_diverges", "sum lam = inf")
+_BUDGET_FINITE = ("budget_sum_finite", "sum lam/nu < inf")
+_STATIC_CONDITIONS = (
+    ("coupling_sum_diverges", "sum gamma = inf"),
+    _STEPSIZE_DIVERGES,
+    ("stepsize_sq_over_coupling_sums", "sum lam^2/gamma < inf"),
     # Per-message variance is 2 nu^2, so the attenuated-variance series
-    # for coupling gamma is gamma^2 * nu^2 up to the constant factor.
-    for name, gamma, statement in gammas:
-        if nu is None:
-            report.add(name, f"zero noise [{statement}]", 0.0, True)
+    # for coupling gamma is gamma^2 nu^2 up to the constant factor.
+    ("state_noise_attenuation_sums", "sum gamma^2 nu^2 < inf"),
+    _BUDGET_FINITE,
+)
+_TRACKING_CONDITIONS = (
+    ("coupling_state_sum_diverges", "sum gamma1 = inf"),
+    ("coupling_tracker_sum_diverges", "sum gamma2 = inf"),
+    ("coupling_state_sq_sums", "sum gamma1^2 < inf"),
+    ("coupling_tracker_sq_sums", "sum gamma2^2 < inf"),
+    ("tracker_mix_sum_diverges", "sum alpha = inf"),
+    _STEPSIZE_DIVERGES,
+    ("stepsize_sq_over_coupling_state_sums", "sum lam^2/gamma1 < inf"),
+    ("stepsize_sq_over_coupling_tracker_sums", "sum lam^2/gamma2 < inf"),
+    ("stepsize_over_coupling_state_vanishes", "lim lam/gamma1 = 0"),
+    ("stepsize_over_coupling_tracker_vanishes", "lim lam/gamma2 = 0"),
+    ("stepsize_over_tracker_mix_bounded", "lim lam/alpha < inf"),
+    ("tracker_mix_sq_over_coupling_tracker_sums", "sum alpha^2/gamma2 < inf"),
+    ("coupling_state_sq_over_coupling_tracker_sums", "sum gamma1^2/gamma2 < inf"),
+    ("state_noise_attenuation_sums", "sum gamma1^2 nu^2 < inf"),
+    ("tracker_noise_attenuation_sums", "sum gamma2^2 nu^2 < inf"),
+    _BUDGET_FINITE,
+)
+# The ScheduleSet field each rule symbol names.
+_SYMBOLS = {"lam": "stepsize", "gamma": "coupling", "gamma1": "coupling_state",
+            "gamma2": "coupling_tracker", "alpha": "tracker_mix",
+            "nu": "noise_scale"}
+
+
+def _product(schedules: ScheduleSet, text: str) -> ScheduleExpr:
+    """The product a rule writes as e.g. `gamma1^2 nu^2`, its factors in
+    the written order."""
+    factors = []
+    for factor in text.split():
+        symbol, _, power = factor.partition("^")
+        factors.append((getattr(schedules, _SYMBOLS[symbol]), float(power or 1)))
+    return ScheduleExpr(tuple(factors))
+
+
+def _check(title: str, schedules: ScheduleSet, rows) -> ConditionReport:
+    """Report each (name, rule) row of a condition table: a sum rule
+    through series_class, a lim rule through ratio_limit.  A rule naming
+    an absent schedule (the noise scale of a noiseless run) passes as
+    zero noise."""
+    report = ConditionReport(title)
+    for name, rule in rows:
+        kind, rest = rule.split(" ", 1)
+        body, relation, _ = rest.rsplit(" ", 2)
+        top, _, bottom = body.partition("/")
+        num, den = _product(schedules, top), _product(schedules, bottom)
+        expr = num / den
+        if any(sched is None for sched, _ in expr.factors):
+            report.add(name, f"zero noise [{rule}]", 0.0, True)
+        elif kind == "lim":
+            verdict = ratio_limit(num, den)
+            allowed = ("zero",) if relation == "=" else ("zero", "finite")
+            report.add(name, f"limit is {verdict} [{rule}]",
+                       expr.decay_exponent, verdict in allowed)
         else:
-            _sum_entry(report, name, gamma**2 * nu**2, True, statement)
-
-
-def _budget_entry(report, stepsize, nu):
-    if nu is None:
-        report.add("budget_sum_finite", "zero noise [sum lam/nu < inf]", 0.0, True)
-    else:
-        _sum_entry(
-            report, "budget_sum_finite", ScheduleExpr.of(stepsize) / nu, True,
-            "sum lam/nu < inf",
-        )
+            res = series_class(expr)
+            if res.geometric_log_ratio != 0.0:
+                test = f"geometric ratio exp({res.geometric_log_ratio:.4g})"
+            else:
+                test = "p-series exponent vs 1"
+            report.add(name, f"{test} [{rule}]", res.decay_exponent,
+                       res.convergent == (relation == "<"))
+    return report
 
 
 def validate_static_schedules(schedules: ScheduleSet) -> ConditionReport:
-    """Check the convergence and privacy conditions for the
-    static-consensus solver.
-
-    Conditions: the coupling and stepsize sums must diverge, the
-    stepsize-squared-over-coupling sum must converge, the attenuated
-    noise variance sum must converge, and the privacy budget series
-    must converge.  A constant coupling is legal but draws a warning
-    because it leaves the injected noise unattenuated.
+    """Check the static-consensus solver's convergence and privacy
+    conditions, _STATIC_CONDITIONS.  A constant coupling is legal but
+    draws a warning because it leaves the injected noise unattenuated.
     """
     schedules.require_static()
-    lam, gamma, nu = schedules.stepsize, schedules.coupling, schedules.noise_scale
-    report = ConditionReport("static-consensus schedule conditions")
-    _sum_entry(report, "coupling_sum_diverges", gamma, False, "sum gamma = inf")
-    _sum_entry(report, "stepsize_sum_diverges", lam, False, "sum lam = inf")
-    _sum_entry(
-        report, "stepsize_sq_over_coupling_sums", lam**2 / gamma, True,
-        "sum lam^2/gamma < inf",
-    )
-    _noise_entries(
-        report, [("state_noise_attenuation_sums", gamma, "sum gamma^2 nu^2 < inf")],
-        nu,
-    )
-    _budget_entry(report, lam, nu)
+    report = _check("static-consensus schedule conditions", schedules,
+                    _STATIC_CONDITIONS)
+    gamma = schedules.coupling
     if gamma.decay_exponent == 0.0 and gamma.geometric_log_ratio == 0.0:
         report.warnings.append(
             "coupling schedule does not decay; injected noise is never attenuated"
@@ -356,66 +391,14 @@ def validate_static_schedules(schedules: ScheduleSet) -> ConditionReport:
 
 
 def validate_tracking_schedules(schedules: ScheduleSet) -> ConditionReport:
-    """Check the convergence and privacy conditions for the
-    gradient-tracking solver on directed graphs.
-
-    Beyond the static-consensus conditions (applied to each coupling),
-    the tracker needs square-summable couplings, a divergent tracker-mix
-    sum, a stepsize that vanishes relative to both couplings, a stepsize
-    comparable to the tracker mix, and two cross-coupling summability
-    conditions.
+    """Check the gradient-tracking solver's convergence and privacy
+    conditions, _TRACKING_CONDITIONS: beyond the static ones for each
+    coupling, square-summable couplings, a divergent tracker-mix sum, a
+    stepsize that vanishes against both couplings and stays comparable
+    to the tracker mix, and two cross-coupling sums.
     """
     schedules.require_tracking()
-    lam = schedules.stepsize
-    alpha = schedules.tracker_mix
-    g1 = schedules.coupling_state
-    g2 = schedules.coupling_tracker
-    nu = schedules.noise_scale
-    if alpha is None:
+    if schedules.tracker_mix is None:
         raise ConditionError("tracking schedule validation needs a tracker mix")
-    report = ConditionReport("gradient-tracking schedule conditions")
-    _sum_entry(report, "coupling_state_sum_diverges", g1, False, "sum gamma1 = inf")
-    _sum_entry(report, "coupling_tracker_sum_diverges", g2, False, "sum gamma2 = inf")
-    _sum_entry(report, "coupling_state_sq_sums", g1**2, True, "sum gamma1^2 < inf")
-    _sum_entry(report, "coupling_tracker_sq_sums", g2**2, True, "sum gamma2^2 < inf")
-    _sum_entry(report, "tracker_mix_sum_diverges", alpha, False, "sum alpha = inf")
-    _sum_entry(report, "stepsize_sum_diverges", lam, False, "sum lam = inf")
-    _sum_entry(
-        report, "stepsize_sq_over_coupling_state_sums", lam**2 / g1, True,
-        "sum lam^2/gamma1 < inf",
-    )
-    _sum_entry(
-        report, "stepsize_sq_over_coupling_tracker_sums", lam**2 / g2, True,
-        "sum lam^2/gamma2 < inf",
-    )
-    _limit_entry(
-        report, "stepsize_over_coupling_state_vanishes", lam, g1, ("zero",),
-        "lim lam/gamma1 = 0",
-    )
-    _limit_entry(
-        report, "stepsize_over_coupling_tracker_vanishes", lam, g2, ("zero",),
-        "lim lam/gamma2 = 0",
-    )
-    _limit_entry(
-        report, "stepsize_over_tracker_mix_bounded", lam, alpha,
-        ("zero", "finite"), "lim lam/alpha < inf",
-    )
-    _sum_entry(
-        report, "tracker_mix_sq_over_coupling_tracker_sums", alpha**2 / g2, True,
-        "sum alpha^2/gamma2 < inf",
-    )
-    _sum_entry(
-        report, "coupling_state_sq_over_coupling_tracker_sums", g1**2 / g2, True,
-        "sum gamma1^2/gamma2 < inf",
-    )
-    _noise_entries(
-        report,
-        [
-            ("state_noise_attenuation_sums", g1, "sum gamma1^2 nu^2 < inf"),
-            ("tracker_noise_attenuation_sums", g2, "sum gamma2^2 nu^2 < inf"),
-        ],
-        nu,
-    )
-    _budget_entry(report, lam, nu)
-    return report
-
+    return _check("gradient-tracking schedule conditions", schedules,
+                  _TRACKING_CONDITIONS)

@@ -10,18 +10,21 @@ partial-product closed forms for the
 sensitivity recursions, the counter hash on Python ints, one word at a
 time, for the counter-based noise, and one iteration at a time, with
 its own draws and checks, for the measured difference traces, the
-SVG line plot built from whole arrays and element lists, and each CSV
-cell formatted from its own value.  None of them is used by the
-package itself.
+SVG line plot built from whole arrays and element lists, each CSV
+cell formatted from its own value, and the two schedule validators
+with every condition built from ScheduleExpr operators and its rule
+text written beside it.  None of them is used by the package itself.
 """
 
 import math
 
 import numpy as np
 
-from dpopt.errors import RangeError
+from dpopt.conditions import ConditionReport
+from dpopt.errors import ConditionError, RangeError
 from dpopt.noise import laplace_draws, laplace_inverse_cdf
 from dpopt.privacy import _static_walk, _tracking_walk
+from dpopt.schedules import ScheduleExpr, ratio_limit, series_class
 from dpopt.solvers import _off_diagonal, effective_schedules
 from dpopt.svgplot import (
     _HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _WIDTH, PALETTE,
@@ -495,3 +498,124 @@ def line_plot(
     parts += [*bands, *curves, *legend, "</g>", "</svg>"]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.writelines(f"{part}\n" for part in parts)
+
+
+def _sum_entry(report, name, expr, want_convergent, statement):
+    res = series_class(expr)
+    ok = res.convergent if want_convergent else not res.convergent
+    if res.geometric_log_ratio != 0.0:
+        rule = f"geometric ratio exp({res.geometric_log_ratio:.4g}) [{statement}]"
+    else:
+        rule = f"p-series exponent vs 1 [{statement}]"
+    report.add(name, rule, res.decay_exponent, ok)
+
+
+def _limit_entry(report, name, num, den, allowed, statement):
+    verdict = ratio_limit(num, den)
+    expr = ScheduleExpr.of(num) / den
+    report.add(
+        name,
+        f"limit is {verdict} [{statement}]",
+        expr.decay_exponent,
+        verdict in allowed,
+    )
+
+
+def _noise_entries(report, gammas, nu):
+    # Per-message variance is 2 nu^2, so the attenuated-variance series
+    # for coupling gamma is gamma^2 * nu^2 up to the constant factor.
+    for name, gamma, statement in gammas:
+        if nu is None:
+            report.add(name, f"zero noise [{statement}]", 0.0, True)
+        else:
+            _sum_entry(report, name, gamma**2 * nu**2, True, statement)
+
+
+def _budget_entry(report, stepsize, nu):
+    if nu is None:
+        report.add("budget_sum_finite", "zero noise [sum lam/nu < inf]", 0.0, True)
+    else:
+        _sum_entry(
+            report, "budget_sum_finite", ScheduleExpr.of(stepsize) / nu, True,
+            "sum lam/nu < inf",
+        )
+
+
+def validate_static_schedules(schedules):
+    """The static-consensus conditions, each built from operators."""
+    schedules.require_static()
+    lam, gamma, nu = schedules.stepsize, schedules.coupling, schedules.noise_scale
+    report = ConditionReport("static-consensus schedule conditions")
+    _sum_entry(report, "coupling_sum_diverges", gamma, False, "sum gamma = inf")
+    _sum_entry(report, "stepsize_sum_diverges", lam, False, "sum lam = inf")
+    _sum_entry(
+        report, "stepsize_sq_over_coupling_sums", lam**2 / gamma, True,
+        "sum lam^2/gamma < inf",
+    )
+    _noise_entries(
+        report, [("state_noise_attenuation_sums", gamma, "sum gamma^2 nu^2 < inf")],
+        nu,
+    )
+    _budget_entry(report, lam, nu)
+    if gamma.decay_exponent == 0.0 and gamma.geometric_log_ratio == 0.0:
+        report.warnings.append(
+            "coupling schedule does not decay; injected noise is never attenuated"
+        )
+    return report
+
+
+def validate_tracking_schedules(schedules):
+    """The gradient-tracking conditions, each built from operators."""
+    schedules.require_tracking()
+    lam = schedules.stepsize
+    alpha = schedules.tracker_mix
+    g1 = schedules.coupling_state
+    g2 = schedules.coupling_tracker
+    nu = schedules.noise_scale
+    if alpha is None:
+        raise ConditionError("tracking schedule validation needs a tracker mix")
+    report = ConditionReport("gradient-tracking schedule conditions")
+    _sum_entry(report, "coupling_state_sum_diverges", g1, False, "sum gamma1 = inf")
+    _sum_entry(report, "coupling_tracker_sum_diverges", g2, False, "sum gamma2 = inf")
+    _sum_entry(report, "coupling_state_sq_sums", g1**2, True, "sum gamma1^2 < inf")
+    _sum_entry(report, "coupling_tracker_sq_sums", g2**2, True, "sum gamma2^2 < inf")
+    _sum_entry(report, "tracker_mix_sum_diverges", alpha, False, "sum alpha = inf")
+    _sum_entry(report, "stepsize_sum_diverges", lam, False, "sum lam = inf")
+    _sum_entry(
+        report, "stepsize_sq_over_coupling_state_sums", lam**2 / g1, True,
+        "sum lam^2/gamma1 < inf",
+    )
+    _sum_entry(
+        report, "stepsize_sq_over_coupling_tracker_sums", lam**2 / g2, True,
+        "sum lam^2/gamma2 < inf",
+    )
+    _limit_entry(
+        report, "stepsize_over_coupling_state_vanishes", lam, g1, ("zero",),
+        "lim lam/gamma1 = 0",
+    )
+    _limit_entry(
+        report, "stepsize_over_coupling_tracker_vanishes", lam, g2, ("zero",),
+        "lim lam/gamma2 = 0",
+    )
+    _limit_entry(
+        report, "stepsize_over_tracker_mix_bounded", lam, alpha,
+        ("zero", "finite"), "lim lam/alpha < inf",
+    )
+    _sum_entry(
+        report, "tracker_mix_sq_over_coupling_tracker_sums", alpha**2 / g2, True,
+        "sum alpha^2/gamma2 < inf",
+    )
+    _sum_entry(
+        report, "coupling_state_sq_over_coupling_tracker_sums", g1**2 / g2, True,
+        "sum gamma1^2/gamma2 < inf",
+    )
+    _noise_entries(
+        report,
+        [
+            ("state_noise_attenuation_sums", g1, "sum gamma1^2 nu^2 < inf"),
+            ("tracker_noise_attenuation_sums", g2, "sum gamma2^2 nu^2 < inf"),
+        ],
+        nu,
+    )
+    _budget_entry(report, lam, nu)
+    return report

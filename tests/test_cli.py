@@ -1005,6 +1005,35 @@ def test_overflowing_noise_scale_fails_validate(tmp_path):
     assert "FAIL  budget_finite_through_horizon" in proc.stdout
 
 
+def test_zero_noise_coefficient_is_a_constant_scale(tmp_path):
+    # b = 0 makes the noise scale the constant a, also from k = 6 on,
+    # where k^400 passes the float range.
+    path = alg1_with(tmp_path, ("noise.scale.b = 0.1", "noise.scale.b = 0"),
+                     ("noise.scale.p = 0.3", "noise.scale.p = 400"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpopt", "budget", path, "--horizons", "100",
+         "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "budget series diverges" in proc.stdout
+
+
+def test_steep_coupling_runs_without_warning(tmp_path):
+    # 0.1 k^400 passes the float range from k = 6, where the coupling
+    # reads its limit 0 and numpy writes no overflow warning.
+    path = alg1_with(tmp_path, ("schedules.coupling.p = 0.9",
+                                "schedules.coupling.p = 400"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpopt", "run", path, "--force", "--runs", "2",
+         "--iters", "200", "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["budget", "--horizons", "10,1000"],
     ["run", "--runs", "2", "--iters", "200"],

@@ -1,18 +1,25 @@
+import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from envelopes import recursion_envelope_ratio, recursion_envelope_series
 
 from dpopt.errors import ConditionError, RangeError
 from dpopt.noise import NOISE_CHUNK
 from dpopt.schedules import (
+    _STATIC_CONDITIONS,
+    _TRACKING_CONDITIONS,
     PowerSchedule,
     ScheduleExpr,
     ScheduleSet,
+    _check,
     ratio_limit,
     series_class,
     validate_static_schedules,
@@ -133,6 +140,36 @@ class TestEval:
         ):
             assert s.peak == peak
             assert np.all(s.values(ks) <= peak)
+
+    @pytest.mark.parametrize("p", [0.9, 400.0])
+    @pytest.mark.parametrize("form", ["decaying", "growing"])
+    def test_zero_b_is_the_constant_a(self, form, p):
+        # The same bits as a / (1 + 0 k^p) and a + 0 k^p where k^p is
+        # finite, and still a from k = 6 on, where k^400 is inf.
+        ks = np.arange(10)
+        values = PowerSchedule(form, a=1.5, b=0.0, p=p).values(ks)
+        assert values.tobytes() == np.full(10, 1.5).tobytes()
+
+    def test_steep_decay_reads_its_limit_without_warning(self):
+        ks = np.arange(10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = PowerSchedule.decaying(1.0, 0.1, 400.0).values(ks)
+        assert np.all(values[1:6] > 0.0) and np.all(values[6:] == 0.0)
+
+    @pytest.mark.parametrize("form,coefficients", [
+        ("decaying", dict(a=math.inf, b=0.1, p=1.0)),
+        ("decaying", dict(a=math.nan, b=0.1, p=1.0)),
+        ("decaying", dict(a=1.0, b=math.inf, p=1.0)),
+        ("decaying", dict(a=1.0, b=math.nan, p=1.0)),
+        ("growing", dict(a=1.0, b=0.1, p=math.nan)),
+        ("growing", dict(a=1.0, b=0.1, p=math.inf)),
+        ("geometric", dict(a=math.inf, r=0.5)),
+        ("constant", dict(a=math.inf)),
+    ])
+    def test_non_finite_coefficient_rejected(self, form, coefficients):
+        with pytest.raises(ValueError, match="must be finite"):
+            PowerSchedule(form, **coefficients)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -474,6 +511,86 @@ class TestTrackingValidator:
     def test_missing_mix_rejected(self):
         with pytest.raises(ConditionError):
             validate_tracking_schedules(tracking_set(tracker_mix=None))
+
+
+# Each family's rule symbols, and the ScheduleSet fields they name.
+FAMILY_FIELDS = {
+    "static": {"lam": "stepsize", "gamma": "coupling", "nu": "noise_scale"},
+    "tracking": {"lam": "stepsize", "gamma1": "coupling_state",
+                 "gamma2": "coupling_tracker", "alpha": "tracker_mix",
+                 "nu": "noise_scale"},
+}
+RULE = re.compile(r"(sum|lim) ([^<=]+) (= inf|< inf|= 0)")
+
+
+@pytest.mark.parametrize("family,rows,count", [
+    ("static", _STATIC_CONDITIONS, 5), ("tracking", _TRACKING_CONDITIONS, 16),
+])
+def test_condition_rows_parse_within_their_family(family, rows, count):
+    symbols = FAMILY_FIELDS[family]
+    assert len({name for name, _ in rows}) == len(rows) == count
+    for name, rule in rows:
+        kind, product, bound = RULE.fullmatch(rule).groups()
+        assert bound in (("= inf", "< inf") if kind == "sum"
+                         else ("= 0", "< inf")), rule
+        assert product.count("/") <= 1, rule
+        for factor in product.replace("/", " ").split():
+            symbol = re.fullmatch(r"([a-z]+[12]?)(\^[0-9]+)?", factor)[1]
+            assert symbol in symbols, rule
+    # With only the family's schedules set, every symbol names one of
+    # them: no row reads as an absent (zero noise) schedule.
+    schedule = PowerSchedule.decaying(1.0, 0.1, 0.9)
+    report = _check("rows", ScheduleSet(
+        **{field: schedule for field in symbols.values()}), rows)
+    for (name, rule), entry in zip(rows, report.entries, strict=True):
+        assert entry.name == name
+        assert entry.rule.endswith(f" [{rule}]")
+        assert not entry.rule.startswith("zero noise")
+
+
+@st.composite
+def schedule_sets(draw):
+    """A ScheduleSet of either family, its schedules drawn from a pool
+    of up to three of any form so that some factors are equal and
+    cancel, with and without a noise scale and a tracker mix."""
+    pool = draw(st.lists(any_schedules(), min_size=1, max_size=3))
+    one = st.sampled_from(pool)
+    maybe = st.none() | one
+    if draw(st.booleans()):
+        return ScheduleSet(stepsize=draw(one), coupling=draw(one),
+                           noise_scale=draw(maybe))
+    return ScheduleSet(stepsize=draw(one), coupling_state=draw(one),
+                       coupling_tracker=draw(one), tracker_mix=draw(maybe),
+                       noise_scale=draw(maybe))
+
+
+def _outcome(validate, schedules):
+    """A report's title, entries (value as bits) and warnings, or the
+    ConditionError it raised."""
+    try:
+        report = validate(schedules)
+    except ConditionError as exc:
+        return f"ConditionError: {exc}"
+    entries = [(e.name, e.rule, np.float64(e.value).tobytes(), e.passed)
+               for e in report.entries]
+    return report.title, entries, report.warnings
+
+
+@settings(max_examples=400, deadline=None)
+@given(schedules=schedule_sets())
+@example(schedules=static_set(noise_scale=None))
+@example(schedules=tracking_set(
+    coupling_tracker=PowerSchedule.geometric(1.0, 0.99)))
+@example(schedules=tracking_set(tracker_mix=None))
+def test_condition_tables_match_reference(schedules):
+    # Every report reads as the operator-built reference's: names, rule
+    # text, value bits, verdicts, warnings and errors; each validator
+    # runs on both families, so each also raises its requirement error.
+    for validate, reference in (
+        (validate_static_schedules, oracles.validate_static_schedules),
+        (validate_tracking_schedules, oracles.validate_tracking_schedules),
+    ):
+        assert _outcome(validate, schedules) == _outcome(reference, schedules)
 
 
 class TestRecursionEnvelope:

@@ -115,6 +115,10 @@ DERIVED = {
     # stops there, and validate fails its budget entry.
     "alg1_noise_b_1e308": ("alg1", "noise.scale.b = 0.1",
                            "noise.scale.b = 1e308"),
+    # A noise scale with b = 0 is the constant a, also from k = 6 on,
+    # where k^400 passes the float range.
+    "alg1_noise_b_0": ("alg1", "noise.scale.b = 0.1", "noise.scale.b = 0",
+                       "noise.scale.p = 0.3", "noise.scale.p = 400"),
     # Observations past the float range: the gradient's constant term is
     # inf and every run diverges.
     "alg1_noise_std_1e308": ("alg1", "problem.noise_std = 1.0",
@@ -191,6 +195,7 @@ MATRIX = (
     ("validate_alg1_noise_b_1e308", "alg1_noise_b_1e308", ["validate"]),
     ("budget_alg1_noise_b_1e308", "alg1_noise_b_1e308",
      ["budget", "--horizons", "10,100"]),
+    ("budget_alg1_noise_b_0", "alg1_noise_b_0", ["budget", "--horizons", "100"]),
     # Noiseless variants: the summary's budget cells read nan.
     ("compare_alg2_nonoise", "alg2_nonoise",
      ["compare", "--variants", "alg2,push_pull", "--runs", "2", "--iters",
