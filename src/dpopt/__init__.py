@@ -32,15 +32,11 @@ from .graphs import (
 )
 from .harness import (
     Aggregate,
-    BudgetRow,
     aggregate,
     budget_account,
     monte_carlo,
-    write_aggregate,
     write_breakdown,
-    write_budget,
     write_csv,
-    write_failures,
     write_trace,
 )
 from .noise import derive_seed, laplace_inverse_cdf

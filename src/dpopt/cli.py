@@ -23,7 +23,7 @@ compare forks a worker per variant with os.fork, at most one alive per
 usable CPU, so each starts with numpy, dpopt and the setup loaded; its
 outputs are byte-identical to those of a run in one process.  Pinned to
 one CPU (`taskset -c 0 dpopt compare ...`) it runs the variants one
-after another.  A worker sends back its aggregate and budget row, or
+after another.  A worker sends back its aggregate and budget table, or
 its error, pickled through its own pipe; its batch stays in the worker,
 so peak memory is per worker.  A worker that ends with nothing sent
 back stops compare with "error: worker for variant V ended by signal N"
@@ -49,16 +49,12 @@ from .config import _check_variant, _to_int, build_setup, load_config
 from .errors import ConditionError, ConfigError, DpoptError, RangeError
 from .harness import (
     Aggregate,
-    BudgetRow,
     aggregate,
     budget_account,
     monte_carlo,
     run_directory,
-    write_aggregate,
     write_breakdown,
-    write_budget,
     write_csv,
-    write_failures,
     write_trace,
 )
 from .privacy import conservative_budget
@@ -96,7 +92,7 @@ def _load_config(args):
     ])
 
 
-# Each plotted Aggregate column: the subject of its title and its y label.
+# Each plotted aggregate.csv column: the subject of its title and its y label.
 _PLOTS = {
     "gap": ("optimality gap", "f(mean state) - f*"),
     "consensus": ("consensus error", "mean squared distance to network mean"),
@@ -112,9 +108,9 @@ def _plot(path: str, column: str, aggregates: dict[str, Aggregate],
     subject, y_label = _PLOTS[column]
     series = []
     for name, agg in aggregates.items():
-        mean = getattr(agg, f"mean_{column}")
-        band = std_band(mean, getattr(agg, f"var_{column}"))
-        series.append(Series(name, agg.ks, mean, band=band))
+        mean = agg.columns[f"mean_{column}"]
+        band = std_band(mean, agg.columns[f"var_{column}"])
+        series.append(Series(name, agg.columns["k"], mean, band=band))
     if any((np.isfinite(v) & (v > 0)).any()
            for s in series for v in (s.ys, *s.band)):
         line_plot(path, series, title=subject + title_suffix, y_label=y_label)
@@ -122,10 +118,10 @@ def _plot(path: str, column: str, aggregates: dict[str, Aggregate],
 
 def _run_variant(
     config, setup, variant: str, out_dir: str, force: bool, plot: bool,
-) -> tuple[Aggregate, BudgetRow | None]:
+) -> tuple[Aggregate, dict | None]:
     """Run one variant's batch and write its traces, aggregate, failures,
     budget and, with `plot`, its plots; return the aggregate and the
-    budget row at the horizon, None for a noiseless variant."""
+    budget table at the horizon, None for a noiseless variant."""
     traces = monte_carlo(
         variant, setup, config.iterations, config.noise_seed,
         config.monte_carlo, force=force,
@@ -134,20 +130,19 @@ def _run_variant(
     for index, trace in enumerate(traces):
         if not trace.diverged:
             write_trace(os.path.join(out_dir, f"run_{index:03d}.csv"), trace)
-    write_aggregate(os.path.join(out_dir, "aggregate.csv"), agg)
-    write_failures(os.path.join(out_dir, "failures.csv"), agg)
-    row = None
+    write_csv(os.path.join(out_dir, "aggregate.csv"), agg.columns)
+    write_csv(os.path.join(out_dir, "failures.csv"), agg.failures)
+    table = None
     if effective_schedules(variant, setup).noise_scale is not None:
-        rows = budget_account(
+        table = budget_account(
             variant, setup, config.gradient_bound, [config.iterations]
-        ).rows
-        write_budget(os.path.join(out_dir, "budget.csv"), rows)
-        row = rows[0]
+        ).table
+        write_csv(os.path.join(out_dir, "budget.csv"), table)
     if plot:
         for column in _PLOTS:
             _plot(os.path.join(out_dir, f"{column}.svg"), column,
                   {variant: agg}, ", mean with one-std band")
-    return agg, row
+    return agg, table
 
 
 def _exit_code(agg: Aggregate) -> int:
@@ -194,15 +189,15 @@ def cmd_run(args) -> int:
     )
     print(
         f"{agg.variant}: {agg.completed}/{agg.requested} runs completed, "
-        f"{len(agg.failures)} diverged"
+        f"{len(agg.failures['run'])} diverged"
     )
     if agg.completed:
         print(
             f"  final gap mean {agg.mean_final_gap:.6g} "
             f"(se {agg.se_final_gap:.3g}), final consensus mean "
-            f"{float(np.mean(agg.final_consensus)):.6g}"
+            f"{agg.mean_final_consensus:.6g}"
         )
-        eps = agg.epsilon_partial[-1]
+        eps = agg.columns["epsilon_partial"][-1]
         if np.isfinite(eps):
             print(f"  privacy budget bound at final record: {eps:.6g}")
     print(f"outputs in {out_dir}")
@@ -210,9 +205,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    """Budget rows, breakdown and last-decade growth line of one config.
+    """Budget table, breakdown and last-decade growth line of one config.
 
-    Each series is computed once, at the largest horizon: the rows, the
+    Each series is computed once, at the largest horizon: the table, the
     breakdown and the growth line all read from the same recursion.
     """
     config = _load_config(args)
@@ -220,29 +215,26 @@ def cmd_budget(args) -> int:
     setup = build_setup(config)
     account = budget_account(config.variant, setup, config.gradient_bound,
                              horizons)
-    rows = account.rows
+    table = account.table
     out_dir = run_directory(config.output_dir)
-    write_budget(os.path.join(out_dir, "budget.csv"), rows)
+    write_csv(os.path.join(out_dir, "budget.csv"), table)
     write_breakdown(
         os.path.join(out_dir, "breakdown.csv"), account.conservative
     )
     print(f"{'horizon':>10}  {'bound':>14}  {'envelope':>14}  {'tail':>12}  "
           "summable")
-    for row in rows:
-        print(
-            f"{row.horizon:>10}  {row.conservative:>14.6g}  "
-            f"{row.envelope:>14.6g}  {row.tail:>12.6g}  "
-            f"{'yes' if row.summable else 'no'}"
-        )
-    top = rows[-1]
-    if not top.summable:
+    for horizon, bound, envelope, tail, summable in zip(*table.values()):
+        print(f"{horizon:>10}  {bound:>14.6g}  {envelope:>14.6g}  "
+              f"{tail:>12.6g}  {summable}")
+    top, top_envelope = table["horizon"][-1], table["epsilon_envelope"][-1]
+    if not account.summable:
         print(
             "budget series diverges: no finite budget at unbounded horizons"
         )
-    elif top.horizon >= 10:
-        ref = account.envelope.epsilon_at(top.horizon // 10)
-        if math.isfinite(ref) and math.isfinite(top.envelope):
-            growth = (top.envelope - ref) / ref
+    elif top >= 10:
+        ref = account.envelope.epsilon_at(top // 10)
+        if math.isfinite(ref) and math.isfinite(top_envelope):
+            growth = (top_envelope - ref) / ref
             verdict = "yes" if growth < 0.05 else "no"
             text = f"{100 * growth:.4f}% (under 5%: {verdict})"
         else:
@@ -253,26 +245,25 @@ def cmd_budget(args) -> int:
 
 
 def _write_comparison(
-    base: str, results: dict[str, tuple[Aggregate, BudgetRow | None]],
+    base: str, results: dict[str, tuple[Aggregate, dict | None]],
     plot: bool,
 ) -> dict[str, list]:
     """Write summary.csv and, with `plot`, the comparison plots from
-    each variant's aggregate and budget row; return the summary columns."""
+    each variant's aggregate and budget table; return the summary columns."""
     aggs = [agg for agg, _ in results.values()]
-    rows = [row for _, row in results.values()]
+    tables = [table for _, table in results.values()]
     summary = {
         "variant": list(results),
         "runs": [agg.requested for agg in aggs],
         "completed": [agg.completed for agg in aggs],
-        "failures": [len(agg.failures) for agg in aggs],
+        "failures": [len(agg.failures["run"]) for agg in aggs],
         "mean_final_gap": [agg.mean_final_gap for agg in aggs],
         "se_final_gap": [agg.se_final_gap for agg in aggs],
-        "mean_final_consensus": [float(np.mean(agg.final_consensus))
-                                 for agg in aggs],
-        "epsilon_bound": [row.conservative if row else math.nan
-                          for row in rows],
-        "epsilon_envelope": [row.envelope if row else math.nan
-                             for row in rows],
+        "mean_final_consensus": [agg.mean_final_consensus for agg in aggs],
+        "epsilon_bound": [table["epsilon_bound"][0] if table else math.nan
+                          for table in tables],
+        "epsilon_envelope": [table["epsilon_envelope"][0] if table
+                             else math.nan for table in tables],
     }
     write_csv(os.path.join(base, "summary.csv"), summary)
     if plot:

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import RangeError
 from .noise import NOISE_CHUNK, laplace_draws
 from .objectives import AdjacentVariant
-from .privacy import _recurse, _static_walk, _tracking_walk
+from .privacy import _one_minus, _recurse, _static_walk, _tracking_walk
 from .solvers import RunSetup, Variant, _off_diagonal, effective_schedules
 
 
@@ -106,7 +106,7 @@ def _messages(off_diagonal, scale, seed, stream, ks, dim):
 
 def _perturbed_shrink(self_weight, coupling, ks, offset=0.0):
     """1 - offset - |self_weight| coupling(ks), checked positive."""
-    shrink = 1.0 - offset - abs(float(self_weight)) * coupling.values(ks)
+    shrink = _one_minus(abs(float(self_weight)), coupling.values(ks), offset)
     if np.any(shrink <= 0.0):
         raise RangeError("coupling too strong for the perturbed agent")
     return shrink

@@ -9,13 +9,18 @@ reduce ordered by run index.
 Diverged runs never enter the aggregate statistics silently: each one
 becomes a row in failures.csv, and trace files are written only for
 completed runs, so file counts satisfy completed + failed = requested.
+
+Each table is built once, as the {header: column} dict `write_csv`
+writes, where its values are computed: `Aggregate.columns` and
+`Aggregate.failures` in `aggregate`, `BudgetAccount.table` in
+`budget_account`.  Other code reads a column by its header.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,9 +56,14 @@ def format_column(column: np.ndarray) -> list[str]:
 
 def write_csv(path: str, columns: dict) -> None:
     """Write a table given as {header: column}: the header line, then
-    the columns (sequences of equal length) formatted one block of
-    CSV_BLOCK rows at a time."""
+    the columns formatted one block of CSV_BLOCK rows at a time.  A
+    table with no column, or with columns of unequal length, raises
+    ValueError before the file is opened."""
     data = [np.asarray(column) for column in columns.values()]
+    lengths = {header: len(column) for header, column in zip(columns, data)}
+    if len(set(lengths.values())) != 1:
+        raise ValueError("a table needs one or more columns of one "
+                         f"length, got {lengths}")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(columns) + "\n")
         for start in range(0, len(data[0]), CSV_BLOCK):
@@ -61,44 +71,36 @@ def write_csv(path: str, columns: dict) -> None:
             handle.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-@dataclass(frozen=True)
-class Failure:
-    run_index: int
-    seed: int
-    diverged_at: int
-    magnitude: float
-
-
 @dataclass
 class Aggregate:
     """Cross-run statistics of one variant's Monte Carlo batch.
 
-    Means and variances are taken over completed runs on the shared
-    record grid; per-run finals keep diverged runs as +inf entries so
-    order statistics can count divergence against a variant.
+    `columns` is aggregate.csv: k, the mean and variance over completed
+    runs of gap, consensus and tracking on the shared record grid, and
+    the mean epsilon_partial.  `failures` is failures.csv: the run,
+    seed, diverged_at and magnitude of each diverged run.  Per-run
+    finals keep diverged runs as +inf entries so order statistics can
+    count divergence against a variant.
     """
 
     variant: str
     requested: int
-    ks: np.ndarray
-    mean_gap: np.ndarray
-    var_gap: np.ndarray
-    mean_consensus: np.ndarray
-    var_consensus: np.ndarray
-    mean_tracking: np.ndarray
-    var_tracking: np.ndarray
-    epsilon_partial: np.ndarray
+    columns: dict
+    failures: dict
     final_gaps: np.ndarray
     final_consensus: np.ndarray
-    failures: list[Failure] = field(default_factory=list)
 
     @property
     def completed(self) -> int:
-        return self.requested - len(self.failures)
+        return self.requested - len(self.failures["run"])
 
     @property
     def mean_final_gap(self) -> float:
         return float(np.mean(self.final_gaps))
+
+    @property
+    def mean_final_consensus(self) -> float:
+        return float(np.mean(self.final_consensus))
 
     @property
     def se_final_gap(self) -> float:
@@ -126,15 +128,13 @@ def monte_carlo(
 def aggregate(variant: str, traces: list[Trace], base_seed: int) -> Aggregate:
     if not traces:
         raise ValueError("cannot aggregate an empty run list")
-    failures = [
-        Failure(
-            run_index=i,
-            seed=derive_seed(base_seed, i),
-            diverged_at=t.diverged_at,
-            magnitude=t.diverged_magnitude,
-        )
-        for i, t in enumerate(traces) if t.diverged
-    ]
+    diverged = [i for i, t in enumerate(traces) if t.diverged]
+    failures = {
+        "run": diverged,
+        "seed": [derive_seed(base_seed, i) for i in diverged],
+        "diverged_at": [traces[i].diverged_at for i in diverged],
+        "magnitude": [traces[i].diverged_magnitude for i in diverged],
+    }
     # With every run diverged there is no shared full grid; fall back to
     # the k = 0 record, which every trace carries.
     basis = [t for t in traces if not t.diverged]
@@ -149,24 +149,17 @@ def aggregate(variant: str, traces: list[Trace], base_seed: int) -> Aggregate:
         with np.errstate(over="ignore", invalid="ignore"):
             return stack.mean(axis=0), stack.var(axis=0, ddof=1)
 
-    mean_gap, var_gap = stats("gap")
-    mean_cons, var_cons = stats("consensus")
-    mean_track, var_track = stats("tracking")
-    eps, _ = stats("epsilon_partial")
+    columns = {"k": basis[0].ks[:width]}
+    for name in ("gap", "consensus", "tracking"):
+        columns[f"mean_{name}"], columns[f"var_{name}"] = stats(name)
+    columns["epsilon_partial"] = stats("epsilon_partial")[0]
     return Aggregate(
         variant=variant,
         requested=len(traces),
-        ks=basis[0].ks[:width],
-        mean_gap=mean_gap,
-        var_gap=var_gap,
-        mean_consensus=mean_cons,
-        var_consensus=var_cons,
-        mean_tracking=mean_track,
-        var_tracking=var_track,
-        epsilon_partial=eps,
+        columns=columns,
+        failures=failures,
         final_gaps=np.array([t.final_gap for t in traces]),
         final_consensus=np.array([t.final_consensus for t in traces]),
-        failures=failures,
     )
 
 
@@ -178,44 +171,16 @@ def write_trace(path: str, trace: Trace) -> None:
     })
 
 
-def write_aggregate(path: str, agg: Aggregate) -> None:
-    write_csv(path, {
-        "k": agg.ks, "mean_gap": agg.mean_gap, "var_gap": agg.var_gap,
-        "mean_consensus": agg.mean_consensus,
-        "var_consensus": agg.var_consensus,
-        "mean_tracking": agg.mean_tracking,
-        "var_tracking": agg.var_tracking,
-        "epsilon_partial": agg.epsilon_partial,
-    })
-
-
-def write_failures(path: str, agg: Aggregate) -> None:
-    failures = agg.failures
-    write_csv(path, {
-        "run": [f.run_index for f in failures],
-        "seed": [f.seed for f in failures],
-        "diverged_at": [f.diverged_at for f in failures],
-        "magnitude": [f.magnitude for f in failures],
-    })
-
-
-@dataclass(frozen=True)
-class BudgetRow:
-    horizon: int
-    conservative: float
-    envelope: float
-    tail: float
-    summable: bool
-
-
 @dataclass(frozen=True)
 class BudgetAccount:
-    """A variant's budget series through the largest horizon, and its
-    rows at each requested horizon."""
+    """A variant's budget series through the largest horizon; `table`,
+    budget.csv, with a row at each requested horizon; and whether the
+    envelope series is summable."""
 
     conservative: BudgetSeries
     envelope: BudgetSeries
-    rows: list[BudgetRow]
+    table: dict
+    summable: bool
 
 
 def budget_account(
@@ -224,17 +189,19 @@ def budget_account(
     gradient_bound: float,
     horizons,
 ) -> BudgetAccount:
-    """Budget series and rows of one variant, each series walked once to
-    the largest horizon.  Both series are kept at the horizons and each
-    horizon // 10 (the rows and the growth line read them), the
+    """Budget series and table of one variant, each series walked once
+    to the largest horizon.  Both series are kept at the horizons and
+    each horizon // 10 (the table and the growth line read them), the
     conservative one also at the breakdown grid of the largest horizon.
 
-    conservative: the finite-horizon sensitivity-recursion bound.
-    envelope: partial sums of the dominating stepsize-over-noise power
-        law, the column whose stabilization signals a finite budget at
-        unbounded horizons.
-    tail: integral-test bound on everything the envelope series pays
-        after the horizon; inf when the series diverges.
+    epsilon_bound: the conservative series, the finite-horizon
+        sensitivity-recursion bound.
+    epsilon_envelope: the envelope series, partial sums of the
+        dominating stepsize-over-noise power law, the column whose
+        stabilization signals a finite budget at unbounded horizons.
+    tail_envelope: integral-test bound on everything the envelope
+        series pays after the horizon; inf when the series diverges.
+    summable: yes when the envelope series converges, else no.
     """
     horizons = sorted(int(h) for h in horizons)
     if not horizons or horizons[0] < 1:
@@ -262,27 +229,15 @@ def budget_account(
     bound = (2.0 if spec.tracking else 1.0) * gradient_bound
     envelope = asymptotic_budget(sch.stepsize, nu, bound, top, marks)
     summable = not infinite_tail(sch.stepsize, nu)
-    rows = [
-        BudgetRow(
-            horizon=h,
-            conservative=conservative.epsilon_at(h),
-            envelope=envelope.epsilon_at(h),
-            tail=budget_tail_bound(sch.stepsize, nu, h, bound),
-            summable=summable,
-        )
-        for h in horizons
-    ]
-    return BudgetAccount(conservative, envelope, rows)
-
-
-def write_budget(path: str, rows: list[BudgetRow]) -> None:
-    write_csv(path, {
-        "horizon": [r.horizon for r in rows],
-        "epsilon_bound": [r.conservative for r in rows],
-        "epsilon_envelope": [r.envelope for r in rows],
-        "tail_envelope": [r.tail for r in rows],
-        "summable": ["yes" if r.summable else "no" for r in rows],
-    })
+    table = {
+        "horizon": horizons,
+        "epsilon_bound": [conservative.epsilon_at(h) for h in horizons],
+        "epsilon_envelope": [envelope.epsilon_at(h) for h in horizons],
+        "tail_envelope": [budget_tail_bound(sch.stepsize, nu, h, bound)
+                          for h in horizons],
+        "summable": ["yes" if summable else "no"] * len(horizons),
+    }
+    return BudgetAccount(conservative, envelope, table, summable)
 
 
 def _breakdown_ks(horizon: int) -> np.ndarray:

@@ -178,9 +178,11 @@ def test_criterion_01_validator_reference_sets_and_perturbations():
 def test_criterion_02_noisy_convergence(alg1_batches):
     agg = alg1_batches["alg1"]
     assert agg.completed == agg.requested == 100
-    assert int(agg.ks[-1]) == 10**4
-    assert agg.mean_gap[-1] < 0.10 * agg.mean_gap[0]
-    assert agg.mean_consensus[-1] < 1e-3 * agg.mean_consensus[0]
+    columns = agg.columns
+    assert int(columns["k"][-1]) == 10**4
+    assert columns["mean_gap"][-1] < 0.10 * columns["mean_gap"][0]
+    assert (columns["mean_consensus"][-1]
+            < 1e-3 * columns["mean_consensus"][0])
 
 
 def test_criterion_03_static_solver_beats_baselines(
@@ -188,12 +190,11 @@ def test_criterion_03_static_solver_beats_baselines(
 ):
     horizon = alg1_config.iterations
     bound = alg1_config.gradient_bound
-    eps_main = budget_account("alg1", alg1_setup, bound, [horizon]).rows[0]
-    eps_pdop = budget_account("pdop_alg1", alg1_setup, bound,
-                              [horizon]).rows[0]
-    assert abs(eps_pdop.conservative - eps_main.conservative) <= (
-        0.05 * eps_main.conservative
-    )
+    eps_main, eps_pdop = (
+        budget_account(variant, alg1_setup, bound,
+                       [horizon]).table["epsilon_bound"][0]
+        for variant in ("alg1", "pdop_alg1"))
+    assert abs(eps_pdop - eps_main) <= 0.05 * eps_main
 
     main = alg1_batches["alg1"]
     dgd = alg1_batches["dgd"]
@@ -319,11 +320,12 @@ def test_criterion_07_budget_finite_at_unbounded_horizon(
     alg1_config, alg1_setup
 ):
     bound = alg1_config.gradient_bound
-    row4, row5 = budget_account("alg1", alg1_setup, bound,
-                                [10**4, 10**5]).rows
-    assert row4.summable and row5.summable
-    assert abs(row5.envelope - row4.envelope) < 0.05 * row4.envelope
-    assert row5.tail < 0.05 * row5.envelope
+    account = budget_account("alg1", alg1_setup, bound, [10**4, 10**5])
+    env4, env5 = account.table["epsilon_envelope"]
+    assert account.summable
+    assert account.table["summable"] == ["yes", "yes"]
+    assert abs(env5 - env4) < 0.05 * env4
+    assert account.table["tail_envelope"][1] < 0.05 * env5
 
     flat = replace(
         alg1_setup,
@@ -331,9 +333,9 @@ def test_criterion_07_budget_finite_at_unbounded_horizon(
             alg1_setup.schedules, noise_scale=PowerSchedule.constant(1.0)
         ),
     )
-    marker = budget_account("alg1", flat, bound, [10**4]).rows[0]
-    assert not marker.summable
-    assert math.isinf(marker.tail)
+    marker = budget_account("alg1", flat, bound, [10**4])
+    assert not marker.summable and marker.table["summable"] == ["no"]
+    assert math.isinf(marker.table["tail_envelope"][0])
 
 
 def test_criterion_08_gradients_match_central_differences():

@@ -18,7 +18,7 @@ from dpopt.cli import main
 from dpopt.config import build_setup, load_config, parse_config_text
 from dpopt.errors import ConditionError, ConfigError, RangeError
 from dpopt.harness import (
-    budget_account, run_directory, write_breakdown, write_budget,
+    budget_account, run_directory, write_breakdown, write_csv,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -580,17 +580,17 @@ class TestBudget:
         bound = config.gradient_bound
         ref = tmp_path / "ref"
         ref.mkdir()
-        rows = budget_account(config.variant, setup, bound,
-                              [1000, 10000, 100000]).rows
-        write_budget(str(ref / "budget.csv"), rows)
+        table = budget_account(config.variant, setup, bound,
+                               [1000, 10000, 100000]).table
+        write_csv(str(ref / "budget.csv"), table)
         write_breakdown(str(ref / "breakdown.csv"), budget_account(
             config.variant, setup, bound, [100000]).conservative)
         for name in ("budget.csv", "breakdown.csv"):
             assert (out / name).read_bytes() == (ref / name).read_bytes()
 
         decade = budget_account(config.variant, setup, bound,
-                                [10000]).rows[0]
-        growth = (rows[-1].envelope - decade.envelope) / decade.envelope
+                                [10000]).table["epsilon_envelope"][0]
+        growth = (table["epsilon_envelope"][-1] - decade) / decade
         assert (f"envelope growth over the last decade: {100 * growth:.4f}% "
                 f"(under 5%: {'yes' if growth < 0.05 else 'no'})") in stdout
 

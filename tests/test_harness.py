@@ -15,18 +15,13 @@ from dpopt.config import build_setup, load_config
 from dpopt.errors import ConfigError, RangeError
 from dpopt.harness import (
     CSV_BLOCK,
-    Aggregate,
-    BudgetRow,
     aggregate,
     budget_account,
     format_column,
     monte_carlo,
     run_directory,
-    write_aggregate,
     write_breakdown,
-    write_budget,
     write_csv,
-    write_failures,
     write_trace,
 )
 from dpopt.noise import derive_seed
@@ -101,6 +96,23 @@ class TestFormatting:
         write_csv(path, {"a": [], "b": []})
         assert Path(path).read_text(encoding="utf-8") == "a,b\n"
 
+    @pytest.mark.parametrize("columns", [
+        {"a": [1, 2, 3], "b": [1.5]},
+        {"a": [1], "b": [1.5, 2.5, 3.5]},
+    ])
+    def test_ragged_table_rejected_unwritten(self, columns, tmp_path):
+        # zip would cut every column to the shortest one.
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=r"got \{'a': \d, 'b': \d\}"):
+            write_csv(str(path), columns)
+        assert not path.exists()
+
+    def test_table_without_columns_rejected_unwritten(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=r"got \{\}"):
+            write_csv(str(path), {})
+        assert not path.exists()
+
     def test_columns_match_format_value_bytes(self, tmp_path):
         # Long enough to span several write blocks, and end inside one.
         floats = np.tile([*SPECIAL, 0.1, -1.5e-17, 123456.789012345], 30)
@@ -160,17 +172,20 @@ class TestAggregate:
         traces = monte_carlo("alg1", setup, 40, base_seed=3, n_runs=5)
         agg = aggregate("alg1", traces, base_seed=3)
         stack = np.vstack([t.gap for t in traces])
-        assert np.allclose(agg.mean_gap, stack.mean(axis=0))
-        assert np.allclose(agg.var_gap, stack.var(axis=0, ddof=1))
+        assert np.allclose(agg.columns["mean_gap"], stack.mean(axis=0))
+        assert np.allclose(agg.columns["var_gap"],
+                           stack.var(axis=0, ddof=1))
         assert agg.requested == 5 and agg.completed == 5
         assert agg.final_gaps.shape == (5,)
+        assert agg.mean_final_consensus == float(
+            np.mean([t.final_consensus for t in traces]))
 
     def test_single_run_has_zero_variance(self):
         setup = make_setup("static")
         traces = monte_carlo("alg1", setup, 40, base_seed=3, n_runs=1)
         agg = aggregate("alg1", traces, base_seed=3)
-        assert np.all(agg.var_gap == 0.0)
-        assert np.allclose(agg.mean_gap, traces[0].gap)
+        assert np.all(agg.columns["var_gap"] == 0.0)
+        assert np.allclose(agg.columns["mean_gap"], traces[0].gap)
         assert agg.se_final_gap == 0.0
 
     def test_failures_are_counted_and_seeded(self):
@@ -178,14 +193,16 @@ class TestAggregate:
                              n_runs=4)
         agg = aggregate("dgd", traces, base_seed=5)
         assert agg.requested == 4
-        assert agg.completed + len(agg.failures) == 4
-        assert len(agg.failures) == 4
-        for i, f in enumerate(agg.failures):
-            assert f.run_index == i
-            assert f.seed == derive_seed(5, i)
-            assert f.diverged_at is not None
+        failures = agg.failures
+        assert agg.completed + len(failures["run"]) == 4
+        assert len(failures["run"]) == 4
+        for i, (run_index, seed, diverged_at) in enumerate(zip(
+                failures["run"], failures["seed"], failures["diverged_at"])):
+            assert run_index == i
+            assert seed == derive_seed(5, i)
+            assert diverged_at is not None
         # All-diverged batches still aggregate over the k = 0 record.
-        assert agg.ks[-1] == 0
+        assert agg.columns["k"][-1] == 0
         assert agg.mean_final_gap == np.inf
 
     def test_mixed_batch_aggregates_completed_only(self):
@@ -197,7 +214,7 @@ class TestAggregate:
         assert agg.requested == 4
         assert agg.completed == 3
         stack = np.vstack([t.gap for t in good])
-        assert np.allclose(agg.mean_gap, stack.mean(axis=0))
+        assert np.allclose(agg.columns["mean_gap"], stack.mean(axis=0))
         assert np.isinf(agg.final_gaps[-1])
         assert np.isfinite(agg.se_final_gap)
 
@@ -224,9 +241,9 @@ class TestWriters:
         agg = aggregate("alg1", traces, base_seed=3)
         p1 = str(tmp_path / "a1.csv")
         p2 = str(tmp_path / "a2.csv")
-        write_aggregate(p1, agg)
+        write_csv(p1, agg.columns)
         traces2 = monte_carlo("alg1", setup, 40, base_seed=3, n_runs=3)
-        write_aggregate(p2, aggregate("alg1", traces2, base_seed=3))
+        write_csv(p2, aggregate("alg1", traces2, base_seed=3).columns)
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
         assert Path(p1).read_bytes().startswith(
             b"k,mean_gap,var_gap,mean_consensus,var_consensus,"
@@ -237,7 +254,7 @@ class TestWriters:
         traces = monte_carlo("alg1", setup, 40, base_seed=3, n_runs=2)
         agg = aggregate("alg1", traces, base_seed=3)
         path = str(tmp_path / "failures.csv")
-        write_failures(path, agg)
+        write_csv(path, agg.failures)
         text = Path(path).read_text(encoding="utf-8")
         assert text == "run,seed,diverged_at,magnitude\n"
 
@@ -246,7 +263,7 @@ class TestWriters:
                              n_runs=2)
         agg = aggregate("dgd", traces, base_seed=5)
         path = str(tmp_path / "failures.csv")
-        write_failures(path, agg)
+        write_csv(path, agg.failures)
         lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 3
         run_idx, seed, diverged_at, magnitude = lines[1].split(",")
@@ -266,42 +283,45 @@ class TestWriters:
 class TestBudgetReport:
     def test_static_rows(self):
         setup = make_setup("static")
-        rows = budget_account("alg1", setup, 1.0, [100, 1000]).rows
-        assert [r.horizon for r in rows] == [100, 1000]
+        account = budget_account("alg1", setup, 1.0, [100, 1000])
+        table = account.table
+        assert table["horizon"] == [100, 1000]
         sch = effective_schedules("alg1", setup)
         series = conservative_budget(sch, setup.consensus, 1.0, 1000)
-        assert rows[0].conservative == pytest.approx(series.epsilon_at(100))
-        assert rows[1].conservative == pytest.approx(series.epsilon_at(1000))
-        assert rows[0].envelope < rows[1].envelope
-        assert rows[0].tail > rows[1].tail
-        assert all(r.summable for r in rows)
+        bound = table["epsilon_bound"]
+        assert bound[0] == pytest.approx(series.epsilon_at(100))
+        assert bound[1] == pytest.approx(series.epsilon_at(1000))
+        envelope, tail = table["epsilon_envelope"], table["tail_envelope"]
+        assert envelope[0] < envelope[1]
+        assert tail[0] > tail[1]
+        assert account.summable and table["summable"] == ["yes", "yes"]
 
     def test_tracking_rows_use_double_messages(self):
         setup = make_setup("tracking")
-        rows = budget_account("alg2", setup, 1.0, [1000]).rows
+        table = budget_account("alg2", setup, 1.0, [1000]).table
         static = make_setup("static")
-        srows = budget_account("alg1", static, 1.0, [1000]).rows
+        stable = budget_account("alg1", static, 1.0, [1000]).table
         # Same stepsize; the tracking envelope carries twice the message
         # count but a weaker noise growth, so just sanity-check signs.
-        assert rows[0].envelope > 0
-        assert rows[0].conservative > srows[0].conservative
+        assert table["epsilon_envelope"][0] > 0
+        assert table["epsilon_bound"][0] > stable["epsilon_bound"][0]
 
     def test_unsorted_horizons_are_sorted(self):
         setup = make_setup("static")
-        rows = budget_account("alg1", setup, 1.0, [1000, 10, 100]).rows
-        assert [r.horizon for r in rows] == [10, 100, 1000]
+        table = budget_account("alg1", setup, 1.0, [1000, 10, 100]).table
+        assert table["horizon"] == [10, 100, 1000]
 
     def test_noiseless_setup_rejected(self):
         setup = make_setup("static", noise=False)
         with pytest.raises(ConfigError):
-            budget_account("alg1", setup, 1.0, [100]).rows
+            budget_account("alg1", setup, 1.0, [100])
 
     def test_bad_horizons_rejected(self):
         setup = make_setup("static")
         with pytest.raises(ConfigError):
-            budget_account("alg1", setup, 1.0, []).rows
+            budget_account("alg1", setup, 1.0, [])
         with pytest.raises(ConfigError):
-            budget_account("alg1", setup, 1.0, [0, 10]).rows
+            budget_account("alg1", setup, 1.0, [0, 10])
 
     def test_divergent_envelope_marked(self):
         # A constant noise scale cannot pay for a stepsize whose sum
@@ -313,9 +333,9 @@ class TestBudgetReport:
             noise_scale=PowerSchedule.constant(1.0),
         )
         setup = RunSetup(base.problem, sch, consensus=base.consensus)
-        rows = budget_account("alg1", setup, 1.0, [100]).rows
-        assert not rows[0].summable
-        assert rows[0].tail == math.inf
+        account = budget_account("alg1", setup, 1.0, [100])
+        assert not account.summable and account.table["summable"] == ["no"]
+        assert account.table["tail_envelope"][0] == math.inf
 
     def test_series_kept_where_they_are_read(self):
         # The envelope is read at the horizons and each horizon // 10;
@@ -356,9 +376,9 @@ class TestBudgetReport:
 
     def test_budget_csv(self, tmp_path):
         setup = make_setup("static")
-        rows = budget_account("alg1", setup, 1.0, [100, 1000]).rows
+        table = budget_account("alg1", setup, 1.0, [100, 1000]).table
         path = str(tmp_path / "budget.csv")
-        write_budget(path, rows)
+        write_csv(path, table)
         lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "horizon,epsilon_bound,epsilon_envelope,tail_envelope,summable"
         assert lines[1].endswith(",yes")
