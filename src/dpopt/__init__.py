@@ -37,7 +37,6 @@ from .harness import (
     monte_carlo,
     write_breakdown,
     write_csv,
-    write_trace,
 )
 from .noise import derive_seed, laplace_inverse_cdf
 from .objectives import (
@@ -70,7 +69,6 @@ from .solvers import (
     VARIANTS,
     Variant,
     effective_schedules,
-    run,
     run_batch,
     validate_for_variant,
 )

@@ -17,7 +17,10 @@ keys they override, with each key's parser, range and messages; each
 name as the variant key.  Each takes the next word as its value, -1e5
 too.  With --plot, run writes the gap, consensus and tracking figures and
 compare the first two; a figure with nothing finite and positive to draw
-is skipped.
+is skipped.  Each output directory holds one batch's files: run, and
+compare in each variant's directory, first delete the run_NNN.csv,
+budget.csv and figures an earlier batch left, and compare its own
+figures when it writes summary.csv.
 
 compare forks a worker per variant with os.fork, at most one alive per
 usable CPU, so each starts with numpy, dpopt and the setup loaded; its
@@ -38,6 +41,7 @@ import functools
 import math
 import os
 import pickle
+import re
 import sys
 import threading
 from collections.abc import Callable
@@ -55,7 +59,6 @@ from .harness import (
     run_directory,
     write_breakdown,
     write_csv,
-    write_trace,
 )
 from .privacy import conservative_budget
 from .solvers import Variant, effective_schedules, validate_for_variant
@@ -116,20 +119,30 @@ def _plot(path: str, column: str, aggregates: dict[str, Aggregate],
         line_plot(path, series, title=subject + title_suffix, y_label=y_label)
 
 
+def _remove_stale(directory: str, pattern: str) -> None:
+    """Delete each file in directory whose whole name matches pattern."""
+    for name in os.listdir(directory):
+        if re.fullmatch(pattern, name):
+            os.remove(os.path.join(directory, name))
+
+
 def _run_variant(
     config, setup, variant: str, out_dir: str, force: bool, plot: bool,
 ) -> tuple[Aggregate, dict | None]:
     """Run one variant's batch and write its traces, aggregate, failures,
     budget and, with `plot`, its plots; return the aggregate and the
     budget table at the horizon, None for a noiseless variant."""
+    _remove_stale(out_dir, r"run_[0-9]+\.csv|budget\.csv|"
+                  rf"({'|'.join(_PLOTS)})\.svg")
     traces = monte_carlo(
         variant, setup, config.iterations, config.noise_seed,
         config.monte_carlo, force=force,
     )
-    agg = aggregate(variant, traces, config.noise_seed)
+    agg = aggregate(traces)
     for index, trace in enumerate(traces):
         if not trace.diverged:
-            write_trace(os.path.join(out_dir, f"run_{index:03d}.csv"), trace)
+            write_csv(os.path.join(out_dir, f"run_{index:03d}.csv"),
+                      trace.columns)
     write_csv(os.path.join(out_dir, "aggregate.csv"), agg.columns)
     write_csv(os.path.join(out_dir, "failures.csv"), agg.failures)
     table = None
@@ -249,7 +262,8 @@ def _write_comparison(
     plot: bool,
 ) -> dict[str, list]:
     """Write summary.csv and, with `plot`, the comparison plots from
-    each variant's aggregate and budget table; return the summary columns."""
+    each variant's aggregate and budget table, deleting those an earlier
+    compare wrote; return the summary columns."""
     aggs = [agg for agg, _ in results.values()]
     tables = [table for _, table in results.values()]
     summary = {
@@ -266,8 +280,10 @@ def _write_comparison(
                              else math.nan for table in tables],
     }
     write_csv(os.path.join(base, "summary.csv"), summary)
+    figures = ("gap", "consensus")
+    _remove_stale(base, rf"compare_({'|'.join(figures)})\.svg")
     if plot:
-        for column in ("gap", "consensus"):
+        for column in figures:
             _plot(os.path.join(base, f"compare_{column}.svg"), column,
                   dict(zip(results, aggs)), " by variant")
     return summary

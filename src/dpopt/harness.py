@@ -4,16 +4,17 @@ Runs are seeded from the configured base seed and the run index, so a
 rerun of the same config reproduces every file byte for byte and two
 variants launched from the same config see identical initial states and
 identical message noise, run for run.  Aggregation is a deterministic
-reduce ordered by run index.
+reduce ordered by run index; each trace carries its variant and seed.
 
 Diverged runs never enter the aggregate statistics silently: each one
 becomes a row in failures.csv, and trace files are written only for
 completed runs, so file counts satisfy completed + failed = requested.
 
 Each table is built once, as the {header: column} dict `write_csv`
-writes, where its values are computed: `Aggregate.columns` and
-`Aggregate.failures` in `aggregate`, `BudgetAccount.table` in
-`budget_account`.  Other code reads a column by its header.
+writes, where its values are computed: `Trace.columns` in `run_batch`,
+`Aggregate.columns` and `Aggregate.failures` in `aggregate`,
+`BudgetAccount.table` in `budget_account`.  Other code reads a column
+by its header.
 """
 
 from __future__ import annotations
@@ -125,13 +126,14 @@ def monte_carlo(
     return run_batch(variant, setup, iterations, seeds, force=force)
 
 
-def aggregate(variant: str, traces: list[Trace], base_seed: int) -> Aggregate:
+def aggregate(traces: list[Trace]) -> Aggregate:
+    """Statistics of one variant's traces; failures keep trace seeds."""
     if not traces:
         raise ValueError("cannot aggregate an empty run list")
     diverged = [i for i, t in enumerate(traces) if t.diverged]
     failures = {
         "run": diverged,
-        "seed": [derive_seed(base_seed, i) for i in diverged],
+        "seed": [traces[i].seed for i in diverged],
         "diverged_at": [traces[i].diverged_at for i in diverged],
         "magnitude": [traces[i].diverged_magnitude for i in diverged],
     }
@@ -142,33 +144,25 @@ def aggregate(variant: str, traces: list[Trace], base_seed: int) -> Aggregate:
     basis = basis or traces
 
     def stats(name: str):
-        stack = np.vstack([getattr(t, name)[:width] for t in basis])
+        stack = np.vstack([t.columns[name][:width] for t in basis])
         if stack.shape[0] < 2:
             return stack.mean(axis=0), np.zeros(stack.shape[1])
         # Diverged runs' k = 0 records may be inf.
         with np.errstate(over="ignore", invalid="ignore"):
             return stack.mean(axis=0), stack.var(axis=0, ddof=1)
 
-    columns = {"k": basis[0].ks[:width]}
+    columns = {"k": basis[0].columns["k"][:width]}
     for name in ("gap", "consensus", "tracking"):
         columns[f"mean_{name}"], columns[f"var_{name}"] = stats(name)
     columns["epsilon_partial"] = stats("epsilon_partial")[0]
     return Aggregate(
-        variant=variant,
+        variant=traces[0].variant,
         requested=len(traces),
         columns=columns,
         failures=failures,
         final_gaps=np.array([t.final_gap for t in traces]),
         final_consensus=np.array([t.final_consensus for t in traces]),
     )
-
-
-def write_trace(path: str, trace: Trace) -> None:
-    write_csv(path, {
-        "k": trace.ks, "consensus": trace.consensus, "gap": trace.gap,
-        "dist_opt": trace.dist_opt, "tracking": trace.tracking,
-        "epsilon_partial": trace.epsilon_partial,
-    })
 
 
 @dataclass(frozen=True)

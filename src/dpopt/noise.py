@@ -14,6 +14,13 @@ Identical tuples give identical draws across runs, platforms, and
 variants, which is what lets baseline comparisons share "the same
 noise" exactly.
 
+The accountant's epsilon is that of the real-valued Laplace mechanism.
+Float draws lie in [-36.7368005696771 nu, +36.04365338911715 nu] (words
+0 and 2**64 - 1), so the float mechanism is at best (epsilon, delta)-DP,
+delta about 1.1e-16 per draw an observer sees, and a float sum leaks
+through its low bits (Mironov, ACM CCS 2012); README, "Privacy budget
+columns", has the details.
+
 laplace_draws works in place on each block: _counter_words mixes the
 words with one reused shift buffer, _open_uniform shifts them before
 one conversion to floats, and _inverse_cdf overwrites the uniforms with

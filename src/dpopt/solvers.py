@@ -68,7 +68,7 @@ row's result does not depend on which rows share the stack, where a
 row.dot(A) on the (n,) row, gives the same bits as its (1, 1, n)
 stack, so _step_chunk steps a one-run batch that way, without the
 stack.  Every batched trace therefore equals the serial run of its
-seed bit for bit; run is the R = 1 case.  A run diverges at the first
+seed, the one-seed batch, bit for bit.  A run diverges at the first
 iteration whose max |z| is NaN or above DIVERGENCE_THRESHOLD; for
 tracking that is over x and y together, so a NaN tracker stops the run
 while x is still finite.  A diverged run keeps its serial record
@@ -192,32 +192,33 @@ class RunSetup:
 class Trace:
     """Recorded metrics of one run, sampled every `stride` iterations.
 
-    epsilon_partial is the conservative privacy budget series read at
-    each recorded iteration, scaled at finalization by the harvested
-    gradient bound (the largest ||grad f_i||_1 seen on the trajectory);
-    it is NaN for noiseless runs.  A diverged run keeps its records up
-    to the divergence point and marks diverged_at.
+    `columns` is run_NNN.csv as {header: column}: k, consensus, gap,
+    dist_opt, tracking and epsilon_partial, the conservative privacy
+    budget series at each record scaled by the harvested gradient bound
+    (the largest ||grad f_i||_1 seen on the trajectory), NaN for
+    noiseless runs.  A diverged run keeps its records up to the
+    divergence point and marks diverged_at.
     """
 
     variant: str
-    ks: np.ndarray
-    consensus: np.ndarray
-    gap: np.ndarray
-    dist_opt: np.ndarray
-    tracking: np.ndarray
-    epsilon_partial: np.ndarray
-    diverged: bool = False
+    seed: int
+    columns: dict
     diverged_at: int | None = None
     diverged_magnitude: float = float("nan")
     gradient_bound: float = 0.0
 
     @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
+
+    @property
     def final_gap(self) -> float:
-        return np.inf if self.diverged else float(self.gap[-1])
+        return np.inf if self.diverged else float(self.columns["gap"][-1])
 
     @property
     def final_consensus(self) -> float:
-        return np.inf if self.diverged else float(self.consensus[-1])
+        return (np.inf if self.diverged
+                else float(self.columns["consensus"][-1]))
 
 
 def effective_schedules(variant: str, setup: RunSetup) -> ScheduleSet:
@@ -301,18 +302,6 @@ def _record_points(iterations: int, stride: int) -> np.ndarray:
     if ks[-1] != iterations:
         ks = np.append(ks, iterations)
     return ks
-
-
-def run(variant: str, setup: RunSetup, iterations: int, seed: int,
-        force: bool = False) -> Trace:
-    """Execute one solver run and return its metric trace.
-
-    The seed fixes both the random initial states and the noise
-    substreams, so two variants run with the same seed see identical
-    initializations and identical message noise.  This is the one-run
-    case of run_batch.
-    """
-    return run_batch(variant, setup, iterations, [seed], force=force)[0]
 
 
 def _gradient_norms(grads: np.ndarray) -> np.ndarray:
@@ -479,7 +468,9 @@ def _step_chunk(z, T, Z) -> None:
 def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
               force: bool = False) -> list[Trace]:
     """Execute one run per seed, all stepped together; the traces come
-    back in seed order, each equal bit for bit to run() with its seed."""
+    back in seed order, each equal bit for bit to the one-seed batch of
+    its seed.  A seed fixes its run's initial state and noise, so two
+    variants run with one seed see the same ones."""
     spec = Variant.of(variant)
     if iterations < 1:
         raise RangeError("iterations must be positive")
@@ -500,10 +491,9 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
 
     record_ks = _record_points(iterations, setup.stride)
     n_rec = len(record_ks)
-    cons = np.full((n_runs, n_rec), np.nan)
-    gap = np.full((n_runs, n_rec), np.nan)
-    dist = np.full((n_runs, n_rec), np.nan)
-    track = np.full((n_runs, n_rec), np.nan)
+    # The records of every run, by run_NNN.csv header.
+    table = {name: np.full((n_runs, n_rec), np.nan)
+             for name in ("consensus", "gap", "dist_opt", "tracking")}
 
     tracking = spec.tracking
     weights = spec.weights(setup)
@@ -551,17 +541,19 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
             ys = states[:, n:].reshape(-1, m, d)
             xbar = (u @ xs) / m
             ybar = ys.mean(axis=-2)
-            track[runs, rec] = np.sum(
+            table["tracking"][runs, rec] = np.sum(
                 (ys - v[:, None] * ybar[:, None, :]) ** 2, axis=(-2, -1)
             )
         else:
             xbar = xs.mean(axis=-2)
-        cons[runs, rec] = np.sum((xs - xbar[:, None, :]) ** 2, axis=(-2, -1))
-        gap[runs, rec] = problem.global_cost(xbar) - setup.f_star
+        table["consensus"][runs, rec] = np.sum((xs - xbar[:, None, :]) ** 2,
+                                               axis=(-2, -1))
+        table["gap"][runs, rec] = problem.global_cost(xbar) - setup.f_star
         err = xbar - setup.theta_star
         # A stacked (1, d) @ (d, 1) product takes the same BLAS dot as
         # np.linalg.norm on one vector, so the distance matches it bitwise.
-        dist[runs, rec] = np.sqrt((err[:, None, :] @ err[:, :, None])[:, 0, 0])
+        table["dist_opt"][runs, rec] = np.sqrt(
+            (err[:, None, :] @ err[:, :, None])[:, 0, 0])
 
     active = np.arange(n_runs)
     # A start past the divergence threshold overflows the metrics.
@@ -638,18 +630,10 @@ def run_batch(variant: str, setup: RunSetup, iterations: int, seeds,
         # noiseless run's NaN column stays NaN, and a run whose gradient
         # bound is infinite reads NaN at k = 0 (0 * inf).
         with np.errstate(over="ignore", invalid="ignore"):
-            eps_r = eps[:keep] * grad_bound[r]
-        traces.append(Trace(
-            variant=variant,
-            ks=record_ks[:keep],
-            consensus=cons[r, :keep],
-            gap=gap[r, :keep],
-            dist_opt=dist[r, :keep],
-            tracking=track[r, :keep],
-            epsilon_partial=eps_r,
-            diverged=diverged_at[r] is not None,
-            diverged_at=diverged_at[r],
-            diverged_magnitude=magnitude[r],
-            gradient_bound=float(grad_bound[r]),
-        ))
+            columns = {"k": record_ks[:keep],
+                       **{name: all_runs[r, :keep]
+                          for name, all_runs in table.items()},
+                       "epsilon_partial": eps[:keep] * grad_bound[r]}
+        traces.append(Trace(variant, seeds[r], columns, diverged_at[r],
+                            magnitude[r], float(grad_bound[r])))
     return traces

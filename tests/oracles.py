@@ -1,8 +1,9 @@
 """Reference implementations the tests check the package against.
 
-Each oracle computes a quantity the slow, obvious way: one agent's
-cost from its residual, one agent's gradient at one point and the
-adjacent problem's gradient and ramp with np.linalg.norm, the
+Each oracle computes a quantity the slow, obvious way: one seed's run
+as its one-seed batch (the serial run the batch tests compare against),
+one agent's cost from its residual, one agent's gradient at one point
+and the adjacent problem's gradient and ramp with np.linalg.norm, the
 per-agent solver steps (stacked over agents, as the measured
 difference traces take them) with per-agent loops to check them, the
 accountant's sensitivity walks collected into whole-horizon arrays,
@@ -16,6 +17,7 @@ with every condition built from ScheduleExpr operators and its rule
 text written beside it.  None of them is used by the package itself.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -25,11 +27,16 @@ from dpopt.errors import ConditionError, RangeError
 from dpopt.noise import laplace_draws, laplace_inverse_cdf
 from dpopt.privacy import _static_walk, _tracking_walk
 from dpopt.schedules import ScheduleExpr, ratio_limit, series_class
-from dpopt.solvers import _off_diagonal, effective_schedules
+from dpopt.solvers import _off_diagonal, effective_schedules, run_batch
 from dpopt.svgplot import (
     _HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _WIDTH, PALETTE,
     Series, _element, _fmt, _linear_ticks, _log_ticks, _tick_label,
 )
+
+
+def run(variant, setup, iterations, seed, force=False):
+    """The serial run of one seed: its one-seed batch."""
+    return run_batch(variant, setup, iterations, [seed], force=force)[0]
 
 
 def local_cost(problem, agent, theta):
@@ -161,14 +168,24 @@ def sensitivity_static_closed_form(stepsize, coupling, min_coupling, k):
 
 def sensitivity_tracking_closed_form(stepsize, tracker_mix, coupling_state,
                                      coupling_tracker, min_diag_pull,
-                                     min_diag_push, k):
-    """Partial-product closed forms (s_x^k, s_y^k) at one index."""
+                                     min_diag_push, k,
+                                     memo=functools.lru_cache(maxsize=None)):
+    """Partial-product closed forms (s_x^k, s_y^k) at one index.
+
+    Within one call, memo caches the schedule values and the inner
+    s_y^kk, each computed by the same operations in the same order as
+    uncached; memo=lambda f: f computes every one afresh."""
     if k < 1:
         raise RangeError("closed form defined for k >= 1")
+    lam = memo(stepsize.value)
+    gamma1 = memo(coupling_state.value)
+    gamma2 = memo(coupling_tracker.value)
 
+    @memo
     def alpha(j):
         return 0.0 if tracker_mix is None else tracker_mix.value(j)
 
+    @memo
     def sy_at(kk):
         if kk < 1:
             return 0.0
@@ -176,7 +193,7 @@ def sensitivity_tracking_closed_form(stepsize, tracker_mix, coupling_state,
         for p in range(1, kk):
             prod = 1.0
             for q in range(p, kk):
-                prod *= 1.0 - alpha(q) - min_diag_push * coupling_tracker.value(q)
+                prod *= 1.0 - alpha(q) - min_diag_push * gamma2(q)
             total += prod * (2.0 - alpha(p - 1))
         return total + (2.0 - alpha(kk - 1))
 
@@ -184,9 +201,9 @@ def sensitivity_tracking_closed_form(stepsize, tracker_mix, coupling_state,
     for p in range(1, k):
         prod = 1.0
         for q in range(p, k):
-            prod *= 1.0 - min_diag_pull * coupling_state.value(q)
-        total += prod * stepsize.value(p - 1) * sy_at(p - 1)
-    sx = total + stepsize.value(k - 1) * sy_at(k - 1)
+            prod *= 1.0 - min_diag_pull * gamma1(q)
+        total += prod * lam(p - 1) * sy_at(p - 1)
+    sx = total + lam(k - 1) * sy_at(k - 1)
     return sx, sy_at(k)
 
 

@@ -18,6 +18,7 @@ from conftest import static_schedules, tracking_schedules
 from envelopes import recursion_envelope_series
 from oracles import (
     local_cost,
+    run,
     sensitivity_static,
     sensitivity_static_closed_form,
     sensitivity_tracking,
@@ -36,7 +37,7 @@ from dpopt.schedules import (
     validate_static_schedules,
     validate_tracking_schedules,
 )
-from dpopt.solvers import Variant, _AffineStep, _step_chunk, run
+from dpopt.solvers import Variant, _AffineStep, _step_chunk
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -59,7 +60,7 @@ def alg1_batches(alg1_config, alg1_setup):
         traces = monte_carlo(
             variant, alg1_setup, cfg.iterations, cfg.noise_seed, cfg.monte_carlo
         )
-        out[variant] = aggregate(variant, traces, cfg.noise_seed)
+        out[variant] = aggregate(traces)
     return out
 
 
@@ -81,7 +82,7 @@ def alg2_batches(alg2_config, alg2_setup):
         traces = monte_carlo(
             variant, alg2_setup, cfg.iterations, cfg.noise_seed, cfg.monte_carlo
         )
-        out[variant] = aggregate(variant, traces, cfg.noise_seed)
+        out[variant] = aggregate(traces)
     return out
 
 
@@ -374,10 +375,12 @@ def test_criterion_09_noiseless_rate_trend():
     assert not trace.diverged
     sch = setup.schedules
     consensus = rate_fit(
-        trace.ks, trace.consensus, sch.stepsize, sch.coupling, 10**3, 10**5
+        trace.columns["k"], trace.columns["consensus"], sch.stepsize,
+        sch.coupling, 10**3, 10**5
     )
     gap = rate_fit(
-        trace.ks, trace.gap, sch.stepsize, sch.coupling, 10**3, 10**5
+        trace.columns["k"], trace.columns["gap"], sch.stepsize,
+        sch.coupling, 10**3, 10**5
     )
     assert consensus.slope >= 1.6
     assert consensus.r_squared > 0.9

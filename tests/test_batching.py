@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_setup, tracking_schedules
-from oracles import step_static, step_tracking
+from oracles import run, step_static, step_tracking
 
 from dpopt import solvers
 from dpopt.config import build_setup, load_config
@@ -43,10 +43,9 @@ from dpopt.solvers import (
     _off_diagonal,
     _record_points,
     effective_schedules,
-    run,
 )
 
-COLUMNS = ("ks", "consensus", "gap", "dist_opt", "tracking", "epsilon_partial")
+COLUMNS = ("k", "consensus", "gap", "dist_opt", "tracking", "epsilon_partial")
 CHUNK = 2048
 # The affine step and the per-agent step round differently; measured
 # differences stay below 1e-9 relative on these horizons.
@@ -67,7 +66,7 @@ def shared_setup(kind, noise):
 
 def fields(trace):
     return (
-        [getattr(trace, name) for name in COLUMNS]
+        [trace.columns[name] for name in COLUMNS]
         + [trace.diverged, trace.diverged_at, trace.diverged_magnitude,
            trace.gradient_bound]
     )
@@ -75,7 +74,7 @@ def fields(trace):
 
 def assert_same(got, want):
     for name in COLUMNS:
-        assert np.array_equal(getattr(got, name), getattr(want, name),
+        assert np.array_equal(got.columns[name], want.columns[name],
                               equal_nan=True), name
     assert got.diverged == want.diverged
     assert got.diverged_at == want.diverged_at
@@ -376,7 +375,8 @@ def test_mixed_divergence_batch(monkeypatch, variant):
     diverged = [t for t in batch if t.diverged]
     assert len(diverged) == n_runs - 5
     assert len({t.diverged_at for t in diverged}) > 1
-    assert all(t.ks[-1] == iterations for t in batch if not t.diverged)
+    assert all(t.columns["k"][-1] == iterations
+               for t in batch if not t.diverged)
     for index, trace in enumerate(batch):
         seed = derive_seed(base_seed, index)
         assert_matches_reference(trace, variant, setup, iterations, seed)
@@ -482,7 +482,8 @@ def test_nan_tracker_diverges_at_its_own_iteration(monkeypatch):
             + monte_carlo("alg2", setup, 100, 3, 3):
         assert trace.diverged_at == k0 + 1
         assert np.isnan(trace.diverged_magnitude)
-        assert trace.ks[-1] == 28  # the last capture on the stride-7 grid
+        # The last capture on the stride-7 grid.
+        assert trace.columns["k"][-1] == 28
         assert np.isfinite(trace.gradient_bound)
 
 
@@ -523,7 +524,7 @@ def test_batch_memory_stays_flat_in_the_horizon(variant, iterations):
     finally:
         tracemalloc.stop()
     assert not trace.diverged
-    outputs = sum(getattr(trace, name).nbytes for name in COLUMNS)
+    outputs = sum(column.nbytes for column in trace.columns.values())
     assert peak - outputs < 2**20
 
 
@@ -550,7 +551,7 @@ def test_noiseless_batch_computes_no_budget_series(monkeypatch):
     setup = with_schedules(shared_setup("tracking", False),
                            tracker_mix=PowerSchedule.constant(1.0))
     batch = monte_carlo("alg2", setup, 50, 3, 2, force=True)
-    assert all(np.isnan(t.epsilon_partial).all() for t in batch)
+    assert all(np.isnan(t.columns["epsilon_partial"]).all() for t in batch)
 
 
 @pytest.mark.parametrize("variant,coupling", [

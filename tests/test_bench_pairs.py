@@ -46,3 +46,21 @@ def test_summary_needs_two_completed_pairs():
     summary = bench_pairs.summarize([{"parent": side(1.0),
                                       "change": side(0.9)}], seed=3)
     assert summary == {"seed": 3, "pairs": 1, "errors": 0}
+
+
+def test_paths_of_unequal_length_exit_two(tmp_path, monkeypatch, capsys):
+    # Nothing runs: the lengths are checked before the first pair.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run_side", refuse)
+    parent, change = tmp_path / "p", tmp_path / "ch"
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                          "--out", str(out)])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{parent} ({len(str(parent))} characters)" in err
+    assert f"{change} ({len(str(change))} characters)" in err
+    assert not out.exists()

@@ -258,6 +258,30 @@ class TestRun:
         assert "3/3 runs completed" in stdout
         assert "privacy budget bound" in stdout
 
+    def test_rerun_deletes_the_earlier_batch_files(self, tmp_path, capsys):
+        # A noisy batch of 3 runs with plots, then a noiseless batch of 2
+        # without, into one directory: the files only the first batch
+        # wrote go, and files no batch writes stay.
+        out = tmp_path / "out"
+        out.mkdir()
+        unrelated = ("notes.txt", "run_000.csv.bak", "run_x.csv",
+                     "gap.png", "compare_gap.svg")
+        for name in unrelated:
+            (out / name).write_text(name, encoding="utf-8")
+        options = ["--iters", "100", "--output", str(out)]
+        assert main(["run", str(CONFIGS / "alg2.cfg"), "--runs", "3",
+                     "--plot", *options]) == 0
+        assert {"run_002.csv", "budget.csv", "gap.svg", "consensus.svg",
+                "tracking.svg"} <= set(os.listdir(out))
+        assert main(["run", str(CONFIGS / "alg2_nonoise.cfg"), "--runs",
+                     "2", *options]) == 0
+        assert "2/2 runs completed" in capsys.readouterr().out
+        assert sorted(os.listdir(out)) == sorted([
+            "aggregate.csv", "failures.csv", "run_000.csv", "run_001.csv",
+            *unrelated])
+        for name in unrelated:
+            assert (out / name).read_text(encoding="utf-8") == name
+
     @staticmethod
     def growing_coupling_cfg(tmp_path) -> str:
         """Noiseless with a growing coupling: the schedule conditions
@@ -621,6 +645,31 @@ class TestCompare:
             ElementTree.fromstring(
                 Path(out, name).read_text(encoding="utf-8")
             )
+
+    def test_rerun_deletes_the_earlier_batch_files(self, static_cfg,
+                                                   tmp_path):
+        # Plotted 3-run batches, then unplotted 2-run ones: each
+        # directory holds the second batch's files, and files no batch
+        # writes stay.
+        out = tmp_path / "out"
+        (out / "alg1").mkdir(parents=True)
+        unrelated = ("compare_other.svg", "alg1/notes.txt")
+        for name in unrelated:
+            (out / name).write_text(name, encoding="utf-8")
+        argv = ["compare", static_cfg, "--variants", "alg1,dgd",
+                "--iters", "60", "--output", str(out)]
+        assert main(argv + ["--runs", "3", "--plot"]) == 0
+        assert (out / "compare_gap.svg").exists()
+        assert (out / "dgd" / "run_002.csv").exists()
+        assert main(argv + ["--runs", "2"]) == 0
+        written = ["aggregate.csv", "budget.csv", "failures.csv",
+                   "run_000.csv", "run_001.csv"]
+        assert sorted(tree(out)) == sorted([
+            "summary.csv", *unrelated,
+            *(f"{variant}/{name}" for variant in ("alg1", "dgd")
+              for name in written)])
+        for name in unrelated:
+            assert (out / name).read_text(encoding="utf-8") == name
 
     @pytest.mark.parametrize("cfg,variants", [
         ("static_cfg", "alg1,dgd,pdop_alg1"),

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import run
+
 from dpopt.config import build_setup, load_config, parse_config_text
 from dpopt.errors import ConfigError
-from dpopt.solvers import VARIANTS, Variant, run
+from dpopt.solvers import VARIANTS, Variant
 
 STATIC_TEXT = """
 # static consensus experiment
@@ -312,7 +314,7 @@ class TestBuildSetup:
         assert setup.consensus is not None
         assert setup.push_pull is None
         trace = run("alg1", setup, iterations=50, seed=1)
-        assert trace.ks[-1] == 50
+        assert trace.columns["k"][-1] == 50
 
     def test_tracking_setup_runs(self):
         config = parse_config_text(TRACKING_TEXT)
@@ -320,7 +322,7 @@ class TestBuildSetup:
         assert setup.push_pull is not None
         assert setup.consensus is None
         trace = run("alg2", setup, iterations=50, seed=1)
-        assert trace.ks[-1] == 50
+        assert trace.columns["k"][-1] == 50
 
     def test_multi_variant_setup_builds_both_weight_kinds(self):
         config = parse_config_text(TRACKING_TEXT)

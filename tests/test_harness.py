@@ -9,7 +9,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_setup
-from oracles import format_value
+from oracles import format_value, run
 
 from dpopt.config import build_setup, load_config
 from dpopt.errors import ConfigError, RangeError
@@ -22,12 +22,11 @@ from dpopt.harness import (
     run_directory,
     write_breakdown,
     write_csv,
-    write_trace,
 )
 from dpopt.noise import derive_seed
 from dpopt.privacy import asymptotic_budget, conservative_budget
 from dpopt.schedules import PowerSchedule, ScheduleSet
-from dpopt.solvers import RunSetup, effective_schedules, run
+from dpopt.solvers import RunSetup, effective_schedules
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -146,14 +145,14 @@ class TestMonteCarlo:
             run("alg1", setup, 30, derive_seed(9, i)) for i in range(3)
         ]
         for t, s in zip(traces, singles):
-            assert np.array_equal(t.gap, s.gap)
+            assert np.array_equal(t.columns["gap"], s.columns["gap"])
 
     def test_rerun_is_identical(self):
         setup = make_setup("static")
         a = monte_carlo("alg1", setup, 30, base_seed=9, n_runs=2)
         b = monte_carlo("alg1", setup, 30, base_seed=9, n_runs=2)
         for t, s in zip(a, b):
-            assert np.array_equal(t.gap, s.gap)
+            assert np.array_equal(t.columns["gap"], s.columns["gap"])
 
     def test_seed_halves_agree_within_pooled_error(self):
         # Two disjoint seed groups estimate the same mean final gap; the
@@ -170,8 +169,8 @@ class TestAggregate:
     def test_matches_manual_statistics(self):
         setup = make_setup("static")
         traces = monte_carlo("alg1", setup, 40, base_seed=3, n_runs=5)
-        agg = aggregate("alg1", traces, base_seed=3)
-        stack = np.vstack([t.gap for t in traces])
+        agg = aggregate(traces)
+        stack = np.vstack([t.columns["gap"] for t in traces])
         assert np.allclose(agg.columns["mean_gap"], stack.mean(axis=0))
         assert np.allclose(agg.columns["var_gap"],
                            stack.var(axis=0, ddof=1))
@@ -183,15 +182,15 @@ class TestAggregate:
     def test_single_run_has_zero_variance(self):
         setup = make_setup("static")
         traces = monte_carlo("alg1", setup, 40, base_seed=3, n_runs=1)
-        agg = aggregate("alg1", traces, base_seed=3)
+        agg = aggregate(traces)
         assert np.all(agg.columns["var_gap"] == 0.0)
-        assert np.allclose(agg.columns["mean_gap"], traces[0].gap)
+        assert np.allclose(agg.columns["mean_gap"], traces[0].columns["gap"])
         assert agg.se_final_gap == 0.0
 
     def test_failures_are_counted_and_seeded(self):
         traces = monte_carlo("dgd", diverging_setup(), 200, base_seed=5,
                              n_runs=4)
-        agg = aggregate("dgd", traces, base_seed=5)
+        agg = aggregate(traces)
         assert agg.requested == 4
         failures = agg.failures
         assert agg.completed + len(failures["run"]) == 4
@@ -210,17 +209,29 @@ class TestAggregate:
         good = monte_carlo("alg1", setup, 40, base_seed=3, n_runs=3)
         bad = monte_carlo("dgd", diverging_setup(), 200, base_seed=5, n_runs=1)
         traces = good + bad
-        agg = aggregate("alg1", traces, base_seed=3)
+        agg = aggregate(traces)
         assert agg.requested == 4
         assert agg.completed == 3
-        stack = np.vstack([t.gap for t in good])
+        stack = np.vstack([t.columns["gap"] for t in good])
         assert np.allclose(agg.columns["mean_gap"], stack.mean(axis=0))
         assert np.isinf(agg.final_gaps[-1])
         assert np.isfinite(agg.se_final_gap)
 
+    def test_failures_take_each_trace_seed(self):
+        # Traces from two sources: the failure row names the seed its
+        # run started from, not one derived from its position.
+        good = monte_carlo("alg1", make_setup("static"), 40, base_seed=3,
+                           n_runs=2)
+        bad = run("dgd", diverging_setup(), 200, seed=11)
+        agg = aggregate(good + [bad])
+        assert agg.variant == "alg1"
+        assert [t.seed for t in good] == [derive_seed(3, i) for i in range(2)]
+        assert agg.failures["run"] == [2]
+        assert agg.failures["seed"] == [11]
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            aggregate("alg1", [], base_seed=0)
+            aggregate([])
 
 
 class TestWriters:
@@ -228,22 +239,22 @@ class TestWriters:
         setup = make_setup("static")
         trace = run("alg1", setup, 40, seed=2)
         path = str(tmp_path / "run_000.csv")
-        write_trace(path, trace)
+        write_csv(path, trace.columns)
         lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "k,consensus,gap,dist_opt,tracking,epsilon_partial"
         first = lines[1].split(",")
         assert int(first[0]) == 0
-        assert float(first[1]) == trace.consensus[0]
+        assert float(first[1]) == trace.columns["consensus"][0]
 
     def test_aggregate_csv_byte_stable(self, tmp_path):
         setup = make_setup("static")
         traces = monte_carlo("alg1", setup, 40, base_seed=3, n_runs=3)
-        agg = aggregate("alg1", traces, base_seed=3)
+        agg = aggregate(traces)
         p1 = str(tmp_path / "a1.csv")
         p2 = str(tmp_path / "a2.csv")
         write_csv(p1, agg.columns)
         traces2 = monte_carlo("alg1", setup, 40, base_seed=3, n_runs=3)
-        write_csv(p2, aggregate("alg1", traces2, base_seed=3).columns)
+        write_csv(p2, aggregate(traces2).columns)
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
         assert Path(p1).read_bytes().startswith(
             b"k,mean_gap,var_gap,mean_consensus,var_consensus,"
@@ -252,7 +263,7 @@ class TestWriters:
     def test_failures_csv_written_even_when_empty(self, tmp_path):
         setup = make_setup("static")
         traces = monte_carlo("alg1", setup, 40, base_seed=3, n_runs=2)
-        agg = aggregate("alg1", traces, base_seed=3)
+        agg = aggregate(traces)
         path = str(tmp_path / "failures.csv")
         write_csv(path, agg.failures)
         text = Path(path).read_text(encoding="utf-8")
@@ -261,7 +272,7 @@ class TestWriters:
     def test_failures_csv_rows(self, tmp_path):
         traces = monte_carlo("dgd", diverging_setup(), 200, base_seed=5,
                              n_runs=2)
-        agg = aggregate("dgd", traces, base_seed=5)
+        agg = aggregate(traces)
         path = str(tmp_path / "failures.csv")
         write_csv(path, agg.failures)
         lines = Path(path).read_text(encoding="utf-8").strip().split("\n")

@@ -167,6 +167,18 @@ class TestOpenUniform:
         assert [open_uniform(w) for w in self.NEIGHBOURS] == unclamped
         assert max(unclamped) == 1.0 - 2.0**-52
 
+    def test_support_extremes_pinned(self):
+        # Words 0 and 2**64 - 1 give the sampler's extreme draws: every
+        # draw at scale nu lies in [-36.7368005696771 nu,
+        # 36.04365338911715 nu], asymmetric because the top uniform is
+        # clamped while the bottom one keeps its half-step offset.
+        q = _open_uniform(np.array([0, 2**64 - 1], dtype=np.uint64))
+        assert q.tolist() == [2.0**-54, 1.0 - 2.0**-53]
+        assert laplace_inverse_cdf(q, 1.0).tolist() \
+            == [-36.7368005696771, 36.04365338911715]
+        assert laplace_inverse_cdf(q, 2.0).tolist() \
+            == [-2 * 36.7368005696771, 2 * 36.04365338911715]
+
 
 class TestDistribution:
     def test_inverse_cdf_quartiles(self):

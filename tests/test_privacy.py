@@ -119,6 +119,17 @@ class TestSensitivityTracking:
             assert abs(sx[k] - cx) <= 1e-12
             assert abs(sy[k] - cy) <= 1e-12
 
+    def test_memoized_closed_form_pinned_to_uncached(self):
+        # The closed form caches its schedule values and inner sums
+        # within a call; computed afresh at every step, each value has
+        # the same bits.
+        for k in range(1, 51):
+            args = (LAM, ALPHA, G1, G2, WBAR, WBAR, k)
+            cached = sensitivity_tracking_closed_form(*args)
+            afresh = sensitivity_tracking_closed_form(*args,
+                                                      memo=lambda f: f)
+            assert [v.hex() for v in cached] == [v.hex() for v in afresh]
+
     def test_none_mix_means_zero_alpha(self):
         sx_a, sy_a = sensitivity_tracking(LAM, None, G1, G2, WBAR, WBAR, 20)
         zero = PowerSchedule.decaying(1e-300, 0.0, 0.0)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import desk_graph, make_setup, static_schedules, tracking_schedules
 from oracles import (
+    run,
     step_static,
     step_static_per_agent,
     step_tracking,
@@ -37,7 +38,6 @@ from dpopt.solvers import (
     Variant,
     _diagonal_load,
     effective_schedules,
-    run,
     run_batch,
     validate_for_variant,
 )
@@ -135,45 +135,46 @@ class TestRun:
     def test_record_points_include_endpoint(self):
         setup = make_setup("static", noise=False, stride=10)
         trace = run("alg1", setup, iterations=25, seed=1)
-        assert list(trace.ks) == [0, 10, 20, 25]
-        assert trace.ks[-1] == 25
+        assert list(trace.columns["k"]) == [0, 10, 20, 25]
+        assert trace.columns["k"][-1] == 25
 
     def test_deterministic_with_noise(self):
         setup = make_setup("static")
         a = run("alg1", setup, iterations=60, seed=5)
         b = run("alg1", setup, iterations=60, seed=5)
-        assert np.array_equal(a.gap, b.gap)
-        assert np.array_equal(a.consensus, b.consensus)
-        assert np.array_equal(a.epsilon_partial, b.epsilon_partial)
+        assert np.array_equal(a.columns["gap"], b.columns["gap"])
+        assert np.array_equal(a.columns["consensus"], b.columns["consensus"])
+        assert np.array_equal(a.columns["epsilon_partial"],
+                              b.columns["epsilon_partial"])
 
     def test_seed_changes_trajectory(self):
         setup = make_setup("static")
         a = run("alg1", setup, iterations=60, seed=5)
         b = run("alg1", setup, iterations=60, seed=6)
-        assert not np.array_equal(a.gap, b.gap)
+        assert not np.array_equal(a.columns["gap"], b.columns["gap"])
 
     def test_same_seed_shares_initial_state_within_family(self):
         static = make_setup("static")
         a = run("alg1", static, iterations=20, seed=9)
         b = run("dgd", static, iterations=20, seed=9)
-        assert a.consensus[0] == b.consensus[0]
-        assert a.gap[0] == b.gap[0]
+        assert a.columns["consensus"][0] == b.columns["consensus"][0]
+        assert a.columns["gap"][0] == b.columns["gap"][0]
         tracking = make_setup("tracking")
         c = run("alg2", tracking, iterations=20, seed=9)
         d = run("push_pull", tracking, iterations=20, seed=9)
-        assert c.consensus[0] == d.consensus[0]
-        assert c.gap[0] == d.gap[0]
+        assert c.columns["consensus"][0] == d.columns["consensus"][0]
+        assert c.columns["gap"][0] == d.columns["gap"][0]
 
     def test_noiseless_epsilon_is_nan(self):
         setup = make_setup("static", noise=False)
         trace = run("alg1", setup, iterations=30, seed=1)
-        assert np.all(np.isnan(trace.epsilon_partial))
+        assert np.all(np.isnan(trace.columns["epsilon_partial"]))
 
     def test_epsilon_partial_is_nondecreasing(self):
         setup = make_setup("static")
         trace = run("alg1", setup, iterations=100, seed=1)
-        assert trace.epsilon_partial[0] == 0.0
-        assert np.all(np.diff(trace.epsilon_partial) >= 0)
+        assert trace.columns["epsilon_partial"][0] == 0.0
+        assert np.all(np.diff(trace.columns["epsilon_partial"]) >= 0)
 
     def test_epsilon_matches_static_budget_series(self):
         setup = make_setup("static")
@@ -182,9 +183,10 @@ class TestRun:
         series = conservative_budget(
             sch, setup.consensus, trace.gradient_bound, 200
         )
-        for i, k in enumerate(trace.ks):
+        for i, k in enumerate(trace.columns["k"]):
             expected = 0.0 if k == 0 else series.epsilon_at(int(k))
-            assert trace.epsilon_partial[i] == pytest.approx(expected, rel=1e-12)
+            assert trace.columns["epsilon_partial"][i] == pytest.approx(
+                expected, rel=1e-12)
 
     def test_epsilon_matches_tracking_budget_series(self):
         setup = make_setup("tracking")
@@ -193,9 +195,10 @@ class TestRun:
         series = conservative_budget(
             sch, setup.push_pull, trace.gradient_bound, 200
         )
-        for i, k in enumerate(trace.ks):
+        for i, k in enumerate(trace.columns["k"]):
             expected = 0.0 if k == 0 else series.epsilon_at(int(k))
-            assert trace.epsilon_partial[i] == pytest.approx(expected, rel=1e-12)
+            assert trace.columns["epsilon_partial"][i] == pytest.approx(
+                expected, rel=1e-12)
 
     def test_single_agent_is_plain_gradient_descent(self):
         problem, _ = random_instance(seed=11, m=1, s=8, d=3)
@@ -213,9 +216,10 @@ class TestRun:
         for k in range(100):
             x = x - lam.value(k) * problem.all_gradients(x)
             expected[k + 1] = problem.global_cost(x[0]) - setup.f_star
-        for i, k in enumerate(trace.ks):
-            assert trace.gap[i] == pytest.approx(expected[int(k)], abs=1e-14)
-            assert trace.consensus[i] == 0.0
+        for i, k in enumerate(trace.columns["k"]):
+            assert trace.columns["gap"][i] == pytest.approx(
+                expected[int(k)], abs=1e-14)
+            assert trace.columns["consensus"][i] == 0.0
 
     def test_divergence_is_flagged_not_raised(self):
         setup = make_setup("static", noise=False)
@@ -226,7 +230,7 @@ class TestRun:
         assert trace.diverged_at is not None
         assert trace.final_gap == np.inf
         assert trace.final_consensus == np.inf
-        assert trace.ks[-1] <= trace.diverged_at
+        assert trace.columns["k"][-1] <= trace.diverged_at
 
     def test_validation_gate_and_force(self):
         setup = make_setup("static")
@@ -239,7 +243,7 @@ class TestRun:
         with pytest.raises(ConditionError):
             run("alg1", gated, iterations=10, seed=1)
         trace = run("alg1", gated, iterations=10, seed=1, force=True)
-        assert trace.ks[-1] == 10
+        assert trace.columns["k"][-1] == 10
 
     def test_baselines_ignore_schedule_conditions(self):
         setup = make_setup("static")
@@ -251,7 +255,7 @@ class TestRun:
         gated = RunSetup(setup.problem, bad, consensus=setup.consensus)
         assert validate_for_variant("dgd", gated).overall
         trace = run("dgd", gated, iterations=10, seed=1)
-        assert trace.ks[-1] == 10
+        assert trace.columns["k"][-1] == 10
 
     def test_gradient_bound_covers_initial_gradients(self):
         setup = make_setup("static", noise=False)
@@ -282,7 +286,7 @@ class TestRun:
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
         for variant, setup in setups:
             traces = run_batch(variant, setup, 50, [1, 2], force=force)
-            assert [t.ks[-1] for t in traces] == [50, 50]
+            assert [t.columns["k"][-1] for t in traces] == [50, 50]
 
 
 class TestEffectiveSchedules:
@@ -414,7 +418,7 @@ class TestValidateForVariant:
         entry = validate_for_variant("alg1", setup).entry(
             "coupling_peak_diag_positive")
         assert entry.passed and entry.value == 0.0
-        assert run("alg1", setup, 50, seed=0).ks[-1] == 50
+        assert run("alg1", setup, 50, seed=0).columns["k"][-1] == 50
 
     def test_tracker_mix_entry_on_reference_setups(self):
         setup = make_setup("tracking", pdop=True)
@@ -441,7 +445,8 @@ class TestValidateForVariant:
             with pytest.raises(RangeError, match="mix too strong"):
                 run("alg2", setup, 50, seed=1, force=True)
         else:
-            assert run("alg2", setup, 50, seed=1, force=True).ks[-1] == 50
+            trace = run("alg2", setup, 50, seed=1, force=True)
+            assert trace.columns["k"][-1] == 50
 
     def test_all_variants_pass_on_reference_setups(self):
         static = make_setup("static", pdop=True)
